@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CompressionModel, ConstantsBundle, calibrate
-from .domain import Grid, PwcField, load_pwc_field, make_uniform_partition
+from .domain import Grid, PwcField, load_pwc_field, make_uniform_partition, pwc_file_header
 from .errors import ConfigurationError
 from .forward import spectrum_guard
 
@@ -77,13 +77,9 @@ class ExperimentConfig:
     def truth_field(self) -> PwcField:
         if self.truth_file is not None:
             # the file header pins N; rebuild the matching uniform partition
-            with open(self.truth_file, encoding="utf-8") as fh:
-                header = fh.readline().split()
-            if len(header) != 3 or header[0] != "pwc":
-                raise ConfigurationError(f"{self.truth_file}: not a pwc field file")
-            n = int(header[1])
+            n, level = pwc_file_header(self.truth_file)
             k = int(round(np.sqrt(n)))
-            part = make_uniform_partition(self.grid, k, level=int(header[2]))
+            part = make_uniform_partition(self.grid, k, level=level)
             return load_pwc_field(self.truth_file, part, (self.b1, self.b2))
         if self.truth_k is None or self.truth_values is None:
             raise ConfigurationError("config has no [truth] section with k/values or file")
@@ -126,12 +122,17 @@ def load_config(path) -> ExperimentConfig:
     parser.read_string(text)
     _reject_unknown(parser)
     try:
-        m = parser.getint("grid", "m")
-        omega2 = parser.getfloat("problem", "omega2")
-        b1 = parser.getfloat("problem", "b1")
-        b2 = parser.getfloat("problem", "b2")
+        return _parse(parser, text)
     except (configparser.Error, ValueError) as exc:
+        # a malformed value anywhere in the file is a configuration error
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
+    m = parser.getint("grid", "m")
+    omega2 = parser.getfloat("problem", "omega2")
+    b1 = parser.getfloat("problem", "b1")
+    b2 = parser.getfloat("problem", "b2")
     grid = Grid(m)
     spectrum_guard(omega2, b1, b2)
 

@@ -70,10 +70,6 @@ class SolutionBank:
         u.setflags(write=False)
         object.__setattr__(self, "solutions", u)
 
-    def solution_for(self, g: np.ndarray) -> NodalField:
-        """Solution with Dirichlet data g, as a linear combination of bank columns."""
-        return NodalField(self.grid, self.solutions @ np.asarray(g, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class Residual:

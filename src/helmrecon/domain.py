@@ -347,6 +347,9 @@ class PwcField:
             raise DiscretizationMismatchError(
                 f"expected {self.partition.n_regions} coefficients, got shape {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise ConfigurationError(
+                f"coefficients must be finite; {int((~np.isfinite(c)).sum())} are not")
         b1, b2 = self.bounds
         if not (0 < b1 <= b2):
             raise ConfigurationError(f"bounds must satisfy 0 < b1 <= b2, got ({b1}, {b2})")
@@ -494,12 +497,60 @@ def save_field(path, f: PwcField | NodalField) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> PwcField:
+def _number(path, token: str, kind=float):
+    """One numeric token of a field or matrix file; anything that is not a
+    finite number of the given kind raises ConfigurationError."""
+    try:
+        value = kind(token)
+    except ValueError:
+        raise ConfigurationError(f"{path}: {token!r} is not a valid {kind.__name__}") from None
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{path}: non-finite value {token!r}")
+    return value
+
+
+def read_header(fh, path, layout: str, kinds: tuple) -> list:
+    """Parse a header line laid out as '<name> <field> ...' with the given field types."""
+    tokens = fh.readline().split()
+    name = layout.split()[0]
+    if len(tokens) != len(kinds) + 1 or tokens[0] != name:
+        raise ConfigurationError(f"{path}: expected '{layout}' header")
+    return [_number(path, tok, kind) for tok, kind in zip(tokens[1:], kinds)]
+
+
+def read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
+    """Read rows lines of exactly cols finite numbers each."""
+    out = np.empty((rows, cols))
+    for r in range(rows):
+        tokens = fh.readline().split()
+        if not tokens:
+            raise ConfigurationError(f"{path}: truncated after {r} of {rows} data lines")
+        if len(tokens) != cols:
+            raise ConfigurationError(
+                f"{path}: data line {r + 1} has {len(tokens)} values, expected {cols}")
+        out[r] = [_number(path, tok) for tok in tokens]
+    return out
+
+
+def expect_end(fh, path) -> None:
+    """Reject anything but blank lines after the declared data."""
+    if fh.read().strip():
+        raise ConfigurationError(f"{path}: unexpected data after the declared entries")
+
+
+def pwc_file_header(path) -> tuple[int, int]:
+    """(N, level) from the header of a piecewise-constant field file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "pwc":
-            raise ConfigurationError(f"{path}: expected 'pwc <N> <level>' header")
-        n, level = int(header[1]), int(header[2])
+        n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
+    if n < 1:
+        raise ConfigurationError(f"{path}: region count must be positive, got {n}")
+    return n, level
+
+
+def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> PwcField:
+    """Read a pwc file: N lines 'region coeff', each region exactly once."""
+    with open(path, encoding="utf-8") as fh:
+        n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
         if n != partition.n_regions:
             raise DiscretizationMismatchError(
                 f"{path}: file has {n} regions, partition has {partition.n_regions}"
@@ -510,23 +561,24 @@ def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> P
             )
         coeffs = np.empty(n)
         seen = np.zeros(n, dtype=bool)
-        for _ in range(n):
-            j_s, v_s = fh.readline().split()
-            j = int(j_s)
-            coeffs[j] = float(v_s)
+        for row in read_rows(fh, path, n, 2):
+            j = int(row[0])
+            if j != row[0] or not 0 <= j < n:
+                raise ConfigurationError(f"{path}: region index {row[0]:g} is not in 0..{n - 1}")
+            if seen[j]:
+                raise ConfigurationError(f"{path}: region {j} is listed twice")
+            coeffs[j] = row[1]
             seen[j] = True
-        if not seen.all():
-            raise ConfigurationError(f"{path}: missing coefficients for some regions")
+        expect_end(fh, path)
     return PwcField(partition, coeffs, bounds)
 
 
 def load_nodal_field(path, grid: Grid) -> NodalField:
+    """Read a nodal file: m^2 lines of one value each, row-major."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "nodal":
-            raise ConfigurationError(f"{path}: expected 'nodal <m>' header")
-        m = int(header[1])
+        (m,) = read_header(fh, path, "nodal <m>", (int,))
         if m != grid.m:
             raise DiscretizationMismatchError(f"{path}: file has m={m}, grid has m={grid.m}")
-        values = np.array([float(tok) for tok in fh.read().split()])
+        values = read_rows(fh, path, grid.n_nodes, 1)[:, 0]
+        expect_end(fh, path)
     return NodalField(grid, values)

@@ -6,6 +6,19 @@ Laplacian (h^2 times the five-point -Delta_h), d(c) is the cell-to-node mass
 lumping of the coefficient field c = c^-2, and M is the same lumping of 1.
 Boundary nodes carry Dirichlet values along a single closed loop.
 
+Solver. With the interior nodes in natural (row-major) order, the interior
+matrix K_ii is block tridiagonal over the n = m - 2 interior grid rows:
+tridiagonal diagonal blocks D_k = tridiag(-1, 4 - omega^2 d, -1) and -I
+off-diagonal blocks. HelmholtzOperator eliminates across grid rows with
+Schur complements S_k = D_k - S_{k-1}^{-1}, stores each S_k^{-1} (n^3 doubles
+in all, 16 MB at m = 129), and solves by one forward and one backward sweep of
+dense n x n products per grid row. The DtN assembly runs those sweeps in place
+on the interior rows of the (n_nodes, nb) solution bank, whose right-hand
+sides are scattered straight into it. The getrf pivots of the S_k certify
+that K_ii is invertible (det K_ii is their product); a residual audit against
+the assembled K_ii backs every solve. Static per-grid pieces (index sets, the
+boundary block of L, the interior rows of L) are cached per Grid.
+
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
 the solution with the p-th boundary indicator as data, read off at boundary
@@ -20,15 +33,21 @@ and stability layers rely on.
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are built from the spectral calculus of the
 periodic boundary-loop Laplacian.
+
+scipy.sparse.linalg stays imported as ``spla`` although the solver no longer
+calls it: the benchmark's layer trace wraps ``helmrecon.forward.spla.splu``,
+and a zero call count there is the expected trace of this solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (see the module docstring)
+from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
 from .domain import (
     Grid,
@@ -37,8 +56,11 @@ from .domain import (
     boundary_loop,
     grid_laplacian,
     interior_nodes,
+    expect_end,
     mass_scatter_matrix,
     node_quad_weights,
+    read_header,
+    read_rows,
 )
 from .errors import (
     AdmissibilityError,
@@ -67,6 +89,7 @@ __all__ = [
 
 _PIVOT_RTOL = 1e-13
 _SOLVE_RTOL = 1e-10
+_AUDIT_ENTRIES = 1 << 20  # residual entries per audit chunk (bounds its scratch memory)
 
 
 def unit_square_eigenvalues(upto: float) -> np.ndarray:
@@ -195,12 +218,99 @@ def build_boundary_weights(grid: Grid) -> BoundaryWeights:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _GridStructure:
+    """Static pieces of the five-point system of one grid, built once per Grid."""
+
+    interior: np.ndarray     # interior node ids in natural (row-major) order
+    loop: np.ndarray         # boundary node ids in loop order
+    inward: np.ndarray       # per loop node: its interior neighbour (the diagonal one at a corner)
+    edge: np.ndarray         # loop positions of the non-corner nodes
+    l_bb: np.ndarray         # dense boundary block of the grid Laplacian, loop order
+    l_rows: sp.csr_matrix    # interior rows of the grid Laplacian, all columns
+    l_rows_diag: np.ndarray  # positions of the diagonal entries in l_rows.data
+
+
+@lru_cache(maxsize=None)
+def _grid_structure(grid: Grid) -> _GridStructure:
+    m = grid.m
+    lap = grid_laplacian(grid)
+    interior = interior_nodes(grid)
+    loop = boundary_loop(grid)
+    i, j = np.divmod(loop, m)
+    ii = i + (i == 0) - (i == m - 1)
+    jj = j + (j == 0) - (j == m - 1)
+    corner = ((i == 0) | (i == m - 1)) & ((j == 0) | (j == m - 1))
+    l_rows = lap[interior].tocsr()
+    row_of = np.repeat(np.arange(interior.size), np.diff(l_rows.indptr))
+    l_rows_diag = np.flatnonzero(l_rows.indices == interior[row_of])
+    structure = _GridStructure(
+        interior=interior,
+        loop=loop,
+        inward=ii * m + jj,
+        edge=np.flatnonzero(~corner),
+        l_bb=lap[loop][:, loop].toarray(),
+        l_rows=l_rows,
+        l_rows_diag=l_rows_diag,
+    )
+    for arr in (structure.inward, structure.edge, structure.l_bb, structure.l_rows_diag):
+        arr.setflags(write=False)
+    return structure
+
+
+def _factor_blocks(diag: np.ndarray, omega2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the block Schur complements S_k and the getrf pivots of each.
+
+    diag[k] holds the diagonal of the tridiagonal block D_k; S_0 = D_0 and
+    S_k = D_k - S_{k-1}^{-1}. Raises NearEigenfrequencyError when getrf finds a
+    singular (or overflowing) S_k.
+    """
+    n = diag.shape[0]
+    off = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    off[idx, idx + 1] = off[idx + 1, idx] = -1.0
+    inv = np.empty((n, n, n))
+    pivots = np.empty((n, n))
+    lwork = max(1, int(dgetri_lwork(n)[0]))
+    for k in range(n):
+        s = off - inv[k - 1] if k else off.copy()
+        s.flat[::n + 1] += diag[k]
+        lu, piv, info = dgetrf(s, overwrite_a=True)
+        pivots[k] = np.abs(np.diagonal(lu))
+        if info != 0 or not np.isfinite(pivots[k]).all():
+            raise NearEigenfrequencyError(
+                f"interior system is singular at omega^2 = {omega2}: "
+                f"block {k} of {n} has a zero pivot",
+                smallest_pivot=0.0,
+            )
+        inv[k], info = dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    return inv, pivots
+
+
 class HelmholtzOperator:
-    """Assembled interior system for one coefficient field and frequency.
+    """Interior system K_ii u_i = rhs for one coefficient field and frequency.
 
     Runs the spectrum guard for the field's coefficient box at construction,
-    factors the interior block once, and reuses the factorization for every
-    Dirichlet solve (all DtN columns share it).
+    then factors K_ii once by block elimination across grid rows; every
+    Dirichlet solve (one right-hand side in ``solve``, the whole indicator
+    bank in ``assemble_dtn``) reuses that factor.
+
+    Block structure. In natural order the interior nodes form n = m - 2 grid
+    rows of n nodes, and K_ii = L_ii - omega^2 diag(d_i) is block tridiagonal:
+    D_k = tridiag(-1, 4 - omega^2 d, -1) on the diagonal and -I beside it.
+    Sequential Schur complements S_0 = D_0, S_k = D_k - S_{k-1}^{-1} give
+    K_ii = L U with unit lower block bidiagonal L (sub-blocks -S_{k-1}^{-1})
+    and upper block bidiagonal U (diagonal S_k, super-blocks -I). Each S_k is
+    factored with LAPACK getrf and its inverse stored (getri): n^3 doubles,
+    16 MB at m = 129. A solve is then one forward and one backward sweep of
+    dense n x n products per grid row, run in place on the solution array.
+
+    Pivot certificate. det K_ii is the product of the getrf pivots of all
+    S_k, and S_k is singular exactly when the system restricted to the first
+    k + 1 grid rows is. A zero pivot or a smallest pivot below 1e-13 of the
+    largest raises NearEigenfrequencyError: omega^2 then sits at (or
+    numerically at) an eigenfrequency of K_ii or of one of those strips. A
+    residual audit against the assembled K_ii backs every solve.
     """
 
     def __init__(self, c2inv: PwcField, omega2: float,
@@ -212,23 +322,15 @@ class HelmholtzOperator:
         self.grid = c2inv.grid
         self.c2inv = c2inv
         self.omega2 = float(omega2)
+        self._s = s = _grid_structure(self.grid)
         self.mass_diag = np.asarray(mass_scatter_matrix(self.grid) @ c2inv.cell_values())
-        self.matrix = (grid_laplacian(self.grid)
-                       - self.omega2 * sp.diags(self.mass_diag)).tocsr()
-        self.interior = interior_nodes(self.grid)
-        self.loop = boundary_loop(self.grid)
-        k_ii = self.matrix[self.interior][:, self.interior].tocsc()
-        self._k_ib = self.matrix[self.interior][:, self.loop].tocsr()
-        self._k_bi = self.matrix[self.loop][:, self.interior].tocsr()
-        self._k_bb = self.matrix[self.loop][:, self.loop].toarray()
-        try:
-            self.lu = spla.splu(k_ii)
-        except RuntimeError as exc:
-            raise NearEigenfrequencyError(
-                f"interior system is singular at omega^2 = {omega2}: {exc}",
-                smallest_pivot=0.0,
-            ) from exc
-        pivots = np.abs(self.lu.U.diagonal())
+        # interior rows of K = L - omega^2 diag(d), all columns: [K_ii K_ib]
+        data = s.l_rows.data.copy()
+        data[s.l_rows_diag] -= self.omega2 * self.mass_diag[s.interior]
+        self._k_rows = sp.csr_matrix((data, s.l_rows.indices, s.l_rows.indptr),
+                                     shape=s.l_rows.shape)
+        n = self.grid.m - 2
+        self._inv, pivots = _factor_blocks(data[s.l_rows_diag].reshape(n, n), self.omega2)
         self.smallest_pivot = float(pivots.min())
         if self.smallest_pivot < _PIVOT_RTOL * float(pivots.max()):
             raise NearEigenfrequencyError(
@@ -237,33 +339,69 @@ class HelmholtzOperator:
                 smallest_pivot=self.smallest_pivot,
             )
 
-    def _check_residual(self, rhs: np.ndarray, sol: np.ndarray, k_ii=None) -> None:
-        k_ii = self.matrix[self.interior][:, self.interior] if k_ii is None else k_ii
-        res = np.linalg.norm(k_ii @ sol - rhs)
-        scale = np.linalg.norm(rhs)
-        if scale > 0 and res > _SOLVE_RTOL * scale:
+    def _solve_in_place(self, u: np.ndarray, rhs_norm: float, source=None) -> None:
+        """Overwrite the interior rows of u (n_nodes, k) with K_ii^{-1} times
+        themselves, then audit: K_ii u_i + K_ib u_b = source must hold to
+        _SOLVE_RTOL * rhs_norm, where the boundary rows of u hold the
+        Dirichlet data and the interior rows held -K_ib u_b + source.
+        """
+        m = self.grid.m
+        x = u.reshape(m, m, -1)[1:-1, 1:-1]  # block row k is grid row k + 1
+        inv = self._inv
+        tmp = np.empty_like(x[0])
+        for k in range(1, x.shape[0]):
+            np.matmul(inv[k - 1], x[k - 1], out=tmp)
+            x[k] += tmp
+        np.matmul(inv[-1], x[-1], out=tmp)
+        x[-1] = tmp
+        for k in range(x.shape[0] - 2, -1, -1):
+            x[k] += x[k + 1]
+            np.matmul(inv[k], x[k], out=tmp)
+            x[k] = tmp
+        k_rows = self._k_rows
+        step = max(1, _AUDIT_ENTRIES // u.shape[1])
+        res2 = 0.0
+        for r0 in range(0, k_rows.shape[0], step):
+            res = k_rows[r0:r0 + step] @ u
+            if source is not None:
+                res -= source[r0:r0 + step]
+            res2 += float(np.vdot(res, res))
+        res = np.sqrt(res2)
+        if rhs_norm > 0 and res > _SOLVE_RTOL * rhs_norm:
             raise NearEigenfrequencyError(
-                f"linear solve residual {res / scale:.3e} exceeds {_SOLVE_RTOL} "
+                f"linear solve residual {res / rhs_norm:.3e} exceeds {_SOLVE_RTOL} "
                 f"(omega^2 = {self.omega2} too close to an eigenfrequency)",
                 smallest_pivot=self.smallest_pivot,
             )
 
     def solve(self, g: np.ndarray | None = None, f: NodalField | np.ndarray | None = None) -> NodalField:
         """Solve with Dirichlet data g (boundary-loop order) and volume source f."""
+        s = self._s
         nb = self.grid.n_boundary
         g = np.zeros(nb) if g is None else np.asarray(g, dtype=float)
         if g.shape != (nb,):
             raise DiscretizationMismatchError(f"expected {nb} boundary values, got {g.shape}")
-        rhs = -(self._k_ib @ g)
+        u = np.zeros((self.grid.n_nodes, 1))
+        u[s.loop, 0] = g
+        np.add.at(u[:, 0], s.inward[s.edge], g[s.edge])  # -K_ib g
+        source = None
         if f is not None:
             fv = f.values if isinstance(f, NodalField) else np.asarray(f, dtype=float)
-            rhs = rhs + (node_quad_weights(self.grid) * fv)[self.interior]
-        u_i = self.lu.solve(rhs)
-        self._check_residual(rhs, u_i)
-        u = np.zeros(self.grid.n_nodes)
-        u[self.loop] = g
-        u[self.interior] = u_i
-        return NodalField(self.grid, u)
+            source = (node_quad_weights(self.grid) * fv)[s.interior, None]
+            u[s.interior] += source
+        self._solve_in_place(u, float(np.linalg.norm(u[s.interior])), source)
+        return NodalField(self.grid, u[:, 0])
+
+    def indicator_bank(self) -> np.ndarray:
+        """(n_nodes, nb) solutions, column p with the p-th boundary indicator as
+        Dirichlet data; the boundary rows form the identity."""
+        s = self._s
+        nb = self.grid.n_boundary
+        bank = np.zeros((self.grid.n_nodes, nb))
+        bank[s.loop, np.arange(nb)] = 1.0
+        bank[s.inward[s.edge], s.edge] = 1.0  # -K_ib: one unit per non-corner column
+        self._solve_in_place(bank, float(np.sqrt(s.edge.size)))
+        return bank
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,25 +433,14 @@ class DtnMatrix:
         return float(np.linalg.norm(self.lam - self.lam.T) / scale)
 
 
-def _one_sided_inward(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Inward neighbor of each boundary-loop node and the 1/distance factor."""
-    m = grid.m
-    loop = boundary_loop(grid)
-    i, j = np.divmod(loop, m)
-    ii = i + (i == 0) - (i == m - 1)
-    jj = j + (j == 0) - (j == m - 1)
-    inward = ii * m + jj
-    diag = ((i == 0) | (i == m - 1)) & ((j == 0) | (j == m - 1))
-    factor = np.where(diag, 1.0 / np.sqrt(2.0), 1.0)
-    return inward, factor
-
-
 def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
                  variant: str = "variational", return_solutions: bool = False):
     """Assemble the DtN matrix; optionally return the full solution bank.
 
     The bank is the (n_nodes, nb) array of solutions, one column per boundary
-    indicator; boundary rows form the identity. variant='one_sided' replaces
+    indicator; boundary rows form the identity. The variational DtN is
+    -(K_bb + K_bi U_i): a row gather of the bank at the interior neighbour of
+    each non-corner boundary node, minus K_bb. variant='one_sided' replaces
     the variational flux with an inward finite difference (for degradation
     experiments only).
     """
@@ -321,28 +448,19 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
     weights = build_boundary_weights(grid) if weights is None else weights
     if weights.grid.m != grid.m:
         raise DiscretizationMismatchError("weights were built for a different grid")
-    rhs = -op._k_ib.toarray()
-    u_i = op.lu.solve(rhs)
-    # residual audit on the whole block
-    k_ii = op.matrix[op.interior][:, op.interior]
-    block_res = np.linalg.norm(k_ii @ u_i - rhs)
-    block_scale = np.linalg.norm(rhs)
-    if block_scale > 0 and block_res > _SOLVE_RTOL * block_scale:
-        raise NearEigenfrequencyError(
-            f"DtN assembly residual {block_res / block_scale:.3e} exceeds {_SOLVE_RTOL}",
-            smallest_pivot=op.smallest_pivot,
-        )
-    nb = grid.n_boundary
-    if variant == "variational":
-        lam = -(op._k_bb + op._k_bi @ u_i)
-    elif variant == "one_sided":
-        u_full = np.zeros((grid.n_nodes, nb))
-        u_full[op.loop] = np.eye(nb)
-        u_full[op.interior] = u_i
-        inward, factor = _one_sided_inward(grid)
-        lam = (u_full[inward] - u_full[op.loop]) * factor[:, None]
-    else:
+    if variant not in ("variational", "one_sided"):
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
+    s = op._s
+    nb = grid.n_boundary
+    bank = op.indicator_bank()
+    if variant == "variational":
+        lam = -s.l_bb
+        lam.flat[::nb + 1] += op.omega2 * op.mass_diag[s.loop]
+        lam[s.edge] += bank[s.inward[s.edge]]
+    else:
+        factor = np.full(nb, 1.0 / np.sqrt(2.0))
+        factor[s.edge] = 1.0
+        lam = (bank[s.inward] - bank[s.loop]) * factor[:, None]
     meta = {
         "n_regions": op.c2inv.partition.n_regions,
         "level": op.c2inv.partition.level,
@@ -350,12 +468,7 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
         "variant": variant,
     }
     dtn = DtnMatrix(lam=lam, weights=weights, omega2=op.omega2, meta=meta)
-    if not return_solutions:
-        return dtn
-    u_full = np.zeros((grid.n_nodes, nb))
-    u_full[op.loop] = np.eye(nb)
-    u_full[op.interior] = u_i
-    return dtn, u_full
+    return (dtn, bank) if return_solutions else dtn
 
 
 def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -> float:
@@ -403,13 +516,11 @@ def save_dtn(path, dtn: DtnMatrix) -> None:
 
 def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "dtn":
-            raise ConfigurationError(f"{path}: expected 'dtn <nb> <omega2>' header")
-        nb, omega2 = int(header[1]), float(header[2])
+        nb, omega2 = read_header(fh, path, "dtn <nb> <omega2>", (int, float))
         if nb != weights.nb:
             raise DiscretizationMismatchError(f"{path}: file nb={nb}, weights nb={weights.nb}")
-        lam = np.array([[float(tok) for tok in fh.readline().split()] for _ in range(nb)])
+        lam = read_rows(fh, path, nb, nb)
+        expect_end(fh, path)
     return DtnMatrix(lam=lam, weights=weights, omega2=omega2, meta={"source": str(path)})
 
 
@@ -426,15 +537,11 @@ def load_weights(path, grid: Grid) -> BoundaryWeights:
     mats = {}
     with open(path, encoding="utf-8") as fh:
         for name in ("wplus", "wminus"):
-            header = fh.readline().split()
-            if len(header) != 2 or header[0] != name:
-                raise ConfigurationError(f"{path}: expected '{name} <nb>' header")
-            nb = int(header[1])
+            (nb,) = read_header(fh, path, f"{name} <nb>", (int,))
             if nb != expected:
                 raise DiscretizationMismatchError(f"{path}: file nb={nb}, grid nb={expected}")
-            mats[name] = np.array(
-                [[float(tok) for tok in fh.readline().split()] for _ in range(nb)]
-            )
+            mats[name] = read_rows(fh, path, nb, nb)
+        expect_end(fh, path)
     w_minus = mats["wminus"]
     mu, v = np.linalg.eigh(w_minus)
     w_minus_half = (v * np.sqrt(np.clip(mu, 0.0, None))) @ v.T

@@ -6,8 +6,6 @@ level's curvature constant and approximation error eta (see the constants
 module), each iterate carries
 
     u  = -curvature*r^2 + (1 - 2*curvature*eta)*r - eta - curvature*eta^2
-    v  = (u*r^2*(r - eta) - u^2*r^2/2) / t^2      (diagnostic)
-    w  = df_lip * u * r^2 / t^2                   (diagnostic)
     mu = u * r / t^2
 
 and the step subtracts mu times the data-space gradient pulled back to the
@@ -18,7 +16,8 @@ approximation floor), on a vanishing direction, or at the iteration cap.
 
 The multi-level driver checks the refinement conditions between consecutive
 schedule entries, warm-starts each level by exact embedding of the previous
-exit iterate, and reports the exit error bound
+exit iterate (whose residual and direction carry over, since the embedded
+field is the same cell field), and reports the exit error bound
 
     (4+eps) * stab(N_last) * eta_last + phi(N_last).
 """
@@ -61,21 +60,14 @@ class DescentState:
     r: float
     t: float
     u: float
-    v: float
-    w: float
     mu: float
 
 
 def _step_quantities(r: float, t: float, lc: LevelConstants, eta: float):
     cv = lc.curvature
     u = -cv * r ** 2 + (1.0 - 2.0 * cv * eta) * r - eta - cv * eta ** 2
-    if t > 0.0:
-        v = (u * r ** 2 * (r - eta) - 0.5 * u ** 2 * r ** 2) / t ** 2
-        w = lc.df_lip * u * r ** 2 / t ** 2
-        mu = u * r / t ** 2
-    else:
-        v = w = mu = np.nan
-    return float(u), float(v), float(w), float(mu)
+    mu = u * r / t ** 2 if t > 0.0 else np.nan
+    return float(u), float(mu)
 
 
 def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
@@ -87,9 +79,9 @@ def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
     direction = apply_df_adjoint(bank, res)
     r = res.norm
     t = l2_norm(direction)
-    u, v, w, mu = _step_quantities(r, t, lc, eta)
+    u, mu = _step_quantities(r, t, lc, eta)
     return DescentState(k=k, field=c, residual=res, direction=direction,
-                        r=r, t=t, u=u, v=v, w=w, mu=mu)
+                        r=r, t=t, u=u, mu=mu)
 
 
 def descent_step(state: DescentState, lc: LevelConstants, data: DtnMatrix,
@@ -114,7 +106,7 @@ def descent_step(state: DescentState, lc: LevelConstants, data: DtnMatrix,
 
 @dataclass(frozen=True, eq=False)
 class LevelRun:
-    """Record of one level: per-iterate scalars, stop reason, and the exit field."""
+    """Record of one level: per-iterate scalars, stop reason, and the exit state."""
 
     level: int
     partition: Partition
@@ -124,9 +116,13 @@ class LevelRun:
     history: dict
     stop_reason: str
     k_stop: int
-    final: PwcField
+    exit_state: DescentState
     warnings: list = field(default_factory=list)
     fields: list | None = None
+
+    @property
+    def final(self) -> PwcField:
+        return self.exit_state.field
 
     @property
     def discrepancy_index(self) -> int | None:
@@ -142,13 +138,18 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
               eta_override: float | None = None,
               discrepancy_threshold: float | None = None,
               z_best: PwcField | None = None,
-              record_fields: bool = False) -> LevelRun:
+              record_fields: bool = False,
+              warm: DescentState | None = None) -> LevelRun:
     """Iterate the projected descent on one partition until a stop condition.
 
     eta_override replaces the bundle's modeled approximation error (synthetic
     experiments pass the exact one); discrepancy_threshold overrides the
     default (3+eps)*eta stop level. z_best, when given, is the level's best
     approximation of the truth and feeds the per-iterate Bregman audit.
+    warm, when given, is an evaluated state whose field equals start cell for
+    cell (the previous level's exit state); its residual and direction are
+    reused instead of evaluating start again, and u and mu are recomputed
+    with this level's constants and eta.
     """
     if max_iter < 0:
         raise ConfigurationError(f"max_iter must be >= 0, got {max_iter}")
@@ -158,7 +159,12 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     cols = {name: [] for name in ("k", "r", "t", "u", "mu", "bregman")}
     warnings: list[str] = []
     kept_fields: list[PwcField] | None = [] if record_fields else None
-    state = evaluate_state(start, data, lc, eta, k=0)
+    if warm is None:
+        state = evaluate_state(start, data, lc, eta, k=0)
+    else:
+        u, mu = _step_quantities(warm.r, warm.t, lc, eta)
+        state = DescentState(k=0, field=start, residual=warm.residual,
+                             direction=warm.direction, r=warm.r, t=warm.t, u=u, mu=mu)
     stop_reason = None
     while True:
         cols["k"].append(state.k)
@@ -201,7 +207,7 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
         history=history,
         stop_reason=stop_reason,
         k_stop=state.k,
-        final=state.field,
+        exit_state=state,
         warnings=warnings,
         fields=kept_fields,
     )
@@ -263,16 +269,19 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
                 )
 
     runs: list[LevelRun] = []
-    current = start
+    current, warm = start, None
     for n, part in enumerate(schedule):
         if n > 0:
-            current = embed(runs[-1].final, part)
+            # the embedded field equals the exit iterate cell for cell, so the
+            # exit evaluation is reused rather than assembled again
+            warm = runs[-1].exit_state
+            current = embed(warm.field, part)
         z_best = None
         if truth is not None:
             z_best = clamp_to_bounds(project(truth, part, bounds=start.bounds))
         run = run_level(current, constants[n], data, iters[n],
                         eta_override=etas[n], discrepancy_threshold=taus[n],
-                        z_best=z_best)
+                        z_best=z_best, warm=warm)
         runs.append(run)
         warnings.extend(f"level {n}: {w}" for w in run.warnings)
         if run.stop_reason == "max_iter" and n < n_levels - 1:

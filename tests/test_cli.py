@@ -144,3 +144,39 @@ def test_calibrate_command_writes_bundle(tmp_path):
     bundle_text = (out / "bundle.txt").read_text()
     assert "df_bound0 = " in bundle_text
     assert "calibration = empirical" in bundle_text
+
+
+# A malformed truth file is a configuration error: exit 64, never a traceback.
+BAD_TRUTH = {
+    "non_numeric": "pwc 1 0\n0 abc\n",
+    "ragged": "pwc 1 0\n0 1.5 1.6\n",
+    "truncated": "pwc 4 0\n0 1.5\n1 1.5\n",
+    "out_of_range": "pwc 4 0\n0 1.5\n1 1.5\n2 1.5\n-1 1.5\n",  # -1 must not wrap to 3
+    "repeated": "pwc 4 0\n0 1.5\n1 1.5\n1 1.6\n3 1.5\n",
+    "non_finite": "pwc 1 0\n0 nan\n",
+    "negative_count": "pwc -4 0\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+def test_malformed_truth_file_exits_64(tmp_path, case):
+    truth = tmp_path / "truth.txt"
+    truth.write_text(BAD_TRUTH[case])
+    text = BASE.replace("k = 1\nvalues = 1.5", f"file = {truth}")
+    cfg = write_config(tmp_path, text)
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+
+
+def test_non_finite_truth_value_exits_64(tmp_path):
+    cfg = write_config(tmp_path, BASE.replace("values = 1.5", "values = nan"))
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+
+
+@pytest.mark.parametrize("old, new", [
+    ("values = 1.5", "values = 1.5x"),
+    ("levels = 1", "levels = one"),
+    ("max_iter = 20", "max_iter = many"),
+])
+def test_non_numeric_config_value_exits_64(tmp_path, old, new):
+    cfg = write_config(tmp_path, BASE.replace(old, new))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x")]) == 64

@@ -276,3 +276,48 @@ def test_field_file_header_errors(tmp_path):
                               np.ones(4), (0.5, 2.0)))
     with pytest.raises(DiscretizationMismatchError):
         load_pwc_field(good, make_uniform_partition(Grid(9), 1), (1.0, 2.0))
+
+
+BAD_PWC = {
+    "non_numeric": "pwc 4 0\n0 1.5\n1 abc\n2 1.5\n3 1.5\n",
+    "non_numeric_header": "pwc four 0\n0 1.5\n1 1.5\n2 1.5\n3 1.5\n",
+    "ragged": "pwc 4 0\n0 1.5\n1 1.5 1.6\n2 1.5\n3 1.5\n",
+    "truncated": "pwc 4 0\n0 1.5\n1 1.5\n",
+    "out_of_range": "pwc 4 0\n0 1.5\n1 1.5\n2 1.5\n-1 1.5\n",  # -1 must not wrap to 3
+    "index_too_large": "pwc 4 0\n0 1.5\n1 1.5\n2 1.5\n4 1.5\n",
+    "fractional_index": "pwc 4 0\n0 1.5\n1.5 1.5\n2 1.5\n3 1.5\n",
+    "repeated": "pwc 4 0\n0 1.5\n1 1.5\n1 1.6\n3 1.5\n",
+    "non_finite": "pwc 4 0\n0 1.5\n1 nan\n2 1.5\n3 1.5\n",
+    "infinite": "pwc 4 0\n0 1.5\n1 1.5\n2 inf\n3 1.5\n",
+    "trailing": "pwc 4 0\n0 1.5\n1 1.5\n2 1.5\n3 1.5\n0 1.7\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PWC))
+def test_load_pwc_field_rejects_malformed(tmp_path, case):
+    path = tmp_path / "bad.txt"
+    path.write_text(BAD_PWC[case])
+    with pytest.raises(ConfigurationError):
+        load_pwc_field(path, make_uniform_partition(Grid(9), 2), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("body", [
+    "nodal 3\n" + "0.5\n" * 8,                     # truncated
+    "nodal 3\n" + "0.5\n" * 10,                    # trailing value
+    "nodal 3\n" + "0.5 0.5\n" + "0.5\n" * 7,       # ragged
+    "nodal 3\n" + "0.5\n" * 4 + "nan\n" + "0.5\n" * 4,
+    "nodal 3\n" + "0.5\n" * 4 + "x\n" + "0.5\n" * 4,
+    "nodal 3.0\n" + "0.5\n" * 9,
+])
+def test_load_nodal_field_rejects_malformed(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ConfigurationError):
+        load_nodal_field(path, Grid(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pwc_field_rejects_non_finite_coefficients(bad):
+    part = make_uniform_partition(Grid(9), 2)
+    with pytest.raises(ConfigurationError):
+        PwcField(part, np.array([1.5, bad, 1.5, 1.5]), (1.0, 2.0))

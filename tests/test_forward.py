@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmrecon import (
     AdmissibilityError,
     BoundaryWeights,
+    ConfigurationError,
     Grid,
     HelmholtzOperator,
+    assemble_dtn,
     NearEigenfrequencyError,
     NodalField,
     PwcField,
@@ -17,6 +21,7 @@ from helmrecon import (
     save_dtn,
     spectrum_guard,
 )
+from helmrecon.domain import grid_laplacian, interior_nodes, mass_scatter_matrix, node_quad_weights
 from helmrecon.forward import boundary_loop, load_weights, save_weights, unit_square_eigenvalues
 
 LAM1 = 2 * np.pi ** 2
@@ -121,6 +126,57 @@ def test_near_eigenfrequency_error_smallest_pivot():
         HelmholtzOperator(const_field(m, 1.0, (1.0, 1.0)), lam_h)
     assert exc.value.smallest_pivot is not None
     assert exc.value.smallest_pivot < 1e-10
+
+
+# ------------------------------------------------- SuperLU oracle for the solver
+
+# low window with a four-region field, and band windows of the unit box
+ORACLE_CASES = [(m, box, w2) for m in (9, 17, 33)
+                for box, w2 in (((1.0, 2.0), 5.0), ((1.0, 1.0), 30.0), ((1.0, 1.0), 85.0))]
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("m, box, omega2", ORACLE_CASES)
+def test_block_solver_matches_splu(m, box, omega2, rng):
+    g = Grid(m)
+    part = make_uniform_partition(g, 2)
+    c = PwcField(part, rng.uniform(box[0], box[1], part.n_regions), box)
+    op = HelmholtzOperator(c, omega2)
+    dtn, bank = assemble_dtn(op, return_solutions=True)
+
+    k = (grid_laplacian(g) - omega2 * sp.diags(mass_scatter_matrix(g) @ c.cell_values())).tocsr()
+    ii, bb = interior_nodes(g), boundary_loop(g)
+    k_ii, k_ib = k[ii][:, ii].tocsc(), k[ii][:, bb]
+    lu = spla.splu(k_ii)
+    u_i = lu.solve(-k_ib.toarray())
+    ref_bank = np.zeros((g.n_nodes, bb.size))
+    ref_bank[bb] = np.eye(bb.size)
+    ref_bank[ii] = u_i
+    ref_lam = -(k[bb][:, bb].toarray() + k[bb][:, ii] @ u_i)
+    assert _rel(bank, ref_bank) <= 1e-12
+    assert _rel(dtn.lam, ref_lam) <= 1e-12
+
+    gb = rng.standard_normal(bb.size)
+    f = rng.standard_normal(g.n_nodes)
+    ref_u = np.zeros(g.n_nodes)
+    ref_u[bb] = gb
+    ref_u[ii] = lu.solve(-(k_ib @ gb) + (node_quad_weights(g) * f)[ii])
+    assert _rel(op.solve(g=gb, f=f).values, ref_u) <= 1e-12
+
+
+def test_block_solver_smallest_grid():
+    # m = 3: a single interior node, one 1 x 1 block
+    c = const_field(3)
+    op = HelmholtzOperator(c, 1.0)
+    dtn, bank = assemble_dtn(op, return_solutions=True)
+    d = 4.0 - 1.0 * 0.25
+    edge = bank[4, [1, 3, 5, 7]]
+    assert np.allclose(edge, 1.0 / d, rtol=1e-15)
+    assert np.all(bank[4, [0, 2, 4, 6]] == 0.0)
+    assert dtn.symmetry_defect() <= 1e-15
 
 
 # ---------------------------------------------------------------- weights
@@ -235,3 +291,51 @@ def test_data_norm_matches_dense_svd_oracle(weights17, rng):
     assert dtn_data_norm(a, weights17, "hs") == pytest.approx(
         float(np.sqrt(np.sum(sv ** 2))), rel=1e-12)
     assert dtn_data_norm(a, weights17, "op") == pytest.approx(float(sv[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("body", [
+    "dtn 64 1.0\n",                                   # truncated
+    "dtn 64 nan\n",                                   # non-finite header
+    "dtn sixty-four 1.0\n",                           # non-numeric header
+])
+def test_load_dtn_rejects_malformed_header(tmp_path, weights17, body):
+    path = tmp_path / "dtn.txt"
+    path.write_text(body)
+    with pytest.raises(ConfigurationError):
+        load_dtn(path, weights17)
+
+
+@pytest.mark.parametrize("edit", ["ragged", "non_finite", "non_numeric", "trailing"])
+def test_load_dtn_rejects_malformed_rows(tmp_path, weights17, edit):
+    dtn = dtn_for_field(const_field(17), 1.0, weights=weights17)
+    path = tmp_path / "dtn.txt"
+    save_dtn(path, dtn)
+    lines = path.read_text().splitlines()
+    if edit == "ragged":
+        lines[3] += " 0.5"
+    elif edit == "non_finite":
+        lines[3] = lines[3].replace(lines[3].split()[0], "inf", 1)
+    elif edit == "non_numeric":
+        lines[3] = lines[3].replace(lines[3].split()[0], "0,5", 1)
+    else:
+        lines.append(lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError):
+        load_dtn(path, weights17)
+
+
+@pytest.mark.parametrize("edit", ["truncated", "repeated_block", "non_finite"])
+def test_load_weights_rejects_malformed(tmp_path, grid17, weights17, edit):
+    path = tmp_path / "weights.txt"
+    save_weights(path, weights17)
+    lines = path.read_text().splitlines()
+    nb = weights17.nb
+    if edit == "truncated":
+        lines = lines[:nb + 10]
+    elif edit == "repeated_block":
+        lines = lines[:nb + 1] * 2
+    else:
+        lines[nb + 5] = "nan " + " ".join(lines[nb + 5].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError):
+        load_weights(path, grid17)

@@ -44,11 +44,9 @@ def problem17():
 
 def test_step_quantities_frozen_example():
     lc = _FakeLC(curvature=1.0, df_lip=2.0)
-    u, v, w, mu = _step_quantities(0.5, 2.0, lc, 0.0)
+    u, mu = _step_quantities(0.5, 2.0, lc, 0.0)
     assert u == pytest.approx(0.25)
     assert mu == pytest.approx(0.03125)
-    assert v == pytest.approx(0.005859375)
-    assert w == pytest.approx(2.0 * 0.015625)
 
 
 class _FakeLC:
@@ -61,7 +59,7 @@ def test_step_quantities_residual_at_floor():
     # at r = eta the gain collapses to -4 * curvature * eta^2
     lc = _FakeLC(curvature=2.0, df_lip=1.0)
     eta = 0.3
-    u, _, _, _ = _step_quantities(eta, 1.0, lc, eta)
+    u, _ = _step_quantities(eta, 1.0, lc, eta)
     assert u == pytest.approx(-4.0 * 2.0 * eta ** 2)
     assert u <= 0.0
 
@@ -201,3 +199,28 @@ def test_run_metadata_format(problem17, tmp_path):
     assert "schedule = 1 4" in text
     assert "stop_reasons" in text
     assert "note = x" in text
+
+
+def test_multilevel_reuses_exit_evaluation_at_level_start(problem17, monkeypatch):
+    import helmrecon.optimizer as opt
+
+    _, p1, p2, weights, truth, data, bundle = problem17
+    start = PwcField(p1, np.array([1.5]), (B1, B2))
+    evaluated = []
+    real = opt.bank_for_field
+    monkeypatch.setattr(opt, "bank_for_field",
+                        lambda c, *a, **k: evaluated.append(c) or real(c, *a, **k))
+    result = run_multilevel([p1, p2], bundle, data, start, max_iter=[3, 4],
+                            eta_overrides=[0.0, 0.0],
+                            discrepancy_thresholds=[1e-8, 1e-8])
+    first, second = result.runs
+    assert len(evaluated) == (first.k_stop + 1) + second.k_stop
+    # the level-1 start carries the level-0 exit residual and direction
+    assert second.history["r"][0] == first.history["r"][-1]
+    assert second.history["t"][0] == first.history["t"][-1]
+    lc = derive_level(bundle, 4)
+    u, mu = _step_quantities(second.history["r"][0], second.history["t"][0], lc, 0.0)
+    assert (second.history["u"][0], second.history["mu"][0]) == (u, mu)
+    # and equals a fresh evaluation of the embedded field to rounding
+    fresh = evaluate_state(embed(first.final, p2), data, lc, 0.0)
+    assert fresh.r == pytest.approx(second.history["r"][0], rel=1e-12)
