@@ -21,6 +21,7 @@ monotonicity are all checked at parse time.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +124,7 @@ def load_config(path) -> ExperimentConfig:
     _reject_unknown(parser)
     try:
         return _parse(parser, text)
-    except (configparser.Error, ValueError) as exc:
+    except (configparser.Error, ValueError, OverflowError) as exc:
         # a malformed value anywhere in the file is a configuration error
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -158,7 +159,7 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
     if not schedule_n:
         raise ConfigurationError("[schedule] levels must not be empty")
     for n in schedule_n:
-        k = int(round(np.sqrt(n)))
+        k = math.isqrt(n)
         if k * k != n:
             raise ConfigurationError(f"schedule entry {n} is not a square region count")
         make_uniform_partition(grid, k)

@@ -504,7 +504,9 @@ def _number(path, token: str, kind=float):
         value = kind(token)
     except ValueError:
         raise ConfigurationError(f"{path}: {token!r} is not a valid {kind.__name__}") from None
-    if not np.isfinite(value):
+    if kind is int and not -2 ** 63 < value < 2 ** 63:
+        raise ConfigurationError(f"{path}: integer {token!r} is out of range")
+    if kind is float and not np.isfinite(value):
         raise ConfigurationError(f"{path}: non-finite value {token!r}")
     return value
 
@@ -574,11 +576,14 @@ def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> P
 
 
 def load_nodal_field(path, grid: Grid) -> NodalField:
-    """Read a nodal file: m^2 lines of one value each, row-major."""
+    """Read a nodal file: m^2 row-major values after the header, in any
+    whitespace layout."""
     with open(path, encoding="utf-8") as fh:
         (m,) = read_header(fh, path, "nodal <m>", (int,))
         if m != grid.m:
             raise DiscretizationMismatchError(f"{path}: file has m={m}, grid has m={grid.m}")
-        values = read_rows(fh, path, grid.n_nodes, 1)[:, 0]
-        expect_end(fh, path)
+        tokens = fh.read().split()
+    if len(tokens) != grid.n_nodes:
+        raise ConfigurationError(f"{path}: expected {grid.n_nodes} values, got {len(tokens)}")
+    values = np.array([_number(path, tok) for tok in tokens])
     return NodalField(grid, values)

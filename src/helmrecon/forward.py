@@ -14,10 +14,12 @@ Schur complements S_k = D_k - S_{k-1}^{-1}, stores each S_k^{-1} (n^3 doubles
 in all, 16 MB at m = 129), and solves by one forward and one backward sweep of
 dense n x n products per grid row. The DtN assembly runs those sweeps in place
 on the interior rows of the (n_nodes, nb) solution bank, whose right-hand
-sides are scattered straight into it. The getrf pivots of the S_k certify
-that K_ii is invertible (det K_ii is their product); a residual audit against
-the assembled K_ii backs every solve. Static per-grid pieces (index sets, the
-boundary block of L, the interior rows of L) are cached per Grid.
+sides are scattered straight into it. The elimination does not pivot across
+grid rows, so it is stable in the low window but can lose accuracy in a band
+window; there the operator falls back to SuperLU on the assembled K_ii (see
+HelmholtzOperator). A residual audit against the assembled K_ii backs every
+solve. Static per-grid pieces (index sets, the boundary block of L, the
+interior rows of L) are cached per Grid.
 
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
@@ -34,9 +36,9 @@ The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are built from the spectral calculus of the
 periodic boundary-loop Laplacian.
 
-scipy.sparse.linalg stays imported as ``spla`` although the solver no longer
-calls it: the benchmark's layer trace wraps ``helmrecon.forward.spla.splu``,
-and a zero call count there is the expected trace of this solver.
+scipy.sparse.linalg is imported as ``spla`` and called only by that
+fallback: the benchmark's layer trace wraps ``helmrecon.forward.spla.splu``,
+and a zero call count there is the expected trace in the low window.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla  # noqa: F401  (see the module docstring)
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
 from .domain import (
@@ -89,6 +91,7 @@ __all__ = [
 
 _PIVOT_RTOL = 1e-13
 _SOLVE_RTOL = 1e-10
+_BLOCK_BACKWARD_TOL = 1e-15  # normwise backward error a block solve must reach (~ 9 eps)
 _AUDIT_ENTRIES = 1 << 20  # residual entries per audit chunk (bounds its scratch memory)
 
 
@@ -258,12 +261,12 @@ def _grid_structure(grid: Grid) -> _GridStructure:
     return structure
 
 
-def _factor_blocks(diag: np.ndarray, omega2: float) -> tuple[np.ndarray, np.ndarray]:
+def _factor_blocks(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Inverses of the block Schur complements S_k and the getrf pivots of each.
 
     diag[k] holds the diagonal of the tridiagonal block D_k; S_0 = D_0 and
-    S_k = D_k - S_{k-1}^{-1}. Raises NearEigenfrequencyError when getrf finds a
-    singular (or overflowing) S_k.
+    S_k = D_k - S_{k-1}^{-1}. Returns None when getrf finds a singular (or
+    overflowing) S_k.
     """
     n = diag.shape[0]
     off = np.zeros((n, n))
@@ -278,11 +281,7 @@ def _factor_blocks(diag: np.ndarray, omega2: float) -> tuple[np.ndarray, np.ndar
         lu, piv, info = dgetrf(s, overwrite_a=True)
         pivots[k] = np.abs(np.diagonal(lu))
         if info != 0 or not np.isfinite(pivots[k]).all():
-            raise NearEigenfrequencyError(
-                f"interior system is singular at omega^2 = {omega2}: "
-                f"block {k} of {n} has a zero pivot",
-                smallest_pivot=0.0,
-            )
+            return None
         inv[k], info = dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
     return inv, pivots
 
@@ -305,12 +304,20 @@ class HelmholtzOperator:
     16 MB at m = 129. A solve is then one forward and one backward sweep of
     dense n x n products per grid row, run in place on the solution array.
 
-    Pivot certificate. det K_ii is the product of the getrf pivots of all
-    S_k, and S_k is singular exactly when the system restricted to the first
-    k + 1 grid rows is. A zero pivot or a smallest pivot below 1e-13 of the
-    largest raises NearEigenfrequencyError: omega^2 then sits at (or
-    numerically at) an eigenfrequency of K_ii or of one of those strips. A
-    residual audit against the assembled K_ii backs every solve.
+    What the block pivots certify. det K_ii is the product of the getrf
+    pivots of all S_k, but S_k is singular exactly when omega^2 is an
+    eigenvalue of the system restricted to the first k + 1 grid rows, and the
+    spectrum guard certifies only the whole domain. In the low window K_ii
+    is positive definite (up to the discretization gap at the window's top
+    edge), hence so is every S_k, and the elimination is stable. In a band
+    window a strip eigenvalue near
+    omega^2 makes some S_k nearly singular, and the sweeps then lose accuracy
+    without K_ii being ill-conditioned. So the block factor is used only
+    while it is sound: a singular S_k, a smallest pivot below 1e-13 of the
+    largest, or a block solve whose normwise backward error exceeds 1e-15
+    switches the operator to SuperLU (partial pivoting) on the assembled
+    K_ii, whose own pivots then decide NearEigenfrequencyError. A residual
+    audit against the assembled K_ii backs every solve.
     """
 
     def __init__(self, c2inv: PwcField, omega2: float,
@@ -329,15 +336,47 @@ class HelmholtzOperator:
         data[s.l_rows_diag] -= self.omega2 * self.mass_diag[s.interior]
         self._k_rows = sp.csr_matrix((data, s.l_rows.indices, s.l_rows.indptr),
                                      shape=s.l_rows.shape)
+        self._k_norm = float(abs(self._k_rows).sum(axis=1).max())  # inf-norm, for backward errors
+        self._lu = None
         n = self.grid.m - 2
-        self._inv, pivots = _factor_blocks(data[s.l_rows_diag].reshape(n, n), self.omega2)
+        blocks = _factor_blocks(data[s.l_rows_diag].reshape(n, n))
+        if blocks is not None:
+            self._inv, pivots = blocks
+            self.smallest_pivot = float(pivots.min())
+            if self.smallest_pivot >= _PIVOT_RTOL * float(pivots.max()):
+                return
+        self._factor_superlu()
+
+    def _factor_superlu(self) -> None:
+        """Replace the block factor by SuperLU on the assembled K_ii."""
+        self._inv = None
+        try:
+            self._lu = spla.splu(self._k_rows[:, self._s.interior].tocsc())
+        except RuntimeError as exc:
+            raise NearEigenfrequencyError(
+                f"interior system is singular at omega^2 = {self.omega2}: {exc}",
+                smallest_pivot=0.0,
+            ) from exc
+        pivots = np.abs(self._lu.U.diagonal())
         self.smallest_pivot = float(pivots.min())
         if self.smallest_pivot < _PIVOT_RTOL * float(pivots.max()):
             raise NearEigenfrequencyError(
-                f"omega^2 = {omega2} is numerically at an eigenfrequency of the "
+                f"omega^2 = {self.omega2} is numerically at an eigenfrequency of the "
                 f"discrete operator (smallest pivot {self.smallest_pivot:.3e})",
                 smallest_pivot=self.smallest_pivot,
             )
+
+    def _residual_norm(self, u: np.ndarray, source) -> float:
+        """||K_ii u_i + K_ib u_b - source||_F, in row chunks of bounded size."""
+        k_rows = self._k_rows
+        step = max(1, _AUDIT_ENTRIES // u.shape[1])
+        res2 = 0.0
+        for r0 in range(0, k_rows.shape[0], step):
+            res = k_rows[r0:r0 + step] @ u
+            if source is not None:
+                res -= source[r0:r0 + step]
+            res2 += float(np.vdot(res, res))
+        return np.sqrt(res2)
 
     def _solve_in_place(self, u: np.ndarray, rhs_norm: float, source=None) -> None:
         """Overwrite the interior rows of u (n_nodes, k) with K_ii^{-1} times
@@ -347,27 +386,36 @@ class HelmholtzOperator:
         """
         m = self.grid.m
         x = u.reshape(m, m, -1)[1:-1, 1:-1]  # block row k is grid row k + 1
-        inv = self._inv
-        tmp = np.empty_like(x[0])
-        for k in range(1, x.shape[0]):
-            np.matmul(inv[k - 1], x[k - 1], out=tmp)
-            x[k] += tmp
-        np.matmul(inv[-1], x[-1], out=tmp)
-        x[-1] = tmp
-        for k in range(x.shape[0] - 2, -1, -1):
-            x[k] += x[k + 1]
-            np.matmul(inv[k], x[k], out=tmp)
-            x[k] = tmp
-        k_rows = self._k_rows
-        step = max(1, _AUDIT_ENTRIES // u.shape[1])
-        res2 = 0.0
-        for r0 in range(0, k_rows.shape[0], step):
-            res = k_rows[r0:r0 + step] @ u
+        if self._lu is None:
+            inv = self._inv
+            tmp = np.empty_like(x[0])
+            for k in range(1, x.shape[0]):
+                np.matmul(inv[k - 1], x[k - 1], out=tmp)
+                x[k] += tmp
+            x_norm2 = 0.0
+            for k in range(x.shape[0] - 1, -1, -1):
+                if k < x.shape[0] - 1:
+                    x[k] += x[k + 1]
+                np.matmul(inv[k], x[k], out=tmp)
+                x[k] = tmp
+                x_norm2 += float(np.vdot(tmp, tmp))
+            res = self._residual_norm(u, source)
+            x_norm = np.sqrt(x_norm2)
+            if np.isfinite(x_norm) and res <= _BLOCK_BACKWARD_TOL * (
+                    self._k_norm * x_norm + rhs_norm):
+                return
+            # a near-singular S_k cost the sweeps their accuracy: rebuild the
+            # right-hand side -K_ib u_b + source and pivot instead
+            self._factor_superlu()
+            x[...] = 0.0
+            rhs = -(self._k_rows @ u)
             if source is not None:
-                res -= source[r0:r0 + step]
-            res2 += float(np.vdot(res, res))
-        res = np.sqrt(res2)
-        if rhs_norm > 0 and res > _SOLVE_RTOL * rhs_norm:
+                rhs += source
+            x[...] = rhs.reshape(x.shape)
+        rhs = np.ascontiguousarray(x).reshape(-1, u.shape[1])
+        x[...] = self._lu.solve(rhs).reshape(x.shape)
+        res = self._residual_norm(u, source)
+        if rhs_norm > 0 and not res <= _SOLVE_RTOL * rhs_norm:
             raise NearEigenfrequencyError(
                 f"linear solve residual {res / rhs_norm:.3e} exceeds {_SOLVE_RTOL} "
                 f"(omega^2 = {self.omega2} too close to an eigenfrequency)",

@@ -155,6 +155,7 @@ BAD_TRUTH = {
     "repeated": "pwc 4 0\n0 1.5\n1 1.5\n1 1.6\n3 1.5\n",
     "non_finite": "pwc 1 0\n0 nan\n",
     "negative_count": "pwc -4 0\n",
+    "huge_count": "pwc 100000000000000000000 0\n",
 }
 
 
@@ -176,6 +177,9 @@ def test_non_finite_truth_value_exits_64(tmp_path):
     ("values = 1.5", "values = 1.5x"),
     ("levels = 1", "levels = one"),
     ("max_iter = 20", "max_iter = many"),
+    ("max_iter = 20", "max_iter = inf"),
+    ("seed = 7", "seed = 1e400"),
+    ("levels = 1", "levels = 100000000000000000000"),
 ])
 def test_non_numeric_config_value_exits_64(tmp_path, old, new):
     cfg = write_config(tmp_path, BASE.replace(old, new))

@@ -304,7 +304,6 @@ def test_load_pwc_field_rejects_malformed(tmp_path, case):
 @pytest.mark.parametrize("body", [
     "nodal 3\n" + "0.5\n" * 8,                     # truncated
     "nodal 3\n" + "0.5\n" * 10,                    # trailing value
-    "nodal 3\n" + "0.5 0.5\n" + "0.5\n" * 7,       # ragged
     "nodal 3\n" + "0.5\n" * 4 + "nan\n" + "0.5\n" * 4,
     "nodal 3\n" + "0.5\n" * 4 + "x\n" + "0.5\n" * 4,
     "nodal 3.0\n" + "0.5\n" * 9,
@@ -314,6 +313,18 @@ def test_load_nodal_field_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ConfigurationError):
         load_nodal_field(path, Grid(3))
+
+
+@pytest.mark.parametrize("layout", ["\n", " ", "row"])
+def test_load_nodal_field_any_whitespace_layout(tmp_path, layout):
+    values = np.arange(9) / 8.0
+    if layout == "row":  # m values per line
+        body = "\n".join(" ".join(map(str, r)) for r in values.reshape(3, 3).tolist())
+    else:
+        body = layout.join(map(str, values.tolist()))
+    path = tmp_path / "field.txt"
+    path.write_text("nodal 3\n" + body + "\n")
+    assert np.array_equal(load_nodal_field(path, Grid(3)).values, values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
