@@ -292,9 +292,10 @@ def check_level_transition(cur: LevelConstants, nxt: LevelConstants) -> Transiti
         )
         classical_ok = classical_lhs < classical_rhs
         # the pair of conditions implies the classical criterion (up to rounding)
-        assert not passed or classical_ok or np.isclose(classical_lhs, classical_rhs, rtol=1e-12), (
-            "refinement conditions passed but the classical criterion failed"
-        )
+        if passed and not classical_ok and not np.isclose(classical_lhs, classical_rhs,
+                                                          rtol=1e-12):
+            raise LevelConditionError(
+                "refinement conditions passed but the classical criterion failed")
     return TransitionDecision(
         passed=passed,
         contraction_ok=ok1,
@@ -353,9 +354,9 @@ def check_omega_conditions(bundle: ConstantsBundle, n_cur: int, n_next: int) -> 
     )
     if decision.passed and 2.0 * expo <= _EXP_CAP:
         direct = check_level_transition(derive_level(bundle, n_cur), derive_level(bundle, n_next))
-        assert direct.passed or _borderline(direct), (
-            "frequency conditions passed but the direct level conditions failed"
-        )
+        if not (direct.passed or _borderline(direct)):
+            raise LevelConditionError(
+                "frequency conditions passed but the direct level conditions failed")
     return decision
 
 

@@ -14,6 +14,14 @@ the derivative of the assembled DtN matrix and the adjoint
 is its exact transpose under the weighted Hilbert-Schmidt data product and the
 cell-area field product: the dot-product test holds to rounding. One bank per
 iterate suffices; it is a byproduct of the DtN assembly.
+
+Both bank products do only the arithmetic their result needs. DF(dc) reads
+only the bank rows where s is nonzero (an indicator probe touches one region).
+T(x) depends only on the symmetric part of P = w_minus R w_minus, so P is
+folded into the triangle B = triu(P + P^T, 1) + diag(P), which gives the same
+diag(U B U^T), and the column blocks of B below its diagonal are skipped: 5/8
+of the dense flops at nb = 512, tending to 1/2 as nb grows. Both run over row
+chunks of the bank, so no (n_nodes, nb) temporary is formed.
 """
 
 from __future__ import annotations
@@ -44,6 +52,14 @@ __all__ = [
     "lipschitz_df_probe",
     "indicator_probes",
 ]
+
+# Bank rows per chunk and triangle columns per block in the bank products; it
+# bounds their scratch to a few hundred KiB whatever the grid. The products
+# stay in numpy: scipy's dtrmm would skip the whole lower triangle, but it runs
+# in scipy's own BLAS, whose thread pool contends with numpy's when threads are
+# not pinned (a descent at m = 33 ran 3x slower on 2 cores) and whose packing
+# buffers add to the peak memory.
+_TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,19 +131,37 @@ def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:
     return delta
 
 
+def _tiles(n: int):
+    return [slice(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
+
+
 def apply_df(bank: SolutionBank, delta) -> np.ndarray:
-    """Directional derivative of the DtN matrix; bilinear in the perturbation."""
+    """Directional derivative of the DtN matrix; bilinear in the perturbation.
+
+    Only the bank rows where the lumped perturbation s is nonzero contribute,
+    so they are gathered, in row chunks, and nothing else is multiplied.
+    """
     cells = _delta_cells(bank, delta)
     s = np.asarray(mass_scatter_matrix(bank.grid) @ cells)
-    u = bank.solutions
-    return bank.omega2 * ((u * s[:, None]).T @ u)
+    support = np.flatnonzero(s)
+    nb = bank.grid.n_boundary
+    out = np.zeros((nb, nb))
+    for chunk in _tiles(support.size):
+        rows = support[chunk]
+        u = bank.solutions[rows]
+        out += (u * s[rows, None]).T @ u
+    out *= bank.omega2
+    return out
 
 
 def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> NodalField:
     """Adjoint of the derivative under the data product: the descent direction field.
 
     The duality map of the Hilbert data space is the identity, so the input is
-    the residual matrix itself.
+    the residual matrix itself. The pulled-back residual P = w_minus R w_minus
+    is folded into its upper triangle B (module docstring), and diag(U B U^T)
+    is summed tile by tile over row chunks of the bank and column blocks of B,
+    each block multiplied only by the rows of B above its diagonal end.
     """
     if isinstance(residual, Residual):
         if not residual.weights.compatible(bank.weights):
@@ -141,8 +175,16 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
             )
     wm = bank.weights.w_minus
     pulled = wm @ mat @ wm
+    tri = np.triu(pulled + pulled.T, 1)
+    np.fill_diagonal(tri, np.diagonal(pulled))
     u = bank.solutions
-    values = bank.omega2 * np.einsum("np,pq,nq->n", u, pulled, u, optimize=True)
+    values = np.zeros(u.shape[0])
+    for rows in _tiles(u.shape[0]):
+        chunk = u[rows]
+        for cols in _tiles(tri.shape[1]):
+            head = chunk[:, :cols.stop] @ tri[:cols.stop, cols]  # zero below cols.stop
+            values[rows] += np.einsum("ij,ij->i", chunk[:, cols], head)
+    values *= bank.omega2
     return NodalField(bank.grid, values)
 
 

@@ -154,17 +154,6 @@ def node_quad_weights(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def node_from_cells_matrix(grid: Grid) -> sp.csr_matrix:
-    """(n_nodes, n_cells) averaging of adjacent cell values onto nodes."""
-    corners = cell_corners(grid)
-    rows = corners.ravel()
-    cols = np.repeat(np.arange(grid.n_cells), 4)
-    counts = np.bincount(rows, minlength=grid.n_nodes).astype(float)
-    data = 1.0 / counts[rows]
-    return sp.csr_matrix((data, (rows, cols)), shape=(grid.n_nodes, grid.n_cells))
-
-
-@lru_cache(maxsize=None)
 def grid_laplacian(grid: Grid) -> sp.csr_matrix:
     """Graph Laplacian of the node grid; u^T L v approximates the Dirichlet form.
 
@@ -365,10 +354,6 @@ class PwcField:
         """Field value on every grid cell."""
         return self.coeffs[self.partition.cell_to_region]
 
-    def node_values(self) -> np.ndarray:
-        """Nodal representative: average of the cells adjacent to each node."""
-        return np.asarray(node_from_cells_matrix(self.grid) @ self.cell_values())
-
     def admissible(self, tol: float = 0.0) -> bool:
         b1, b2 = self.bounds
         return bool((self.coeffs >= b1 - tol).all() and (self.coeffs <= b2 + tol).all())
@@ -397,9 +382,6 @@ class NodalField:
     def from_function(cls, grid: Grid, fn) -> "NodalField":
         xy = grid.node_coords()
         return cls(grid, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float))
-
-    def as_matrix(self) -> np.ndarray:
-        return self.values.reshape(self.grid.m, self.grid.m)
 
 
 def project(f: NodalField | PwcField, p: Partition, bounds: tuple[float, float] | None = None) -> PwcField:

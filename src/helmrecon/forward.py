@@ -97,18 +97,19 @@ _AUDIT_ENTRIES = 1 << 20  # residual entries per audit chunk (bounds its scratch
 
 def unit_square_eigenvalues(upto: float) -> np.ndarray:
     """Distinct Dirichlet eigenvalues pi^2 (p^2 + q^2) of -Delta on the unit
-    square, ascending, covering (0, upto] plus the first value above."""
-    cap = max(2, int(np.ceil(upto / np.pi ** 2)) + 1)
-    pmax = int(np.ceil(np.sqrt(cap))) + 1
-    p = np.arange(1, pmax + 1)
+    square, ascending, covering (0, upto] plus the first value above.
+
+    With x = max(upto, 0) / pi^2, the pair p = ceil(sqrt(x)), q = 1 gives
+    p^2 + 1 in (x, x + 2 sqrt(x) + 2], so sums up to that cap always include
+    one above upto.
+    """
+    x = max(upto, 0.0) / np.pi ** 2
+    cap = int(np.floor(x + 2.0 * np.sqrt(x) + 2.0))
+    p = np.arange(1, int(np.sqrt(cap)) + 1)
     sums = np.unique((p[:, None] ** 2 + p[None, :] ** 2).ravel())
-    lams = np.pi ** 2 * sums[sums <= cap + 1]
+    lams = np.pi ** 2 * sums[sums <= cap]
     above = lams[lams > upto]
-    keep = lams[lams <= upto]
-    if above.size == 0:
-        # cap was generous; extend until one eigenvalue exceeds upto
-        return unit_square_eigenvalues(upto * 1.5 + 10.0)
-    return np.concatenate([keep, above[:1]])
+    return np.concatenate([lams[lams <= upto], above[:1]])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from helmrecon import (
     rho_vs_omega,
     solve_n_max,
 )
+from helmrecon import constants
 from helmrecon.constants import LevelConstants, _nmax_lhs, load_bundle, save_bundle
 
 
@@ -176,6 +177,39 @@ def test_transition_example_against_mpmath_oracle():
 def test_omega_conditions_zero_phi():
     d = check_omega_conditions(bundle(phi=CompressionModel.zero()), 1, 64)
     assert d.passed
+
+
+class _NumpyWithBrokenSqrt:
+    """numpy, except that sqrt returns a negative number."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sqrt(x):
+        return -np.sqrt(x) - 2.0
+
+
+def test_transition_inconsistency_raises(monkeypatch):
+    # the classical criterion is the only user of sqrt; breaking it makes the
+    # pair of conditions pass while the criterion they imply fails
+    b = bundle(phi=CompressionModel.zero())
+    cur, nxt = derive_level(b, 1), derive_level(b, 4)
+    assert check_level_transition(cur, nxt).classical_ok
+    monkeypatch.setattr(constants, "np", _NumpyWithBrokenSqrt())
+    with pytest.raises(LevelConditionError, match="classical criterion"):
+        check_level_transition(cur, nxt)
+
+
+def test_omega_conditions_inconsistency_raises(monkeypatch):
+    b = bundle(phi=CompressionModel.zero())
+    assert check_omega_conditions(b, 1, 64).passed
+    failing = dataclasses.replace(
+        check_level_transition(derive_level(b, 1), derive_level(b, 64)),
+        passed=False, contraction_ok=False, contraction_value=2.0)
+    monkeypatch.setattr(constants, "check_level_transition", lambda cur, nxt: failing)
+    with pytest.raises(LevelConditionError, match="direct level conditions"):
+        check_omega_conditions(b, 1, 64)
 
 
 def test_omega_conditions_crossover_in_n_next():

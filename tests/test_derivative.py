@@ -14,6 +14,7 @@ from helmrecon import (
     make_uniform_partition,
     residual_from,
 )
+from helmrecon import derivative
 from helmrecon.derivative import Residual, df_norm_probe, indicator_probes
 from helmrecon.domain import l2_norm, mass_scatter_matrix
 
@@ -119,6 +120,64 @@ def test_adjoint_direction_matches_brute_force(setup17):
         brute = 0.5 * (r_moved ** 2 - res.norm ** 2)
         assert np.sign(predicted) == np.sign(brute)
         assert brute == pytest.approx(predicted, rel=2e-2)
+
+
+def _bank16(m):
+    g = Grid(m)
+    part = make_uniform_partition(g, 4)
+    c = PwcField(part, np.random.default_rng(m).uniform(1.0, 2.0, 16), (1.0, 2.0))
+    return part, bank_for_field(c, 5.0)[1]
+
+
+def _count_tiles(monkeypatch, tile):
+    """Patch the tile size; record the number of tiles of each _tiles call."""
+    monkeypatch.setattr(derivative, "_TILE", tile)
+    counts = []
+    inner = derivative._tiles
+
+    def counted(n):
+        tiles = inner(n)
+        counts.append(len(tiles))
+        return tiles
+
+    monkeypatch.setattr(derivative, "_tiles", counted)
+    return counts
+
+
+@pytest.mark.parametrize("m", [9, 17, 33])
+def test_adjoint_matches_dense_einsum(m, monkeypatch):
+    _, bank = _bank16(m)
+    u, wm = bank.solutions, bank.weights.w_minus
+    r_mat = np.random.default_rng(7).standard_normal((bank.weights.nb,) * 2)
+    assert np.abs(r_mat - r_mat.T).max() > 0.1  # the fold must handle a non-symmetric R
+    oracle = bank.omega2 * np.einsum("np,pq,nq->n", u, wm @ r_mat @ wm, u, optimize=True)
+    counts = _count_tiles(monkeypatch, u.shape[1] // 3 + 1)
+    values = apply_df_adjoint(bank, r_mat).values
+    assert counts[0] >= 3 and min(counts[1:]) == 3  # row chunks; column blocks, ragged
+    assert np.linalg.norm(values - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("m", [9, 17, 33])
+def test_apply_df_matches_dense_product(m, monkeypatch):
+    part, bank = _bank16(m)
+    u = bank.solutions
+    signed = np.random.default_rng(3).standard_normal(16)
+    signed[[0, 5, 6, 15]] = 0.0
+    cases = {
+        "indicator": indicator_probes(part)[5],
+        "signed with zero regions": PwcField(part, signed, (1e-12, 10.0)),
+        "zero": PwcField(part, np.zeros(16), (1e-12, 1.0)),
+    }
+    monkeypatch.setattr(derivative, "_TILE", 5)
+    for name, delta in cases.items():
+        s = np.asarray(mass_scatter_matrix(part.grid) @ delta.cell_values())
+        dense = bank.omega2 * ((u * s[:, None]).T @ u)
+        out = apply_df(bank, delta)
+        assert out.shape == (bank.weights.nb,) * 2, name
+        if name == "zero":
+            assert np.all(out == 0.0)
+        else:
+            assert np.linalg.norm(out - dense) <= 1e-13 * np.linalg.norm(dense), name
 
 
 def test_residual_norm_recomputed_consistent(setup17, rng):

@@ -83,6 +83,21 @@ def test_eigenvalue_enumeration():
     assert lams[-1] > 100.0
 
 
+def _eigenvalues_brute_force(upto):
+    p = np.arange(1, 40)
+    lams = np.pi ** 2 * np.unique((p[:, None] ** 2 + p[None, :] ** 2).ravel())
+    return np.concatenate([lams[lams <= upto], lams[lams > upto][:1]])
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.5, 11.0, 11.5, 12.0,
+                               20.0, 20.5, 21.0, 23.0, 24.5, 30.5, 99.9, 100.0, 200.5])
+def test_eigenvalue_enumeration_matches_brute_force(x):
+    # runs of integers such as 21-24 are not sums of two positive squares, so
+    # the first eigenvalue above upto can lie well past it
+    upto = x * np.pi ** 2
+    assert np.array_equal(unit_square_eigenvalues(upto), _eigenvalues_brute_force(upto))
+
+
 # ---------------------------------------------------------------- solver
 
 

@@ -4,6 +4,7 @@ import pytest
 from helmrecon import (
     Grid,
     PwcField,
+    build_boundary_weights,
     estimate_lipschitz_constant,
     gradient_check,
     make_uniform_partition,
@@ -40,6 +41,20 @@ def test_identity_audit_degrades_with_one_sided_flux(fields17, weights17):
                              variant="one_sided")
     assert bad > 1e-4
     assert bad > 1e3 * max(good, 1e-300)
+
+
+def test_identity_audit_fine_grid_pair():
+    # at m = 129 this pair's terms nearly cancel on one boundary pair; relative
+    # to max(|lhs|, |rhs|) rather than to the summed terms it read 2.3e-9
+    g = Grid(129)
+    part = make_uniform_partition(g, 2)
+    rng = np.random.default_rng(7)
+    c1 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
+    c2 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
+    weights = build_boundary_weights(g)
+    assert audit_alessandrini(c1, c2, 5.0, seed=7, weights=weights) <= 1e-9
+    bad = audit_alessandrini(c1, c2, 5.0, seed=7, weights=weights, variant="one_sided")
+    assert bad > 1e-3
 
 
 def test_gradient_check_zero_direction(fields17):
