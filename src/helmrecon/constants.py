@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigurationError, LevelConditionError
+from .errors import AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError
 from .forward import spectrum_guard
 
 __all__ = [
@@ -438,14 +438,9 @@ def rho_vs_omega(bundle: ConstantsBundle, big_n: int, omega2_grid) -> list[RhoPo
     """
     rows: list[RhoPoint] = []
     for w2 in omega2_grid:
-        try:
-            variant = dataclasses.replace(bundle, omega2=float(w2))
-        except Exception as exc:  # guard failure
-            rows.append(RhoPoint(float(w2), None, None, f"skipped: {exc}"))
-            continue
-        try:
-            lc = derive_level(variant, big_n)
-        except ConfigurationError as exc:
+        try:  # the bundle's validation and frequency guard, then the level's
+            lc = derive_level(dataclasses.replace(bundle, omega2=float(w2)), big_n)
+        except (AdmissibilityError, ConfigurationError) as exc:
             rows.append(RhoPoint(float(w2), None, None, f"skipped: {exc}"))
             continue
         if lc.rho is None:

@@ -107,12 +107,10 @@ def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
 
 
 def bank_for_field(c2inv: PwcField, omega2: float,
-                   weights: BoundaryWeights | None = None,
-                   guard_bounds: tuple[float, float] | None = None):
+                   weights: BoundaryWeights | None = None):
     """Assemble the DtN and its solution bank for one field (one factorization)."""
     weights = build_boundary_weights(c2inv.grid) if weights is None else weights
-    dtn, solutions = dtn_for_field(c2inv, omega2, weights=weights,
-                                   return_solutions=True, guard_bounds=guard_bounds)
+    dtn, solutions = dtn_for_field(c2inv, omega2, weights=weights, return_solutions=True)
     bank = SolutionBank(grid=c2inv.grid, omega2=omega2, solutions=solutions,
                         weights=weights, meta=dict(dtn.meta))
     return dtn, bank

@@ -85,12 +85,6 @@ class Grid:
         i, j = divmod(idx, self.m)
         return np.column_stack([j * self.h, i * self.h])
 
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, 2) array of cell midpoints."""
-        idx = np.arange(self.n_cells)
-        ci, cj = divmod(idx, self.cells_per_side)
-        return np.column_stack([(cj + 0.5) * self.h, (ci + 0.5) * self.h])
-
 
 @lru_cache(maxsize=None)
 def boundary_loop(grid: Grid) -> np.ndarray:

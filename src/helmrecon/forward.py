@@ -33,8 +33,9 @@ hold to solver precision for any two coefficient fields, which the derivative
 and stability layers rely on.
 
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
-weight operators of orders +-1/2 are built from the spectral calculus of the
-periodic boundary-loop Laplacian.
+weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
+which is circulant (the loop is closed and uniformly spaced), so one
+closed-form DFT symbol determines them all, with no eigensolve.
 
 scipy.sparse.linalg is imported as ``spla`` and called only by that
 fallback: the benchmark's layer trace wraps ``helmrecon.forward.spla.splu``,
@@ -44,11 +45,12 @@ and a zero call count there is the expected trace in the low window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import circulant
 from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
 from .domain import (
@@ -93,6 +95,7 @@ _PIVOT_RTOL = 1e-13
 _SOLVE_RTOL = 1e-10
 _BLOCK_BACKWARD_TOL = 1e-15  # normwise backward error a block solve must reach (~ 9 eps)
 _AUDIT_ENTRIES = 1 << 20  # residual entries per audit chunk (bounds its scratch memory)
+_SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and file blocks against the rebuilt pair
 
 
 def unit_square_eigenvalues(upto: float) -> np.ndarray:
@@ -172,54 +175,68 @@ def spectrum_guard(omega2: float, b1: float, b2: float) -> SpectrumWindow:
     )
 
 
+def _circulant(symbol: np.ndarray) -> np.ndarray:
+    """Read-only dense symmetric circulant with the even real symbol (DFT order)."""
+    col = np.fft.ifft(symbol).real
+    mat = circulant(0.5 * (col + np.roll(col[::-1], 1)))  # exactly symmetric
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryWeights:
     """SPD weight operators realizing the boundary Sobolev norms of order +-1/2.
 
-    With L_b = V M V^T the periodic boundary-loop Laplacian (spacing h_b),
-       w_plus  = V (I+M)^{+1/2} V^T h_b,
-       w_minus = V (I+M)^{-1/2} V^T h_b,
-    so w_plus w_minus = h_b^2 I. w_minus_half is the symmetric square root of
-    w_minus used by the data norm.
+    The boundary-loop Laplacian (nb nodes, spacing h_b) is circulant with
+    eigenvalues mu_k = (2 - 2 cos(2 pi k / nb)) / h_b^2 in DFT order. The
+    only state is the symbol of w_minus, symbol_k = h_b (1 + mu_k)^{-1/2}:
+    finite, positive and even (symbol_k = symbol_{nb-k}). The dense
+    circulants w_minus, w_minus_half (of sqrt(symbol), the symmetric square
+    root) and w_plus = h_b^2 w_minus^{-1} are formed once, on first use.
     """
 
     grid: Grid
-    h_b: float
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    w_minus_half: np.ndarray
+    symbol: np.ndarray
+
+    def __post_init__(self):
+        sym = np.array(self.symbol, dtype=float)
+        nb = self.grid.n_boundary
+        if (sym.shape != (nb,) or not (np.isfinite(sym).all() and (sym > 0).all())
+                or np.abs(sym[1:] - sym[:0:-1]).max() > _SYMBOL_RTOL * sym.max()):
+            raise ConfigurationError(f"weight symbol must be {nb} finite positive values "
+                                     "with symbol_k = symbol_(nb-k)")
+        sym.setflags(write=False)
+        object.__setattr__(self, "symbol", sym)
 
     @property
     def nb(self) -> int:
-        return self.w_plus.shape[0]
+        return self.grid.n_boundary
+
+    @property
+    def h_b(self) -> float:
+        return self.grid.h
+
+    @cached_property
+    def w_minus(self) -> np.ndarray:
+        return _circulant(self.symbol)
+
+    @cached_property
+    def w_minus_half(self) -> np.ndarray:
+        return _circulant(np.sqrt(self.symbol))
+
+    @cached_property
+    def w_plus(self) -> np.ndarray:
+        return _circulant(self.h_b ** 2 / self.symbol)
 
     def compatible(self, other: "BoundaryWeights") -> bool:
         return self.nb == other.nb and self.h_b == other.h_b
 
 
 def build_boundary_weights(grid: Grid) -> BoundaryWeights:
-    nb = grid.n_boundary
+    """Weights of the grid's boundary loop from their closed-form symbol."""
     hb = grid.h
-    lb = np.zeros((nb, nb))
-    idx = np.arange(nb)
-    lb[idx, idx] = 2.0
-    lb[idx, (idx + 1) % nb] = -1.0
-    lb[idx, (idx - 1) % nb] = -1.0
-    lb /= hb ** 2
-    mu, v = np.linalg.eigh(lb)
-    mu = np.clip(mu, 0.0, None)
-
-    def calculus(power, scale):
-        w = (v * (1.0 + mu) ** power) @ v.T * scale
-        return 0.5 * (w + w.T)
-
-    return BoundaryWeights(
-        grid=grid,
-        h_b=hb,
-        w_plus=calculus(0.5, hb),
-        w_minus=calculus(-0.5, hb),
-        w_minus_half=calculus(-0.25, np.sqrt(hb)),
-    )
+    mu = (2.0 * np.sin(np.pi * np.fft.fftfreq(grid.n_boundary)) / hb) ** 2  # 2 - 2cos = 4 sin^2
+    return BoundaryWeights(grid, hb / np.sqrt(1.0 + mu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,12 +338,10 @@ class HelmholtzOperator:
     audit against the assembled K_ii backs every solve.
     """
 
-    def __init__(self, c2inv: PwcField, omega2: float,
-                 guard_bounds: tuple[float, float] | None = None):
+    def __init__(self, c2inv: PwcField, omega2: float):
         if omega2 <= 0:
             raise AdmissibilityError(f"omega^2 must be positive, got {omega2}")
-        b1, b2 = guard_bounds if guard_bounds is not None else c2inv.bounds
-        self.window = spectrum_guard(omega2, b1, b2)
+        self.window = spectrum_guard(omega2, *c2inv.bounds)
         self.grid = c2inv.grid
         self.c2inv = c2inv
         self.omega2 = float(omega2)
@@ -548,10 +563,9 @@ def dtn_difference(a: DtnMatrix, b: DtnMatrix) -> np.ndarray:
 
 
 def dtn_for_field(c2inv: PwcField, omega2: float, weights: BoundaryWeights | None = None,
-                  return_solutions: bool = False, variant: str = "variational",
-                  guard_bounds: tuple[float, float] | None = None):
+                  return_solutions: bool = False, variant: str = "variational"):
     """One-call forward map: guard, assemble, factor, and build the DtN."""
-    op = HelmholtzOperator(c2inv, omega2, guard_bounds=guard_bounds)
+    op = HelmholtzOperator(c2inv, omega2)
     return assemble_dtn(op, weights=weights, variant=variant,
                         return_solutions=return_solutions)
 
@@ -582,6 +596,9 @@ def save_weights(path, weights: BoundaryWeights) -> None:
 
 
 def load_weights(path, grid: Grid) -> BoundaryWeights:
+    """Read a weights file: the symbol is the real DFT of w_minus's first
+    column, and both blocks must match the pair rebuilt from it to 1e-12 of
+    their largest entry (ConfigurationError otherwise)."""
     expected = grid.n_boundary
     mats = {}
     with open(path, encoding="utf-8") as fh:
@@ -591,13 +608,9 @@ def load_weights(path, grid: Grid) -> BoundaryWeights:
                 raise DiscretizationMismatchError(f"{path}: file nb={nb}, grid nb={expected}")
             mats[name] = read_rows(fh, path, nb, nb)
         expect_end(fh, path)
-    w_minus = mats["wminus"]
-    mu, v = np.linalg.eigh(w_minus)
-    w_minus_half = (v * np.sqrt(np.clip(mu, 0.0, None))) @ v.T
-    return BoundaryWeights(
-        grid=grid,
-        h_b=grid.h,
-        w_plus=mats["wplus"],
-        w_minus=w_minus,
-        w_minus_half=0.5 * (w_minus_half + w_minus_half.T),
-    )
+    weights = BoundaryWeights(grid, np.fft.fft(mats["wminus"][:, 0]).real)
+    for name, rebuilt in (("wplus", weights.w_plus), ("wminus", weights.w_minus)):
+        if np.abs(mats[name] - rebuilt).max() > _SYMBOL_RTOL * np.abs(mats[name]).max():
+            raise ConfigurationError(f"{path}: {name} is not an SPD circulant pair "
+                                     "with wplus wminus = h_b^2 I")
+    return weights

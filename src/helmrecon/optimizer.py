@@ -73,8 +73,7 @@ def _step_quantities(r: float, t: float, lc: LevelConstants, eta: float):
 def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
                    k: int = 0) -> DescentState:
     """Assemble the forward map at c and package residual, direction, and quantities."""
-    dtn, bank = bank_for_field(c, data.omega2, weights=data.weights,
-                               guard_bounds=c.bounds)
+    dtn, bank = bank_for_field(c, data.omega2, weights=data.weights)
     res = residual_from(dtn, data)
     direction = apply_df_adjoint(bank, res)
     r = res.norm

@@ -92,8 +92,12 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
     - DF(d) ||_Y against t (central differencing gives slope 2) and the
     relative error at the smallest t. Perturbed solves run the frequency guard
     at bounds widened to cover the perturbed coefficients; t shrinks
-    automatically if a perturbation lands in a forbidden band.
+    automatically if a perturbation lands in a forbidden band. Every direction
+    must be a PwcField on c's partition (ConfigurationError otherwise).
     """
+    for delta in deltas:
+        if not (isinstance(delta, PwcField) and delta.partition.same_as(c.partition)):
+            raise ConfigurationError("gradient_check needs PwcField directions on c's partition")
     grid = c.grid
     weights = build_boundary_weights(grid) if weights is None else weights
     _, bank = bank_for_field(c, omega2, weights=weights)
@@ -101,17 +105,13 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
     for delta in deltas:
         exact = apply_df(bank, delta)
         scale = dtn_data_norm(exact, weights)
-        dvals = delta.cell_values() if isinstance(delta, PwcField) else np.asarray(delta)
-        dfield = delta if isinstance(delta, PwcField) else None
         ts, errs = [], []
         for t in sorted(t_values, reverse=True):
             t_use = float(t)
             for _ in range(60):
                 try:
-                    coeffs_p = c.coeffs + t_use * (dfield.coeffs if dfield is not None else 0)
-                    if dfield is None:
-                        raise ConfigurationError("gradient_check needs PwcField directions")
-                    coeffs_m = c.coeffs - t_use * dfield.coeffs
+                    coeffs_p = c.coeffs + t_use * delta.coeffs
+                    coeffs_m = c.coeffs - t_use * delta.coeffs
                     lo = min(coeffs_p.min(), coeffs_m.min(), c.bounds[0])
                     hi = max(coeffs_p.max(), coeffs_m.max(), c.bounds[1])
                     if lo <= 0:

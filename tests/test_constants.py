@@ -288,6 +288,17 @@ def test_n_max_root_against_dense_scan_oracle():
 # ---------------------------------------------------------------- rho vs omega
 
 
+def test_rho_vs_omega_propagates_unexpected_errors(monkeypatch):
+    b = bundle()
+
+    def broken_guard(*args):
+        raise RuntimeError("bug in the guard")
+
+    monkeypatch.setattr(constants, "spectrum_guard", broken_guard)
+    with pytest.raises(RuntimeError, match="bug in the guard"):
+        rho_vs_omega(b, 4, [0.5])
+
+
 def test_rho_increases_as_omega_decreases():
     b = bundle(df_bound0=0.1, df_lip0=0.1, stab_k=0.05, b2=2.0,
                phi=CompressionModel.power_law(0.01, 1.0))

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import circulant
 
 from helmrecon import (
     AdmissibilityError,
@@ -232,6 +235,71 @@ def test_weights_file_round_trip(tmp_path, grid17, weights17):
     assert np.allclose(back.w_minus_half, weights17.w_minus_half, atol=1e-12)
 
 
+def _eigh_weights(grid):
+    """Oracle: the weights from a dense eigensolve of the boundary-loop Laplacian."""
+    nb, hb = grid.n_boundary, grid.h
+    idx = np.arange(nb)
+    lb = 2.0 * np.eye(nb)
+    lb[idx, (idx + 1) % nb] = lb[idx, (idx - 1) % nb] = -1.0
+    mu, v = np.linalg.eigh(lb / hb ** 2)
+    mu = np.clip(mu, 0.0, None)
+
+    def calculus(power, scale):
+        w = (v * (1.0 + mu) ** power) @ v.T * scale
+        return 0.5 * (w + w.T)
+
+    return calculus(0.5, hb), calculus(-0.5, hb), calculus(-0.25, np.sqrt(hb))
+
+
+@pytest.mark.parametrize("m", [5, 9, 17, 33])
+def test_weights_closed_form_matches_dense_eigensolve(m):
+    weights = build_boundary_weights(Grid(m))
+    for got, want in zip((weights.w_plus, weights.w_minus, weights.w_minus_half),
+                         _eigh_weights(Grid(m))):
+        assert np.array_equal(got, got.T)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _bad_weight_files(weights):
+    """(w_plus, w_minus) blocks that are not a symmetric positive-definite
+    circulant pair with w_plus w_minus = h_b^2 I."""
+    wp, wm = np.array(weights.w_plus), np.array(weights.w_minus)
+    perturbed = wm.copy()
+    perturbed[3, 5] += 1e-6
+    col = wm[:, 0].copy()
+    col[1] += 1e-3 * col[0]  # circulant, but col[1] != col[nb - 1]
+    indefinite = weights.symbol.copy()
+    indefinite[[2, -2]] = -indefinite[[2, -2]]
+    return {
+        "perturbed_entry": (wp, perturbed),
+        "non_symmetric": (wp, circulant(col)),
+        "indefinite": (wp, circulant(np.fft.ifft(indefinite).real)),
+        "scaled_wplus": (1.01 * wp, wm),
+    }
+
+
+@pytest.mark.parametrize("case", ["perturbed_entry", "non_symmetric", "indefinite", "scaled_wplus"])
+def test_load_weights_rejects_non_circulant_pair(tmp_path, grid17, weights17, case):
+    wp, wm = _bad_weight_files(weights17)[case]
+    path = tmp_path / "weights.txt"
+    save_weights(path, SimpleNamespace(w_plus=wp, w_minus=wm, nb=weights17.nb))
+    with pytest.raises(ConfigurationError):
+        load_weights(path, grid17)
+
+
+@pytest.mark.parametrize("symbol", [
+    np.ones(7),                                    # wrong length
+    np.ones((8, 1)),                               # wrong shape
+    np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),   # zero entries
+    np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]),  # negative entries
+    np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf]),  # non-finite
+    np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),   # not even
+])
+def test_weights_reject_bad_symbol(symbol):
+    with pytest.raises(ConfigurationError):
+        BoundaryWeights(Grid(3), symbol)
+
+
 # ---------------------------------------------------------------- DtN matrix
 
 
@@ -290,9 +358,7 @@ def test_dtn_file_round_trip(tmp_path, grid17, weights17):
 
 
 def _identity_weights(nb: int) -> BoundaryWeights:
-    eye = np.eye(nb)
-    return BoundaryWeights(grid=Grid(int(nb / 4) + 1), h_b=1.0,
-                           w_plus=eye, w_minus=eye, w_minus_half=eye)
+    return BoundaryWeights(Grid(nb // 4 + 1), np.ones(nb))
 
 
 def test_data_norm_zero():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helmrecon import (
+    ConfigurationError,
     Grid,
     PwcField,
     build_boundary_weights,
@@ -9,6 +10,7 @@ from helmrecon import (
     gradient_check,
     make_uniform_partition,
 )
+from helmrecon import verify
 from helmrecon.derivative import indicator_probes
 from helmrecon.verify import audit_alessandrini
 
@@ -74,6 +76,20 @@ def test_gradient_check_indicator_and_random_directions(fields17, rng):
         assert row.slope >= 1.8
         assert row.rel_err_smallest_t <= 1e-5
         assert row.passed
+
+
+def test_gradient_check_rejects_bad_direction_before_solving(fields17, monkeypatch):
+    g, part, c1, _ = fields17
+    other = make_uniform_partition(g, 4)
+    bad = [np.ones(4), PwcField(other, np.ones(16), (1e-12, 1.0))]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the directions")
+
+    monkeypatch.setattr(verify, "bank_for_field", no_solve)
+    for delta in bad:
+        with pytest.raises(ConfigurationError, match="partition"):
+            gradient_check(c1, 5.0, [indicator_probes(part)[0], delta])
 
 
 def test_gradient_check_shrinks_t_when_guard_fails(fields17):
