@@ -23,7 +23,6 @@ from .constants import (
 )
 from .derivative import (
     Residual,
-    SolutionBank,
     apply_df,
     apply_df_adjoint,
     bank_for_field,
@@ -61,11 +60,11 @@ from .forward import (
     BoundaryWeights,
     DtnMatrix,
     HelmholtzOperator,
+    SolutionBank,
     SpectrumWindow,
     assemble_dtn,
     build_boundary_weights,
     dtn_data_norm,
-    dtn_difference,
     dtn_for_field,
     load_dtn,
     save_dtn,

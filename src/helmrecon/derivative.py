@@ -13,7 +13,8 @@ the derivative of the assembled DtN matrix and the adjoint
 
 is its exact transpose under the weighted Hilbert-Schmidt data product and the
 cell-area field product: the dot-product test holds to rounding. One bank per
-iterate suffices; it is a byproduct of the DtN assembly.
+iterate suffices: forward.assemble_dtn returns it beside the DtN matrix, and
+SolutionBank is defined there.
 
 Both bank products do only the arithmetic their result needs. DF(dc) reads
 only the bank rows where s is nonzero (an indicator probe touches one region).
@@ -26,18 +27,18 @@ chunks of the bank, so no (n_nodes, nb) temporary is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, NodalField, PwcField, l2_norm, mass_scatter_matrix
+from .domain import NodalField, PwcField, l2_norm, mass_scatter_matrix
 from .errors import DiscretizationMismatchError
 from .forward import (
     BoundaryWeights,
     DtnMatrix,
+    SolutionBank,
     build_boundary_weights,
     dtn_data_norm,
-    dtn_difference,
     dtn_for_field,
 )
 
@@ -63,31 +64,6 @@ _TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
-class SolutionBank:
-    """Cached boundary-indicator solutions for one field and frequency.
-
-    solutions has shape (n_nodes, nb); column p solves the interior equation
-    with the p-th boundary indicator as Dirichlet data.
-    """
-
-    grid: Grid
-    omega2: float
-    solutions: np.ndarray
-    weights: BoundaryWeights
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(self.solutions, dtype=float)
-        if u.shape != (self.grid.n_nodes, self.grid.n_boundary):
-            raise DiscretizationMismatchError(
-                f"bank must be (n_nodes, nb) = ({self.grid.n_nodes}, {self.grid.n_boundary}), "
-                f"got {u.shape}"
-            )
-        u.setflags(write=False)
-        object.__setattr__(self, "solutions", u)
-
-
-@dataclass(frozen=True, eq=False)
 class Residual:
     """DtN-space residual F(c) - y with its data norm attached."""
 
@@ -103,17 +79,19 @@ class Residual:
 
 
 def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
-    return Residual(matrix=dtn_difference(current, data), weights=current.weights)
+    if not current.weights.compatible(data.weights):
+        raise DiscretizationMismatchError("DtN matrices carry incompatible weights")
+    if current.omega2 != data.omega2:
+        raise DiscretizationMismatchError(
+            f"DtN matrices taken at different frequencies: {current.omega2} vs {data.omega2}"
+        )
+    return Residual(matrix=current.lam - data.lam, weights=current.weights)
 
 
 def bank_for_field(c2inv: PwcField, omega2: float,
                    weights: BoundaryWeights | None = None):
-    """Assemble the DtN and its solution bank for one field (one factorization)."""
-    weights = build_boundary_weights(c2inv.grid) if weights is None else weights
-    dtn, solutions = dtn_for_field(c2inv, omega2, weights=weights, return_solutions=True)
-    bank = SolutionBank(grid=c2inv.grid, omega2=omega2, solutions=solutions,
-                        weights=weights, meta=dict(dtn.meta))
-    return dtn, bank
+    """The DtN matrix and its solution bank for one field (one factorization)."""
+    return dtn_for_field(c2inv, omega2, weights=weights, return_solutions=True)
 
 
 def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:

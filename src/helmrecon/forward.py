@@ -32,6 +32,11 @@ interior-boundary product identity
 hold to solver precision for any two coefficient fields, which the derivative
 and stability layers rely on.
 
+One forward evaluation is assemble_dtn: it returns the DtN matrix and the
+SolutionBank behind it (the (n_nodes, nb) indicator solutions, which also give
+the derivative and its adjoint), with the default boundary weights resolved
+there. dtn_for_field and derivative.bank_for_field are named entries onto it.
+
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
 which is circulant (the loop is closed and uniformly spaced), so one
@@ -44,7 +49,7 @@ and a zero call count there is the expected trace in the low window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -81,9 +86,9 @@ __all__ = [
     "build_boundary_weights",
     "HelmholtzOperator",
     "DtnMatrix",
+    "SolutionBank",
     "assemble_dtn",
     "dtn_data_norm",
-    "dtn_difference",
     "dtn_for_field",
     "save_dtn",
     "load_dtn",
@@ -229,7 +234,11 @@ class BoundaryWeights:
         return _circulant(self.h_b ** 2 / self.symbol)
 
     def compatible(self, other: "BoundaryWeights") -> bool:
-        return self.nb == other.nb and self.h_b == other.h_b
+        """Same grid, and symbols equal to _SYMBOL_RTOL of the larger maximum."""
+        if self.grid != other.grid:
+            return False
+        scale = max(self.symbol.max(), other.symbol.max())
+        return bool(np.abs(self.symbol - other.symbol).max() <= _SYMBOL_RTOL * scale)
 
 
 def build_boundary_weights(grid: Grid) -> BoundaryWeights:
@@ -341,9 +350,8 @@ class HelmholtzOperator:
     def __init__(self, c2inv: PwcField, omega2: float):
         if omega2 <= 0:
             raise AdmissibilityError(f"omega^2 must be positive, got {omega2}")
-        self.window = spectrum_guard(omega2, *c2inv.bounds)
+        spectrum_guard(omega2, *c2inv.bounds)
         self.grid = c2inv.grid
-        self.c2inv = c2inv
         self.omega2 = float(omega2)
         self._s = s = _grid_structure(self.grid)
         self.mass_diag = np.asarray(mass_scatter_matrix(self.grid) @ c2inv.cell_values())
@@ -451,6 +459,9 @@ class HelmholtzOperator:
         source = None
         if f is not None:
             fv = f.values if isinstance(f, NodalField) else np.asarray(f, dtype=float)
+            if fv.shape != (self.grid.n_nodes,):
+                raise DiscretizationMismatchError(
+                    f"expected {self.grid.n_nodes} source values, got {fv.shape}")
             source = (node_quad_weights(self.grid) * fv)[s.interior, None]
             u[s.interior] += source
         self._solve_in_place(u, float(np.linalg.norm(u[s.interior])), source)
@@ -474,13 +485,12 @@ class DtnMatrix:
 
     lam[q, p] is the variational Neumann coefficient at boundary node q of the
     solution with the p-th boundary indicator as Dirichlet data; symmetric to
-    solver precision. meta records the coefficient provenance.
+    solver precision.
     """
 
     lam: np.ndarray
     weights: BoundaryWeights
     omega2: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lam = np.ascontiguousarray(self.lam, dtype=float)
@@ -497,16 +507,43 @@ class DtnMatrix:
         return float(np.linalg.norm(self.lam - self.lam.T) / scale)
 
 
-def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
-                 variant: str = "variational", return_solutions: bool = False):
-    """Assemble the DtN matrix; optionally return the full solution bank.
+@dataclass(frozen=True, eq=False)
+class SolutionBank:
+    """Boundary-indicator solutions for one field and frequency, read-only.
 
-    The bank is the (n_nodes, nb) array of solutions, one column per boundary
-    indicator; boundary rows form the identity. The variational DtN is
-    -(K_bb + K_bi U_i): a row gather of the bank at the interior neighbour of
-    each non-corner boundary node, minus K_bb. variant='one_sided' replaces
-    the variational flux with an inward finite difference (for degradation
-    experiments only).
+    solutions has shape (n_nodes, nb); column p solves the interior equation
+    with the p-th boundary indicator as Dirichlet data. The grid is the
+    weights' grid.
+    """
+
+    solutions: np.ndarray
+    weights: BoundaryWeights
+    omega2: float
+
+    def __post_init__(self):
+        u = np.ascontiguousarray(self.solutions, dtype=float)
+        shape = (self.grid.n_nodes, self.grid.n_boundary)
+        if u.shape != shape:
+            raise DiscretizationMismatchError(
+                f"bank must be (n_nodes, nb) = {shape}, got {u.shape}")
+        u.setflags(write=False)
+        object.__setattr__(self, "solutions", u)
+
+    @property
+    def grid(self) -> Grid:
+        return self.weights.grid
+
+
+def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
+                 variant: str = "variational") -> tuple[DtnMatrix, SolutionBank]:
+    """One forward evaluation: the DtN matrix and its solution bank.
+
+    The bank holds one solution per boundary indicator; its boundary rows form
+    the identity. The variational DtN is -(K_bb + K_bi U_i): a row gather of
+    the bank at the interior neighbour of each non-corner boundary node, minus
+    K_bb. variant='one_sided' replaces the variational flux with an inward
+    finite difference (for degradation experiments only). weights default to
+    build_boundary_weights(op.grid).
     """
     grid = op.grid
     weights = build_boundary_weights(grid) if weights is None else weights
@@ -525,14 +562,8 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
         factor = np.full(nb, 1.0 / np.sqrt(2.0))
         factor[s.edge] = 1.0
         lam = (bank[s.inward] - bank[s.loop]) * factor[:, None]
-    meta = {
-        "n_regions": op.c2inv.partition.n_regions,
-        "level": op.c2inv.partition.level,
-        "bounds": op.c2inv.bounds,
-        "variant": variant,
-    }
-    dtn = DtnMatrix(lam=lam, weights=weights, omega2=op.omega2, meta=meta)
-    return (dtn, bank) if return_solutions else dtn
+    return (DtnMatrix(lam=lam, weights=weights, omega2=op.omega2),
+            SolutionBank(solutions=bank, weights=weights, omega2=op.omega2))
 
 
 def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -> float:
@@ -552,22 +583,12 @@ def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
-def dtn_difference(a: DtnMatrix, b: DtnMatrix) -> np.ndarray:
-    if not a.weights.compatible(b.weights):
-        raise DiscretizationMismatchError("DtN matrices carry incompatible weights")
-    if a.omega2 != b.omega2:
-        raise DiscretizationMismatchError(
-            f"DtN matrices taken at different frequencies: {a.omega2} vs {b.omega2}"
-        )
-    return a.lam - b.lam
-
-
 def dtn_for_field(c2inv: PwcField, omega2: float, weights: BoundaryWeights | None = None,
                   return_solutions: bool = False, variant: str = "variational"):
-    """One-call forward map: guard, assemble, factor, and build the DtN."""
-    op = HelmholtzOperator(c2inv, omega2)
-    return assemble_dtn(op, weights=weights, variant=variant,
-                        return_solutions=return_solutions)
+    """Forward map of one field: the DtnMatrix, or (DtnMatrix, SolutionBank)
+    with return_solutions (see assemble_dtn)."""
+    dtn, bank = assemble_dtn(HelmholtzOperator(c2inv, omega2), weights=weights, variant=variant)
+    return (dtn, bank) if return_solutions else dtn
 
 
 def save_dtn(path, dtn: DtnMatrix) -> None:
@@ -584,7 +605,7 @@ def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
             raise DiscretizationMismatchError(f"{path}: file nb={nb}, weights nb={weights.nb}")
         lam = read_rows(fh, path, nb, nb)
         expect_end(fh, path)
-    return DtnMatrix(lam=lam, weights=weights, omega2=omega2, meta={"source": str(path)})
+    return DtnMatrix(lam=lam, weights=weights, omega2=omega2)
 
 
 def save_weights(path, weights: BoundaryWeights) -> None:

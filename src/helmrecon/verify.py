@@ -24,7 +24,6 @@ __all__ = [
     "audit_alessandrini",
     "gradient_check",
     "estimate_lipschitz_constant",
-    "write_lipschitz_report",
 ]
 
 
@@ -51,10 +50,10 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     dcells = c1.cell_values() - c2.cell_values()
     if np.all(dcells == 0):
         return 0.0
-    dtn1, u1 = dtn_for_field(c1, omega2, weights=weights, return_solutions=True,
-                             variant=variant)
-    dtn2, u2 = dtn_for_field(c2, omega2, weights=weights, return_solutions=True,
-                             variant=variant)
+    dtn1, bank1 = dtn_for_field(c1, omega2, weights=weights, return_solutions=True,
+                                variant=variant)
+    dtn2, bank2 = dtn_for_field(c2, omega2, weights=weights, return_solutions=True,
+                                variant=variant)
     s = np.asarray(mass_scatter_matrix(grid) @ dcells)
     rng = np.random.default_rng(seed)
     nb = grid.n_boundary
@@ -62,7 +61,7 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     for _ in range(trials):
         g = rng.standard_normal(nb)
         h = rng.standard_normal(nb)
-        terms = s * (u1 @ g) * (u2 @ h)
+        terms = s * (bank1.solutions @ g) * (bank2.solutions @ h)
         lhs = omega2 * float(np.sum(terms))
         rhs = float(h @ ((dtn1.lam - dtn2.lam) @ g))
         scale = omega2 * float(np.sum(np.abs(terms)))
@@ -265,12 +264,3 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
         n_exponent=n_exponent,
         samples=all_samples,
     )
-
-
-def write_lipschitz_report(path, report: LipschitzReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("N,max_ratio_hs,max_ratio_op\n")
-        for n, r, ro in zip(report.big_ns, report.max_ratios, report.max_ratios_op):
-            fh.write(f"{n},{r:.17g},{ro:.17g}\n")
-        fh.write(f"# khat_fit,{report.khat_fit:.17g}\n")
-        fh.write(f"# khat_bound,{report.khat_bound:.17g}\n")

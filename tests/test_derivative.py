@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helmrecon import (
+    BoundaryWeights,
     DiscretizationMismatchError,
+    DtnMatrix,
     Grid,
     PwcField,
     apply_df,
@@ -178,6 +180,37 @@ def test_apply_df_matches_dense_product(m, monkeypatch):
             assert np.all(out == 0.0)
         else:
             assert np.linalg.norm(out - dense) <= 1e-13 * np.linalg.norm(dense), name
+
+
+def test_bank_for_field_matches_dtn_for_field(setup17):
+    _, _, c, weights, dtn, bank = setup17
+    assert bank.grid == c.grid
+    ref_dtn, ref_bank = dtn_for_field(c, 5.0, weights=weights, return_solutions=True)
+    assert np.array_equal(ref_dtn.lam, dtn.lam)
+    assert np.array_equal(ref_bank.solutions, bank.solutions)
+    assert bank_for_field(c, 5.0)[1].grid == c.grid
+
+
+def test_residual_from_rejects_frequency_mismatch(setup17):
+    _, _, _, weights, dtn, _ = setup17
+    other = DtnMatrix(lam=dtn.lam, weights=weights, omega2=4.0)
+    with pytest.raises(DiscretizationMismatchError, match="frequencies"):
+        residual_from(dtn, other)
+
+
+def test_residual_from_rejects_mixed_weights(setup17):
+    g, _, _, _, dtn, _ = setup17
+    other = DtnMatrix(lam=dtn.lam, weights=BoundaryWeights(g, np.ones(g.n_boundary)),
+                      omega2=dtn.omega2)
+    with pytest.raises(DiscretizationMismatchError, match="weights"):
+        residual_from(dtn, other)
+
+
+def test_adjoint_rejects_residual_with_other_weights(setup17):
+    g, _, _, _, dtn, bank = setup17
+    res = Residual(matrix=dtn.lam, weights=BoundaryWeights(g, np.ones(g.n_boundary)))
+    with pytest.raises(DiscretizationMismatchError):
+        apply_df_adjoint(bank, res)
 
 
 def test_residual_norm_recomputed_consistent(setup17, rng):

@@ -10,12 +10,15 @@ from helmrecon import (
     AdmissibilityError,
     BoundaryWeights,
     ConfigurationError,
+    DiscretizationMismatchError,
+    DtnMatrix,
     Grid,
     HelmholtzOperator,
     assemble_dtn,
     NearEigenfrequencyError,
     NodalField,
     PwcField,
+    SolutionBank,
     build_boundary_weights,
     dtn_data_norm,
     dtn_for_field,
@@ -134,6 +137,13 @@ def test_zero_data_gives_zero_solution():
     assert np.all(u.values == 0.0)
 
 
+@pytest.mark.parametrize("source", [NodalField(Grid(17), np.ones(17 * 17)), np.ones(5)])
+def test_solve_rejects_wrong_size_source(source):
+    op = HelmholtzOperator(const_field(9), 1.0)
+    with pytest.raises(DiscretizationMismatchError):
+        op.solve(f=source)
+
+
 def test_near_eigenfrequency_error_smallest_pivot():
     # smallest discrete eigenvalue of the five-point operator sits just below
     # the continuum one, so the guard passes but the factorization is singular
@@ -173,7 +183,7 @@ def test_block_solver_matches_splu(m, box, omega2, rng):
     gb = rng.standard_normal(g.n_boundary)
     f = rng.standard_normal(g.n_nodes)
     u = op.solve(g=gb, f=f).values  # one right-hand side first, on a fresh factor
-    dtn, bank = assemble_dtn(op, return_solutions=True)
+    dtn, bank = assemble_dtn(op)
 
     k = (grid_laplacian(g) - omega2 * sp.diags(mass_scatter_matrix(g) @ c.cell_values())).tocsr()
     ii, bb = interior_nodes(g), boundary_loop(g)
@@ -184,7 +194,7 @@ def test_block_solver_matches_splu(m, box, omega2, rng):
     ref_bank[bb] = np.eye(bb.size)
     ref_bank[ii] = u_i
     ref_lam = -(k[bb][:, bb].toarray() + k[bb][:, ii] @ u_i)
-    assert _rel(bank, ref_bank) <= 1e-12
+    assert _rel(bank.solutions, ref_bank) <= 1e-12
     assert _rel(dtn.lam, ref_lam) <= 1e-12
 
     ref_u = np.zeros(g.n_nodes)
@@ -198,11 +208,11 @@ def test_block_solver_smallest_grid():
     # m = 3: a single interior node, one 1 x 1 block
     c = const_field(3)
     op = HelmholtzOperator(c, 1.0)
-    dtn, bank = assemble_dtn(op, return_solutions=True)
+    dtn, bank = assemble_dtn(op)
     d = 4.0 - 1.0 * 0.25
-    edge = bank[4, [1, 3, 5, 7]]
+    edge = bank.solutions[4, [1, 3, 5, 7]]
     assert np.allclose(edge, 1.0 / d, rtol=1e-15)
-    assert np.all(bank[4, [0, 2, 4, 6]] == 0.0)
+    assert np.all(bank.solutions[4, [0, 2, 4, 6]] == 0.0)
     assert dtn.symmetry_defect() <= 1e-15
 
 
@@ -300,7 +310,44 @@ def test_weights_reject_bad_symbol(symbol):
         BoundaryWeights(Grid(3), symbol)
 
 
+def test_weights_compatible_requires_same_symbol(tmp_path):
+    built = build_boundary_weights(Grid(9))
+    assert built.compatible(build_boundary_weights(Grid(9)))
+    assert not built.compatible(BoundaryWeights(Grid(9), np.ones(32)))
+    assert not built.compatible(build_boundary_weights(Grid(17)))
+    path = tmp_path / "w.txt"
+    save_weights(path, built)
+    assert load_weights(path, Grid(9)).compatible(built)
+
+
 # ---------------------------------------------------------------- DtN matrix
+
+
+def test_assemble_dtn_returns_dtn_and_bank(grid17, weights17):
+    op = HelmholtzOperator(const_field(17), 5.0)
+    dtn, bank = assemble_dtn(op, weights=weights17)
+    assert isinstance(dtn, DtnMatrix) and isinstance(bank, SolutionBank)
+    assert bank.weights is weights17 and bank.grid == grid17
+    assert bank.omega2 == dtn.omega2 == 5.0
+    assert not bank.solutions.flags.writeable
+    default_dtn, _ = assemble_dtn(op)
+    assert default_dtn.weights.compatible(weights17)
+    assert np.array_equal(default_dtn.lam, dtn.lam)
+
+
+def test_dtn_for_field_returns_the_evaluation(grid17, weights17):
+    c = const_field(17)
+    dtn, bank = dtn_for_field(c, 5.0, weights=weights17, return_solutions=True)
+    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+    assert np.array_equal(dtn.lam, ref_dtn.lam)
+    assert np.array_equal(bank.solutions, ref_bank.solutions)
+    assert np.array_equal(dtn_for_field(c, 5.0, weights=weights17).lam, dtn.lam)
+
+
+@pytest.mark.parametrize("shape", [(289, 63), (288, 64), (289 * 64,)])
+def test_solution_bank_rejects_wrong_shape(weights17, shape):
+    with pytest.raises(DiscretizationMismatchError):
+        SolutionBank(np.zeros(shape), weights17, 5.0)
 
 
 def test_dtn_symmetry(grid17, weights17, rng):
