@@ -16,13 +16,13 @@ cell-area field product: the dot-product test holds to rounding. One bank per
 iterate suffices: forward.assemble_dtn returns it beside the DtN matrix, and
 SolutionBank is defined there.
 
-Both bank products do only the arithmetic their result needs. DF(dc) reads
-only the bank rows where s is nonzero (an indicator probe touches one region).
-T(x) depends only on the symmetric part of P = w_minus R w_minus, so P is
-folded into the triangle B = triu(P + P^T, 1) + diag(P), which gives the same
-diag(U B U^T), and the column blocks of B below its diagonal are skipped: 5/8
-of the dense flops at nb = 512, tending to 1/2 as nb grows. Both run over row
-chunks of the bank, so no (n_nodes, nb) temporary is formed.
+The bank is kept in condensed form (skeleton values V_X and closed-form block
+symbols), and both products are taken from it without forming U. DF(dc)
+reads only the skeleton rows and blocks where s is nonzero, a block interior
+entering as V_ring^T G_b^T diag(s_b) G_b V_ring. T(x) is p_qq on the boundary
+loop, rowsum(V_X o V_X P) on the interior skeleton and rowsum((G_b C_b) o G_b)
+on each block interior, with C_b = V_ring P V_ring^T; it depends only on the
+symmetric part of P, so P needs no folding.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ __all__ = [
     "lipschitz_df_probe",
     "indicator_probes",
 ]
-
-# Bank rows per chunk and triangle columns per block in the bank products; it
-# bounds their scratch to a few hundred KiB whatever the grid. The products
-# stay in numpy: scipy's dtrmm would skip the whole lower triangle, but it runs
-# in scipy's own BLAS, whose thread pool contends with numpy's when threads are
-# not pinned (a descent at m = 33 ran 3x slower on 2 cores) and whose packing
-# buffers add to the peak memory.
-_TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,25 +99,14 @@ def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:
     return delta
 
 
-def _tiles(n: int):
-    return [slice(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
-
-
 def apply_df(bank: SolutionBank, delta) -> np.ndarray:
     """Directional derivative of the DtN matrix; bilinear in the perturbation.
 
-    Only the bank rows where the lumped perturbation s is nonzero contribute,
-    so they are gathered, in row chunks, and nothing else is multiplied.
+    omega^2 U^T diag(s) U with s the lumped perturbation, read by the bank
+    from the skeleton rows and block interiors where s is nonzero only.
     """
     cells = _delta_cells(bank, delta)
-    s = np.asarray(mass_scatter_matrix(bank.grid) @ cells)
-    support = np.flatnonzero(s)
-    nb = bank.grid.n_boundary
-    out = np.zeros((nb, nb))
-    for chunk in _tiles(support.size):
-        rows = support[chunk]
-        u = bank.solutions[rows]
-        out += (u * s[rows, None]).T @ u
+    out = bank.gram(np.asarray(mass_scatter_matrix(bank.grid) @ cells))
     out *= bank.omega2
     return out
 
@@ -134,10 +115,9 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
     """Adjoint of the derivative under the data product: the descent direction field.
 
     The duality map of the Hilbert data space is the identity, so the input is
-    the residual matrix itself. The pulled-back residual P = w_minus R w_minus
-    is folded into its upper triangle B (module docstring), and diag(U B U^T)
-    is summed tile by tile over row chunks of the bank and column blocks of B,
-    each block multiplied only by the rows of B above its diagonal end.
+    the residual matrix itself. The field is omega^2 diag(U P U^T) for the
+    pulled-back residual P = w_minus R w_minus, which the bank sums from its
+    condensed form (SolutionBank.quadratic_diagonal).
     """
     if isinstance(residual, Residual):
         if not residual.weights.compatible(bank.weights):
@@ -150,16 +130,7 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
                 f"residual must be {bank.weights.nb} square, got {mat.shape}"
             )
     wm = bank.weights.w_minus
-    pulled = wm @ mat @ wm
-    tri = np.triu(pulled + pulled.T, 1)
-    np.fill_diagonal(tri, np.diagonal(pulled))
-    u = bank.solutions
-    values = np.zeros(u.shape[0])
-    for rows in _tiles(u.shape[0]):
-        chunk = u[rows]
-        for cols in _tiles(tri.shape[1]):
-            head = chunk[:, :cols.stop] @ tri[:cols.stop, cols]  # zero below cols.stop
-            values[rows] += np.einsum("ij,ij->i", chunk[:, cols], head)
+    values = bank.quadratic_diagonal(wm @ mat @ wm)
     values *= bank.omega2
     return NodalField(bank.grid, values)
 

@@ -75,6 +75,7 @@ def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
     """Assemble the forward map at c and package residual, direction, and quantities."""
     dtn, bank = bank_for_field(c, data.omega2, weights=data.weights)
     res = residual_from(dtn, data)
+    del dtn  # the state keeps the residual; the DtN matrix goes before the adjoint
     direction = apply_df_adjoint(bank, res)
     r = res.norm
     t = l2_norm(direction)

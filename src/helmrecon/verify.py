@@ -1,9 +1,9 @@
 """Independent oracles: identity audits, derivative checks, stability sampling.
 
 These deliberately avoid the code paths they audit where possible: the
-interior side of the identity audit is assembled from raw solution banks, the
-gradient check differences full forward maps, and the stability sampler works
-from pairs of fields and their data distance only.
+interior side of the identity audit is assembled from the solutions U g and
+U h of the two banks, the gradient check differences full forward maps, and
+the stability sampler works from pairs of fields and their data distance only.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     for _ in range(trials):
         g = rng.standard_normal(nb)
         h = rng.standard_normal(nb)
-        terms = s * (bank1.solutions @ g) * (bank2.solutions @ h)
+        terms = s * bank1.apply(g) * bank2.apply(h)
         lhs = omega2 * float(np.sum(terms))
         rhs = float(h @ ((dtn1.lam - dtn2.lam) @ g))
         scale = omega2 * float(np.sum(np.abs(terms)))

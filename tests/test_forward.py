@@ -17,8 +17,11 @@ from helmrecon import (
     assemble_dtn,
     NearEigenfrequencyError,
     NodalField,
+    Partition,
     PwcField,
     SolutionBank,
+    apply_df,
+    apply_df_adjoint,
     build_boundary_weights,
     dtn_data_norm,
     dtn_for_field,
@@ -27,6 +30,7 @@ from helmrecon import (
     save_dtn,
     spectrum_guard,
 )
+from helmrecon import forward
 from helmrecon.domain import grid_laplacian, interior_nodes, mass_scatter_matrix, node_quad_weights
 from helmrecon.forward import boundary_loop, load_weights, save_weights, unit_square_eigenvalues
 
@@ -161,23 +165,28 @@ def test_near_eigenfrequency_error_smallest_pivot():
 # low window with a four-region field, and band windows of the unit box
 ORACLE_CASES = [(m, box, w2) for m in (9, 17, 33)
                 for box, w2 in (((1.0, 2.0), 5.0), ((1.0, 1.0), 30.0), ((1.0, 1.0), 85.0))]
-# Band windows where the block elimination alone is not accurate enough. At
+# Band windows that once defeated a block elimination without pivoting. At
 # m = 33 with c = 1 (d = h^2), omega^2 below is an eigenvalue of the first 21
-# interior grid rows, so S_20 is singular although K_ii is not. At m = 17,
-# omega^2 = 250 leaves every S_k regular but the block sweeps lose about four
-# digits. Both must fall back to a pivoted factor and still match SuperLU.
+# interior grid rows. At m = 17, omega^2 = 250 puts the 8- and 4-cell blocks
+# past their positive-definiteness margin, so the skeleton uses s = 2.
 STRIP_OMEGA2 = 32.0 ** 2 * (4 - 2 * np.cos(np.pi / 22) - 2 * np.cos(np.pi / 32))
 ORACLE_CASES += [(33, (1.0, 1.0), STRIP_OMEGA2), (17, (1.0, 1.0), 250.0)]
+# Block sizes the uniform four-region cases do not reach: (m, regions per
+# side, box, omega^2, block size). s = 1 is the plain interior system; in the
+# last case the positive-definiteness margin halves s from 8 down to 2.
+BLOCK_SIZE_CASES = [(9, 8, (1.0, 2.0), 5.0, 1), (33, 16, (1.0, 2.0), 5.0, 2),
+                    (17, 2, (1.0, 1.0), 250.0, 2)]
 
 
 def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-@pytest.mark.parametrize("m, box, omega2", ORACLE_CASES)
-def test_block_solver_matches_splu(m, box, omega2, rng):
+def _matches_splu(m, k, box, omega2, rng):
+    """The solver's bank, DtN and single solves against SuperLU on the assembled
+    interior system, to 1e-12 relative; returns the operator."""
     g = Grid(m)
-    part = make_uniform_partition(g, 2)
+    part = make_uniform_partition(g, k)
     c = PwcField(part, rng.uniform(box[0], box[1], part.n_regions), box)
     op = HelmholtzOperator(c, omega2)
     gb = rng.standard_normal(g.n_boundary)
@@ -185,15 +194,16 @@ def test_block_solver_matches_splu(m, box, omega2, rng):
     u = op.solve(g=gb, f=f).values  # one right-hand side first, on a fresh factor
     dtn, bank = assemble_dtn(op)
 
-    k = (grid_laplacian(g) - omega2 * sp.diags(mass_scatter_matrix(g) @ c.cell_values())).tocsr()
+    mass = sp.diags(mass_scatter_matrix(g) @ c.cell_values())
+    k_full = (grid_laplacian(g) - omega2 * mass).tocsr()
     ii, bb = interior_nodes(g), boundary_loop(g)
-    k_ii, k_ib = k[ii][:, ii].tocsc(), k[ii][:, bb]
+    k_ii, k_ib = k_full[ii][:, ii].tocsc(), k_full[ii][:, bb]
     lu = spla.splu(k_ii)
     u_i = lu.solve(-k_ib.toarray())
     ref_bank = np.zeros((g.n_nodes, bb.size))
     ref_bank[bb] = np.eye(bb.size)
     ref_bank[ii] = u_i
-    ref_lam = -(k[bb][:, bb].toarray() + k[bb][:, ii] @ u_i)
+    ref_lam = -(k_full[bb][:, bb].toarray() + k_full[bb][:, ii] @ u_i)
     assert _rel(bank.solutions, ref_bank) <= 1e-12
     assert _rel(dtn.lam, ref_lam) <= 1e-12
 
@@ -201,7 +211,119 @@ def test_block_solver_matches_splu(m, box, omega2, rng):
     ref_u[bb] = gb
     ref_u[ii] = lu.solve(-(k_ib @ gb) + (node_quad_weights(g) * f)[ii])
     assert _rel(u, ref_u) <= 1e-12
-    assert _rel(HelmholtzOperator(c, omega2).indicator_bank(), ref_bank) <= 1e-12
+    assert _rel(assemble_dtn(HelmholtzOperator(c, omega2))[1].solutions, ref_bank) <= 1e-12
+    return op
+
+
+@pytest.mark.parametrize("m, box, omega2", ORACLE_CASES)
+def test_block_solver_matches_splu(m, box, omega2, rng):
+    _matches_splu(m, 2, box, omega2, rng)
+
+
+@pytest.mark.parametrize("m, k, box, omega2, s", BLOCK_SIZE_CASES)
+def test_skeleton_solver_matches_splu_at_every_block_size(m, k, box, omega2, s, rng):
+    assert _matches_splu(m, k, box, omega2, rng).block_size == s
+
+
+@pytest.mark.parametrize("m, k, s", [(17, 1, 8), (33, 1, 16), (33, 4, 8), (33, 16, 2),
+                                     (65, 1, 32), (129, 1, 32), (129, 4, 32), (129, 8, 16),
+                                     (3, 1, 1)])
+def test_block_size_divides_regions_within_the_caps(m, k, s):
+    # s <= (m - 1) / 2 and s <= 32, the measured optima
+    part = make_uniform_partition(Grid(m), k)
+    c = PwcField(part, np.full(part.n_regions, 2.0), (1.0, 2.0))
+    assert HelmholtzOperator(c, 5.0).block_size == s
+
+
+def test_block_size_one_without_square_blocks():
+    g = Grid(9)
+    base = make_uniform_partition(g, 2)
+    raw = Partition(g, base.cell_to_region, base.n_regions, 0, base.r0)
+    op = HelmholtzOperator(PwcField(raw, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)
+    assert op.block_size == 1
+    ref = HelmholtzOperator(PwcField(base, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)
+    assert ref.block_size == 4
+    assert _rel(assemble_dtn(op)[0].lam, assemble_dtn(ref)[0].lam) <= 1e-14
+
+
+def test_ring_forms_match_dense_product(rng):
+    # the separable closed form of F^T D_b F against the dense product
+    sk = forward._skeleton(Grid(33), 8)
+    symbols = forward._block_symbols(sk, rng.uniform(-0.1, 0.05, sk.ring.shape[0]))
+    dense = np.einsum("ir,bi,is->brs", sk.coupling, symbols, sk.coupling)
+    assert _rel(forward._ring_forms(sk, symbols), dense) <= 1e-14
+
+
+def _audit_case():
+    g = Grid(17)
+    part = make_uniform_partition(g, 2)
+    return PwcField(part, np.array([1.2, 1.9, 1.5, 1.1]), (1.0, 2.0))
+
+
+def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
+    # D_b enters the condensation and the block interiors alike, so the
+    # condensed residual stays exact; only the five-point sketch can see it
+    c = _audit_case()
+    assemble_dtn(HelmholtzOperator(c, 5.0))  # passes unperturbed
+    exact = forward._block_symbols
+
+    def perturbed(sk, sigma):
+        symbols = exact(sk, sigma)
+        symbols[0] *= 1.0 + 1e-6
+        return symbols
+
+    monkeypatch.setattr(forward, "_block_symbols", perturbed)
+    with pytest.raises(NearEigenfrequencyError, match="sketched"):
+        assemble_dtn(HelmholtzOperator(c, 5.0))
+
+
+def test_condensed_audit_catches_a_perturbed_skeleton_entry(monkeypatch):
+    c = _audit_case()
+    splu = forward.spla.splu
+
+    class OneEntryOff:
+        def __init__(self, lu):
+            self.lu, self.U = lu, lu.U
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            if x.ndim == 2:
+                x.flat[np.argmax(np.abs(x))] *= 1.0 + 1e-6
+            return x
+
+    monkeypatch.setattr(forward.spla, "splu", lambda *a, **k: OneEntryOff(splu(*a, **k)))
+    op = HelmholtzOperator(c, 5.0)
+    op.solve(g=np.ones(Grid(17).n_boundary))  # single solves are left alone
+    with pytest.raises(NearEigenfrequencyError, match="skeleton"):
+        assemble_dtn(op)
+
+
+def test_reading_the_dense_bank_changes_no_result(weights17):
+    c = _audit_case()
+    part = c.partition
+    delta = PwcField(part, np.array([0.3, -0.7, 1.1, 0.2]), (1e-12, 10.0))
+    r_mat = np.random.default_rng(5).standard_normal((weights17.nb,) * 2)
+
+    def results(materialise):
+        dtn, bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+        if materialise:
+            assert bank.solutions.shape == (289, 64)
+        return [dtn.lam, apply_df(bank, delta), apply_df_adjoint(bank, r_mat).values,
+                np.array([dtn_data_norm(dtn.lam, weights17)])]
+
+    for plain, materialised in zip(results(False), results(True)):
+        assert np.array_equal(plain, materialised)
+
+
+def test_bank_apply_matches_dense_bank(rng):
+    g = Grid(33)
+    part = make_uniform_partition(g, 4)
+    c = PwcField(part, rng.uniform(1.0, 2.0, 16), (1.0, 2.0))
+    _, bank = assemble_dtn(HelmholtzOperator(c, 5.0))
+    vec = rng.standard_normal(g.n_boundary)
+    cols = rng.standard_normal((g.n_boundary, 3))
+    assert _rel(bank.apply(vec), bank.solutions @ vec) <= 1e-13
+    assert _rel(bank.apply(cols), bank.solutions @ cols) <= 1e-13
 
 
 def test_block_solver_smallest_grid():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +225,27 @@ def test_multilevel_reuses_exit_evaluation_at_level_start(problem17, monkeypatch
     # and equals a fresh evaluation of the embedded field to rounding
     fresh = evaluate_state(embed(first.final, p2), data, lc, 0.0)
     assert fresh.r == pytest.approx(second.history["r"][0], rel=1e-12)
+
+
+@pytest.mark.parametrize("m, banks", [(33, 1.0), (65, 0.5)])
+def test_evaluate_state_never_holds_a_dense_bank(m, banks):
+    # peak traced memory of one iterate against the (n_nodes, nb) float64 bank
+    # the solver no longer forms; at m = 33 the nb x nb matrices (DtN,
+    # residual, pulled-back residual) alone are half of that bank
+    g = Grid(m)
+    part = make_uniform_partition(g, 4)
+    rng = np.random.default_rng(m)
+    weights = build_boundary_weights(g)
+    data = dtn_for_field(PwcField(part, rng.uniform(B1, B2, 16), (B1, B2)), W2, weights=weights)
+    lc = derive_level(ConstantsBundle(df_bound0=1.0, df_lip0=1e-3, stab_k=1e-4, b1=B1, b2=B2,
+                                      omega2=W2, eps=0.1, phi=CompressionModel.zero()), 16)
+    c = PwcField(part, np.full(16, 1.5), (B1, B2))
+    evaluate_state(c, data, lc, 0.0)  # fills the per-grid caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_state(c, data, lc, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < banks * g.n_nodes * g.n_boundary * 8
