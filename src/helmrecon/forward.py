@@ -656,7 +656,8 @@ class SolutionBank:
     block size block_size (the boundary rows of U are the identity); symbols
     holds each block's D_b (see HelmholtzOperator), so that U is
     G_b V_ring = (S x S) D_b F V_ring on a block interior. At block_size 1
-    the skeleton is every interior node. The grid is the weights' grid.
+    the skeleton is every interior node and symbols has no rows. The grid is
+    the weights' grid.
     ``solutions`` materialises U on first read (tests, diagnostics); the
     methods below, which the library uses, never form it.
     """
@@ -664,8 +665,8 @@ class SolutionBank:
     skeleton: np.ndarray
     weights: BoundaryWeights
     omega2: float
-    block_size: int = 1
-    symbols: np.ndarray | None = None
+    block_size: int
+    symbols: np.ndarray
 
     def __post_init__(self):
         grid, s = self.grid, int(self.block_size)
@@ -674,8 +675,7 @@ class SolutionBank:
                 f"block size {s} does not divide the {grid.cells_per_side} cells per side")
         sk = _skeleton(grid, s)
         u = np.ascontiguousarray(self.skeleton, dtype=float)
-        d = np.ascontiguousarray(np.zeros(sk.interior.shape) if self.symbols is None
-                                 else self.symbols, dtype=float)
+        d = np.ascontiguousarray(self.symbols, dtype=float)
         if u.shape != (sk.n_x, grid.n_boundary) or d.shape != sk.interior.shape:
             raise DiscretizationMismatchError(
                 f"skeleton values and block symbols must be {(sk.n_x, grid.n_boundary)} and "
@@ -772,8 +772,9 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
     The variational DtN is -(K~_BB + K~_BX V_X), the boundary rows of the
     condensed operator on the bank's skeleton values, which equal
     -(K_bb + K_bi U_i). variant='one_sided' replaces the variational flux with
-    an inward finite difference (for degradation experiments only; it
-    materialises the bank). weights default to build_boundary_weights(op.grid).
+    an inward finite difference (for degradation experiments only; it reads
+    the dense bank, materialised once and kept by the bank). weights default
+    to build_boundary_weights(op.grid).
     The condensed residual and a sketched five-point residual of the bank are
     audited (HelmholtzOperator._indicator_skeleton, _audit_bank).
     """
@@ -790,7 +791,7 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
         sk, nb = op._sk, grid.n_boundary
         factor = np.full(nb, 1.0 / np.sqrt(2.0))
         factor[sk.edge] = 1.0
-        lam = (bank.apply(np.eye(nb))[sk.inward] - np.eye(nb)) * factor[:, None]
+        lam = (bank.solutions[sk.inward] - np.eye(nb)) * factor[:, None]
     return (DtnMatrix(lam=lam, weights=weights, omega2=op.omega2), bank)
 
 

@@ -466,10 +466,22 @@ def test_dtn_for_field_returns_the_evaluation(grid17, weights17):
     assert np.array_equal(dtn_for_field(c, 5.0, weights=weights17).lam, dtn.lam)
 
 
-@pytest.mark.parametrize("shape", [(289, 63), (288, 64), (289 * 64,)])
+@pytest.mark.parametrize("shape", [(81, 63), (80, 64), (81 * 64,)])
 def test_solution_bank_rejects_wrong_shape(weights17, shape):
+    # condensed form at s = 4 on Grid(17): 81 interior skeleton nodes, 16 blocks
+    symbols = np.ones((16, 9))
+    SolutionBank(np.zeros((81, 64)), weights17, 5.0, 4, symbols)
     with pytest.raises(DiscretizationMismatchError):
-        SolutionBank(np.zeros(shape), weights17, 5.0)
+        SolutionBank(np.zeros(shape), weights17, 5.0, 4, symbols)
+
+
+def test_solution_bank_requires_its_block_form(weights17):
+    skeleton = np.zeros((81, 64))
+    with pytest.raises(TypeError):  # no default that would zero the block interiors
+        SolutionBank(skeleton, weights17, 5.0, 4)
+    for symbols, s in ((np.ones((16, 8)), 4), (np.ones((16, 9)), 2)):
+        with pytest.raises(DiscretizationMismatchError):
+            SolutionBank(skeleton, weights17, 5.0, s, symbols)
 
 
 def test_dtn_symmetry(grid17, weights17, rng):
