@@ -27,7 +27,7 @@ symmetric part of P, so P needs no folding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .forward import (
     build_boundary_weights,
     dtn_data_norm,
     dtn_for_field,
+    pulled_back,
 )
 
 __all__ = [
@@ -57,17 +58,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Residual:
-    """DtN-space residual F(c) - y with its data norm attached."""
+    """DtN-space residual R = F(c) - y with its data norm attached, and the
+    pulled-back residual P = w_minus R w_minus that the adjoint reads, formed
+    once with the norm (forward.pulled_back)."""
 
     matrix: np.ndarray
     weights: BoundaryWeights
     norm: float = None  # type: ignore[assignment]
+    pulled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.ascontiguousarray(self.matrix, dtype=float)
+        nb = self.weights.nb
+        if mat.shape != (nb, nb):
+            raise DiscretizationMismatchError(f"residual must be {nb} square, got {mat.shape}")
         mat.setflags(write=False)
+        pulled, norm = pulled_back(mat, self.weights)
+        pulled.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "norm", dtn_data_norm(mat, self.weights))
+        object.__setattr__(self, "pulled", pulled)
+        object.__setattr__(self, "norm", norm)
 
 
 def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
@@ -116,21 +126,16 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
 
     The duality map of the Hilbert data space is the identity, so the input is
     the residual matrix itself. The field is omega^2 diag(U P U^T) for the
-    pulled-back residual P = w_minus R w_minus, which the bank sums from its
+    pulled-back residual P = w_minus R w_minus (Residual.pulled; a bare
+    matrix is wrapped in a Residual first), which the bank sums from its
     condensed form (SolutionBank.quadratic_diagonal).
     """
     if isinstance(residual, Residual):
         if not residual.weights.compatible(bank.weights):
             raise DiscretizationMismatchError("residual weights do not match the bank")
-        mat = residual.matrix
     else:
-        mat = np.asarray(residual, dtype=float)
-        if mat.shape != (bank.weights.nb, bank.weights.nb):
-            raise DiscretizationMismatchError(
-                f"residual must be {bank.weights.nb} square, got {mat.shape}"
-            )
-    wm = bank.weights.w_minus
-    values = bank.quadratic_diagonal(wm @ mat @ wm)
+        residual = Residual(matrix=residual, weights=bank.weights)
+    values = bank.quadratic_diagonal(residual.pulled)
     values *= bank.omega2
     return NodalField(bank.grid, values)
 

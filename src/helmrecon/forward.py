@@ -12,9 +12,13 @@ orthonormal DST-I diagonalises in closed form. HelmholtzOperator eliminates
 the block interiors exactly (static condensation, the capacitance-matrix idea
 of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) and factors only
 the condensed operator on the skeleton, the grid lines between blocks, with
-SuperLU and partial pivoting. One factor serves the low window and band
-windows alike; at s = 1 (a partition without square blocks) the skeleton is
-the whole grid. The DtN assembly solves for the skeleton values V_X of the
+partial pivoting: by dense LAPACK getrf when the skeleton has at most twice
+as many unknowns as the boundary loop (coarse blocks, where getrs solves the
+nb right-hand sides as BLAS-3 products), by SuperLU otherwise (fine blocks,
+where a dense factor would not fit in memory: 2 GB at s = 1, m = 129). One
+factor serves the low window and band windows alike; at s = 1 (a partition
+without square blocks) the skeleton is the whole grid. The DtN assembly solves
+for the skeleton values V_X of the
 boundary-indicator solutions only; the SolutionBank keeps V_X and the block
 symbols, and gives the bank's products (U g, U^T diag(w) U, diag(U P U^T))
 from them without forming the dense (n_nodes, nb) bank. A residual audit
@@ -45,8 +49,11 @@ weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
 which is circulant (the loop is closed and uniformly spaced), so one
 closed-form DFT symbol determines them all, with no eigensolve.
 
-scipy.sparse.linalg is imported as ``spla``: ``spla.splu`` is the skeleton
-factor, one call per operator, and the benchmark's layer trace wraps it there.
+scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
+``lapack``: ``spla.splu`` and ``lapack.dgetrf`` are the two skeleton factors,
+one call of one of them per operator. The benchmark's layer trace wraps
+``spla.splu`` there; it does not see the dense factor, whose time counts as
+operator assembly.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import circulant
+from scipy.linalg import circulant, lapack
 
 from .domain import (
     Grid,
@@ -103,6 +110,7 @@ _BLOCK_MARGIN = 0.5  # block interiors stay at least half as definite as their L
 _BLOCKS_PER_SIDE = 2  # block size s at most (m - 1) / 2 ...
 _MAX_BLOCK = 32  # ... and at most 32 cells (measured optimum, see _block_size)
 _COLUMN_CHUNKS = 8  # the indicator solve runs over nb / 8 columns at a time
+_DENSE_SKELETON = 2  # dense LU for a skeleton of at most 2 nb unknowns (measured crossover)
 _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior passes
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
 _SKETCH_SEED = 20240817
@@ -378,7 +386,7 @@ def _block_size(c2inv: PwcField, omega2: float) -> int:
     The caps are where one descent iterate was fastest (BLAS on one thread):
     s = 8 at m = 17, 16 at m = 33, 32 at m = 65 and 129. A larger s grows the
     dense ring forms and block products as s^3 per block, a smaller one the
-    skeleton and its SuperLU solve as m^2 / s."""
+    skeleton and its factor and solve as m^2 / s."""
     grid = c2inv.grid
     blocks = c2inv.partition.blocks
     if blocks is None:
@@ -470,10 +478,14 @@ class HelmholtzOperator:
     operator T x I + I x T - sigma_b I (T = tridiag(-1, 2, -1), sigma_b =
     omega^2 h^2 c_b), whose inverse is (S x S) D_b (S x S)^T with the DST-I S.
     Eliminating the interiors leaves K~ = K_SS - sum_b scatter(F^T D_b F) on the
-    skeleton. SuperLU with partial pivoting factors its rows and columns X,
-    and its pivots decide NearEigenfrequencyError: det K_ii = det K~_XX times
-    the positive block determinants, so K~_XX is singular exactly when K_ii
-    is, in the low window and in band windows alike.
+    skeleton. Its rows and columns X, K~_XX, are factored with partial
+    pivoting (``factor``): 'dense' (LAPACK getrf/getrs on K~_XX formed dense,
+    fastest while n_x <= 2 nb) or 'superlu' (spla.splu, whose factor stays
+    sparse on the large skeletons of fine blocks). Either way the pivots
+    decide NearEigenfrequencyError, on an exactly zero pivot or one below
+    _PIVOT_RTOL of the largest: det K_ii = det K~_XX times the positive block
+    determinants, so K~_XX is singular exactly when K_ii is, in the low window
+    and in band windows alike.
     """
 
     def __init__(self, c2inv: PwcField, omega2: float):
@@ -497,16 +509,24 @@ class HelmholtzOperator:
             sk.x_slots, weights=np.concatenate([mass[:n_x], self._forms.ravel()[sk.x_forms]]),
             minlength=sk.x_base.size)
         n_xx = sk.x_indptr[n_x]
-        k_xx = sp.csc_matrix((self._k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
-                             shape=(n_x, n_x))
-        try:
-            self._lu = spla.splu(k_xx, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise NearEigenfrequencyError(
-                f"interior system is singular at omega^2 = {self.omega2}: {exc}",
-                smallest_pivot=0.0,
-            ) from exc
-        pivots = np.abs(self._lu.U.diagonal())
+        self.factor = "dense" if n_x <= _DENSE_SKELETON * self.grid.n_boundary else "superlu"
+        if self.factor == "dense":
+            flat = np.zeros(n_x * n_x)  # K~_XX in Fortran order, from the static pattern
+            flat[sk.x_cols[:n_xx] * n_x + sk.x_indices[:n_xx]] = self._k_x[:n_xx]
+            lu, piv, info = lapack.dgetrf(flat.reshape(n_x, n_x, order="F"), overwrite_a=True)
+            if info > 0:
+                raise self._singular(f"pivot {info} of the dense factor is exactly zero")
+            self._lu = (lu, piv)
+            pivots = np.abs(np.diagonal(lu))
+        else:
+            k_xx = sp.csc_matrix((self._k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
+                                 shape=(n_x, n_x))
+            try:
+                self._lu = spla.splu(k_xx, permc_spec="MMD_AT_PLUS_A",
+                                     options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise self._singular(str(exc)) from exc
+            pivots = np.abs(self._lu.U.diagonal())
         self.smallest_pivot = float(pivots.min())
         if self.smallest_pivot < _PIVOT_RTOL * float(pivots.max()):
             raise NearEigenfrequencyError(
@@ -515,11 +535,25 @@ class HelmholtzOperator:
                 smallest_pivot=self.smallest_pivot,
             )
 
+    def _singular(self, detail: str) -> NearEigenfrequencyError:
+        return NearEigenfrequencyError(
+            f"interior system is singular at omega^2 = {self.omega2}: {detail}",
+            smallest_pivot=0.0,
+        )
+
+    def _solve_skeleton(self, rhs: np.ndarray) -> np.ndarray:
+        """K~_XX^{-1} rhs for rhs (n_x,) or (n_x, k), by the operator's factor;
+        a Fortran-ordered rhs is overwritten on the dense path."""
+        if self.factor == "superlu":
+            return self._lu.solve(rhs)
+        x, _ = lapack.dgetrs(*self._lu, rhs, overwrite_b=True)
+        return x
+
     def _k_xb_columns(self, c0: int, c1: int) -> np.ndarray:
-        """Dense K~_XB[:, c0:c1]."""
+        """Dense K~_XB[:, c0:c1], Fortran-ordered."""
         sk = self._sk
         entries = slice(sk.x_indptr[sk.n_x + c0], sk.x_indptr[sk.n_x + c1])
-        out = np.zeros((sk.n_x, c1 - c0))
+        out = np.zeros((sk.n_x, c1 - c0), order="F")
         out[sk.x_indices[entries], sk.x_cols[entries] - sk.n_x - c0] = self._k_x[entries]
         return out
 
@@ -572,7 +606,7 @@ class HelmholtzOperator:
         u = np.zeros((n_nodes, 1))
         u[sk.nodes[n_x:], 0] = g
         rhs_norm = self._five_point_residual(u, source[sk.grid_interior, None])
-        u[sk.nodes[:n_x], 0] = self._lu.solve(rhs)
+        u[sk.nodes[:n_x], 0] = self._solve_skeleton(rhs)
         _fill_blocks(sk, self._symbols, u, hat)
         self._check(self._five_point_residual(u, source[sk.grid_interior, None]), rhs_norm,
                     "linear solve")
@@ -584,9 +618,9 @@ class HelmholtzOperator:
         columns at a time. Audit: the condensed residual K~_XX V_X + K~_XB over
         all nb columns must be within _SOLVE_RTOL of ||K~_XB||_F.
 
-        All solves run before all products: SuperLU calls scipy's BLAS and the
-        products numpy's, and with unpinned threads the two pools contend at
-        every switch between them."""
+        All solves run before all products: the skeleton solves (SuperLU or
+        getrs) call scipy's BLAS and the products numpy's, and with unpinned
+        threads the two pools contend at every switch between them."""
         sk = self._sk
         n_x, nb = sk.n_x, self.grid.n_boundary
         skeleton = np.empty((n_x, nb))
@@ -594,7 +628,7 @@ class HelmholtzOperator:
         width = max(1, nb // _COLUMN_CHUNKS)
         chunks = [slice(c0, min(c0 + width, nb)) for c0 in range(0, nb, width)]
         for cols in chunks:
-            skeleton[:, cols] = self._lu.solve(self._k_xb_columns(cols.start, cols.stop))
+            skeleton[:, cols] = self._solve_skeleton(self._k_xb_columns(cols.start, cols.stop))
         np.negative(skeleton, out=skeleton)
         v = np.empty((sk.nodes.size, width))
         res2 = 0.0
@@ -795,20 +829,27 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
     return (DtnMatrix(lam=lam, weights=weights, omega2=op.omega2), bank)
 
 
+def pulled_back(mat: np.ndarray, weights: BoundaryWeights) -> tuple[np.ndarray, float]:
+    """P = W A W and the Hilbert-Schmidt data norm ||W^{1/2} A W^{1/2}||_F =
+    sqrt(<A, P>) of a DtN difference A (nb, nb), W the order -1/2 weight.
+    P is what the adjoint reads, so one pair of products gives both."""
+    pulled = weights.w_minus @ mat @ weights.w_minus
+    return pulled, float(np.sqrt(np.vdot(mat, pulled)))
+
+
 def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -> float:
     """Data-space norm of a DtN difference: || W^{1/2} A W^{1/2} || with W the
-    order -1/2 weight. kind='hs' (default, the Y norm) or 'op' (largest
-    singular value of the same weighted matrix, diagnostic)."""
+    order -1/2 weight. kind='hs' (default, the Y norm, see pulled_back) or
+    'op' (largest singular value of the same weighted matrix, diagnostic)."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (weights.nb, weights.nb):
         raise DiscretizationMismatchError(
             f"matrix shape {mat.shape} does not match weights ({weights.nb})"
         )
-    weighted = weights.w_minus_half @ mat @ weights.w_minus_half
     if kind == "hs":
-        return float(np.linalg.norm(weighted, "fro"))
+        return pulled_back(mat, weights)[1]
     if kind == "op":
-        return float(np.linalg.norm(weighted, 2))
+        return float(np.linalg.norm(weights.w_minus_half @ mat @ weights.w_minus_half, 2))
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 

@@ -148,16 +148,39 @@ def test_solve_rejects_wrong_size_source(source):
         op.solve(f=source)
 
 
-def test_near_eigenfrequency_error_smallest_pivot():
+def _spy_dgetrf(monkeypatch, info=None):
+    """Record each dense skeleton factor; with info, report it as LAPACK's info."""
+    calls = []
+    dgetrf = forward.lapack.dgetrf
+
+    def spy(*args, **kwargs):
+        lu, piv, code = dgetrf(*args, **kwargs)
+        calls.append(code)
+        return lu, piv, code if info is None else info
+
+    monkeypatch.setattr(forward.lapack, "dgetrf", spy)
+    return calls
+
+
+def test_near_eigenfrequency_error_smallest_pivot(monkeypatch):
     # smallest discrete eigenvalue of the five-point operator sits just below
     # the continuum one, so the guard passes but the factorization is singular
     m = 9
     h = 1.0 / (m - 1)
     lam_h = (4 - 4 * np.cos(np.pi * h)) / h ** 2
+    calls = _spy_dgetrf(monkeypatch)
     with pytest.raises(NearEigenfrequencyError) as exc:
         HelmholtzOperator(const_field(m, 1.0, (1.0, 1.0)), lam_h)
+    assert len(calls) == 1  # the dense skeleton factor decided it
     assert exc.value.smallest_pivot is not None
     assert exc.value.smallest_pivot < 1e-10
+
+
+def test_exactly_zero_dense_pivot_reports_zero(monkeypatch):
+    _spy_dgetrf(monkeypatch, info=3)
+    with pytest.raises(NearEigenfrequencyError, match="exactly zero") as exc:
+        HelmholtzOperator(const_field(9), 5.0)
+    assert exc.value.smallest_pivot == 0.0
 
 
 # ------------------------------------------------- SuperLU oracle for the solver
@@ -176,6 +199,9 @@ ORACLE_CASES += [(33, (1.0, 1.0), STRIP_OMEGA2), (17, (1.0, 1.0), 250.0)]
 # last case the positive-definiteness margin halves s from 8 down to 2.
 BLOCK_SIZE_CASES = [(9, 8, (1.0, 2.0), 5.0, 1), (33, 16, (1.0, 2.0), 5.0, 2),
                     (17, 2, (1.0, 1.0), 250.0, 2)]
+# The skeleton factor is SuperLU where s = 2 gives more than 2 nb skeleton
+# unknowns (n_x = 161 at m = 17, 705 at m = 33), dense LU in every other case.
+SUPERLU_CASES = {(17, 2, 250.0), (33, 16, 5.0)}  # (m, regions per side, omega^2)
 
 
 def _rel(a, b):
@@ -189,6 +215,7 @@ def _matches_splu(m, k, box, omega2, rng):
     part = make_uniform_partition(g, k)
     c = PwcField(part, rng.uniform(box[0], box[1], part.n_regions), box)
     op = HelmholtzOperator(c, omega2)
+    assert op.factor == ("superlu" if (m, k, omega2) in SUPERLU_CASES else "dense")
     gb = rng.standard_normal(g.n_boundary)
     f = rng.standard_normal(g.n_nodes)
     u = op.solve(g=gb, f=f).values  # one right-hand side first, on a fresh factor
@@ -235,6 +262,14 @@ def test_block_size_divides_regions_within_the_caps(m, k, s):
     assert HelmholtzOperator(c, 5.0).block_size == s
 
 
+@pytest.mark.parametrize("k, n_x, factor", [(4, 177, "dense"), (8, 385, "superlu")])
+def test_skeleton_factor_is_dense_up_to_twice_the_loop(k, n_x, factor):
+    # nb = 128 at m = 33: dense LU for n_x <= 256 skeleton unknowns
+    part = make_uniform_partition(Grid(33), k)
+    op = HelmholtzOperator(PwcField(part, np.full(part.n_regions, 2.0), (1.0, 2.0)), 5.0)
+    assert (op._sk.n_x, op.factor) == (n_x, factor)
+
+
 def test_block_size_one_without_square_blocks():
     g = Grid(9)
     base = make_uniform_partition(g, 2)
@@ -254,10 +289,10 @@ def test_ring_forms_match_dense_product(rng):
     assert _rel(forward._ring_forms(sk, symbols), dense) <= 1e-14
 
 
-def _audit_case():
+def _audit_case(per_side=2):
     g = Grid(17)
-    part = make_uniform_partition(g, 2)
-    return PwcField(part, np.array([1.2, 1.9, 1.5, 1.1]), (1.0, 2.0))
+    part = make_uniform_partition(g, per_side)
+    return PwcField(part, np.resize([1.2, 1.9, 1.5, 1.1], part.n_regions), (1.0, 2.0))
 
 
 def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
@@ -277,22 +312,21 @@ def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
         assemble_dtn(HelmholtzOperator(c, 5.0))
 
 
-def test_condensed_audit_catches_a_perturbed_skeleton_entry(monkeypatch):
-    c = _audit_case()
-    splu = forward.spla.splu
+# 2 regions per side: s = 8, n_x = 29 <= 2 nb; 8 per side: s = 2, n_x = 161 > 2 nb = 128
+@pytest.mark.parametrize("per_side, factor", [(2, "dense"), (8, "superlu")])
+def test_condensed_audit_catches_a_perturbed_skeleton_entry(monkeypatch, per_side, factor):
+    c = _audit_case(per_side)
+    exact = HelmholtzOperator._solve_skeleton
 
-    class OneEntryOff:
-        def __init__(self, lu):
-            self.lu, self.U = lu, lu.U
+    def one_entry_off(self, rhs):
+        x = exact(self, rhs)
+        if x.ndim == 2:
+            x.flat[np.argmax(np.abs(x))] *= 1.0 + 1e-6
+        return x
 
-        def solve(self, rhs):
-            x = self.lu.solve(rhs)
-            if x.ndim == 2:
-                x.flat[np.argmax(np.abs(x))] *= 1.0 + 1e-6
-            return x
-
-    monkeypatch.setattr(forward.spla, "splu", lambda *a, **k: OneEntryOff(splu(*a, **k)))
+    monkeypatch.setattr(HelmholtzOperator, "_solve_skeleton", one_entry_off)
     op = HelmholtzOperator(c, 5.0)
+    assert op.factor == factor
     op.solve(g=np.ones(Grid(17).n_boundary))  # single solves are left alone
     with pytest.raises(NearEigenfrequencyError, match="skeleton"):
         assemble_dtn(op)
