@@ -118,14 +118,14 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    parser.read_string(text)
-    _reject_unknown(parser)
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        parser.read_string(text)
+        _reject_unknown(parser)
         return _parse(parser, text)
     except (configparser.Error, ValueError, OverflowError) as exc:
-        # a malformed value anywhere in the file is a configuration error
+        # undecodable bytes, bad INI syntax or a malformed value: a configuration error
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 

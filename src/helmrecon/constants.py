@@ -39,10 +39,11 @@ if the left side stays negative the refinement is unbounded.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import parse_number
 from .errors import AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError
 from .forward import spectrum_guard
 
@@ -87,8 +88,9 @@ class CompressionModel:
 
     def __post_init__(self):
         if self.kind == "power":
-            if self.c < 0:
-                raise ConfigurationError(f"compression prefactor must be >= 0, got {self.c}")
+            if not (0 <= self.c < np.inf and np.isfinite(self.beta)):
+                raise ConfigurationError("compression prefactor must be finite and >= 0, and the "
+                                         f"exponent finite; got {self.c}, {self.beta}")
             if self.c > 0 and self.beta <= 0:
                 raise ConfigurationError(
                     "a nonzero compression model must decrease in N (beta > 0); "
@@ -99,6 +101,8 @@ class CompressionModel:
             v = np.asarray(self.table_v, dtype=float)
             if n.ndim != 1 or n.shape != v.shape or n.size < 2:
                 raise ConfigurationError("table model needs matching N and value arrays (>= 2 entries)")
+            if not (np.isfinite(n).all() and np.isfinite(v).all()):
+                raise ConfigurationError("table N and values must be finite")
             if (np.diff(n) <= 0).any():
                 raise ConfigurationError("table N values must be strictly increasing")
             if (v < 0).any() or (np.diff(v) > 0).any():
@@ -163,17 +167,14 @@ class ConstantsBundle:
     phi: CompressionModel
     n_exponent: float = DEFAULT_EXPONENT
     calibration: str = "analytic"
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for name in ("df_bound0", "df_lip0", "stab_k", "eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be strictly positive")
-        if not (0 < self.b1 <= self.b2):
-            raise ConfigurationError(f"bounds must satisfy 0 < b1 <= b2, got ({self.b1}, {self.b2})")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and strictly positive")
         if not (0 < self.n_exponent <= 1):
             raise ConfigurationError(f"stability exponent must lie in (0, 1], got {self.n_exponent}")
-        spectrum_guard(self.omega2, self.b1, self.b2)
+        spectrum_guard(self.omega2, self.b1, self.b2)  # also checks the bounds
 
     def stability_exponent(self, big_n: float) -> float:
         return self.stab_k * (1.0 + self.omega2 * self.b2) * float(big_n) ** self.n_exponent
@@ -378,7 +379,6 @@ class NMaxResult:
 
     status: str
     n_max: int | None
-    crossing: float | None
     cap: float
 
 
@@ -402,10 +402,10 @@ def solve_n_max(bundle: ConstantsBundle, cap: float = 1e9, scan_points: int = 40
     vals = _nmax_lhs(bundle, grid)
     ok = vals <= 0.0
     if not ok.any():
-        return NMaxResult(status="none", n_max=None, crossing=None, cap=cap)
+        return NMaxResult(status="none", n_max=None, cap=cap)
     last = int(np.nonzero(ok)[0][-1])
     if last == grid.size - 1:
-        return NMaxResult(status="unbounded", n_max=None, crossing=None, cap=cap)
+        return NMaxResult(status="unbounded", n_max=None, cap=cap)
     lo, hi = grid[last], grid[last + 1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -418,7 +418,7 @@ def solve_n_max(bundle: ConstantsBundle, cap: float = 1e9, scan_points: int = 40
     n_max = int(np.floor(lo))
     while n_max > 1 and _nmax_lhs(bundle, n_max) > 0:
         n_max -= 1
-    return NMaxResult(status="bounded", n_max=n_max, crossing=float(lo), cap=cap)
+    return NMaxResult(status="bounded", n_max=n_max, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -538,18 +538,9 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
             f"calibration produced nonpositive constants (df_bound0={fitted_bound}, "
             f"df_lip0={fitted_lip}); widen the sample set"
         )
-    meta = {
-        "seed": seed,
-        "samples": samples,
-        "n_values": list(feasible_n),
-        "khat_fit": report.khat_fit,
-        "khat_bound": report.khat_bound,
-        "norm_kind": "hs",
-        "fit_residual": report.fit_residual,
-    }
     return ConstantsBundle(df_bound0=fitted_bound, df_lip0=fitted_lip, stab_k=fitted_k,
                            b1=b1, b2=b2, omega2=omega2, eps=eps, phi=phi,
-                           n_exponent=n_exponent, calibration="empirical", meta=meta)
+                           n_exponent=n_exponent, calibration="empirical")
 
 
 def save_bundle(path, bundle: ConstantsBundle) -> None:
@@ -582,17 +573,18 @@ def load_bundle(path) -> ConstantsBundle:
                 continue
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
+    num = lambda key: parse_number(path, kv[key])
     try:
         return ConstantsBundle(
-            df_bound0=float(kv["df_bound0"]),
-            df_lip0=float(kv["df_lip0"]),
-            stab_k=float(kv["stab_k"]),
-            b1=float(kv["b1"]),
-            b2=float(kv["b2"]),
-            omega2=float(kv["omega2"]),
-            eps=float(kv["eps"]),
-            phi=CompressionModel.power_law(float(kv["phi_c"]), float(kv["phi_beta"])),
-            n_exponent=float(kv.get("n_exponent", DEFAULT_EXPONENT)),
+            df_bound0=num("df_bound0"),
+            df_lip0=num("df_lip0"),
+            stab_k=num("stab_k"),
+            b1=num("b1"),
+            b2=num("b2"),
+            omega2=num("omega2"),
+            eps=num("eps"),
+            phi=CompressionModel.power_law(num("phi_c"), num("phi_beta")),
+            n_exponent=num("n_exponent") if "n_exponent" in kv else DEFAULT_EXPONENT,
             calibration=kv.get("calibration", "analytic"),
         )
     except KeyError as exc:

@@ -64,7 +64,7 @@ class Residual:
 
     matrix: np.ndarray
     weights: BoundaryWeights
-    norm: float = None  # type: ignore[assignment]
+    norm: float = field(init=False)
     pulled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -473,7 +473,7 @@ def save_field(path, f: PwcField | NodalField) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _number(path, token: str, kind=float):
+def parse_number(path, token: str, kind=float):
     """One numeric token of a field or matrix file; anything that is not a
     finite number of the given kind raises ConfigurationError."""
     try:
@@ -493,7 +493,7 @@ def read_header(fh, path, layout: str, kinds: tuple) -> list:
     name = layout.split()[0]
     if len(tokens) != len(kinds) + 1 or tokens[0] != name:
         raise ConfigurationError(f"{path}: expected '{layout}' header")
-    return [_number(path, tok, kind) for tok, kind in zip(tokens[1:], kinds)]
+    return [parse_number(path, tok, kind) for tok, kind in zip(tokens[1:], kinds)]
 
 
 def read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
@@ -506,7 +506,7 @@ def read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
         if len(tokens) != cols:
             raise ConfigurationError(
                 f"{path}: data line {r + 1} has {len(tokens)} values, expected {cols}")
-        out[r] = [_number(path, tok) for tok in tokens]
+        out[r] = [parse_number(path, tok) for tok in tokens]
     return out
 
 
@@ -561,5 +561,5 @@ def load_nodal_field(path, grid: Grid) -> NodalField:
         tokens = fh.read().split()
     if len(tokens) != grid.n_nodes:
         raise ConfigurationError(f"{path}: expected {grid.n_nodes} values, got {len(tokens)}")
-    values = np.array([_number(path, tok) for tok in tokens])
+    values = np.array([parse_number(path, tok) for tok in tokens])
     return NodalField(grid, values)

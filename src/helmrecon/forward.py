@@ -147,7 +147,6 @@ class SpectrumWindow:
     window: tuple[float, float]
     distance: float
     band_index: int | None
-    eigenvalues: np.ndarray
 
 
 def spectrum_guard(omega2: float, b1: float, b2: float) -> SpectrumWindow:
@@ -156,10 +155,13 @@ def spectrum_guard(omega2: float, b1: float, b2: float) -> SpectrumWindow:
     For any admissible field the n-th Dirichlet eigenvalue of the weighted
     problem lies in [lam_n/B2, lam_n/B1], so omega^2 outside every such band is
     safe for the whole box. Band membership (closed bands) raises
-    AdmissibilityError naming the band.
+    AdmissibilityError naming the band; non-finite inputs raise
+    ConfigurationError.
     """
-    if not (0 < b1 <= b2):
-        raise ConfigurationError(f"bounds must satisfy 0 < b1 <= b2, got ({b1}, {b2})")
+    if not (0 < b1 <= b2 < np.inf):
+        raise ConfigurationError(f"bounds must satisfy 0 < b1 <= b2 < inf, got ({b1}, {b2})")
+    if not np.isfinite(omega2):
+        raise ConfigurationError(f"omega^2 must be finite, got {omega2}")
     if omega2 <= 0:
         raise AdmissibilityError(f"omega^2 must be positive, got {omega2}")
     lams = unit_square_eigenvalues(omega2 * b2)
@@ -178,7 +180,6 @@ def spectrum_guard(omega2: float, b1: float, b2: float) -> SpectrumWindow:
             window=(0.0, float(lo[0])),
             distance=float(lo[0] - omega2),
             band_index=None,
-            eigenvalues=lams,
         )
     below = np.nonzero(hi < omega2)[0]
     n = int(below[-1])
@@ -190,8 +191,26 @@ def spectrum_guard(omega2: float, b1: float, b2: float) -> SpectrumWindow:
         window=(float(hi[n]), float(lo[n + 1])),
         distance=float(min(omega2 - hi[n], lo[n + 1] - omega2)),
         band_index=n + 1,
-        eigenvalues=lams,
     )
+
+
+def _discrete_guard(grid: Grid, omega2: float, b1: float, b2: float) -> None:
+    """spectrum_guard for the grid's five-point operator: omega^2 must avoid
+    every band [lam^h_pq/B2, lam^h_pq/B1] of its Dirichlet eigenvalues
+    lam^h_pq = (4/h^2)(sin^2(p pi h/2) + sin^2(q pi h/2)), 1 <= p, q <= m - 2.
+    These lie below the continuum ones, so a continuum window can hold a
+    discrete band. Every interior node carries the lumped mass h^2 times the
+    mean of its four cells, in [h^2 B1, h^2 B2], so by min-max this certifies
+    the interior system nonsingular for every field in the box."""
+    p = np.arange(1, grid.m - 1)
+    sin2 = np.sin(0.5 * np.pi * grid.h * p) ** 2
+    lam = (4.0 / grid.h ** 2) * (sin2[:, None] + sin2[None, :])
+    inside = (lam / b2 <= omega2) & (omega2 <= lam / b1)
+    if inside.any():
+        i, j = np.argwhere(inside)[0]
+        raise AdmissibilityError(
+            f"omega^2 = {omega2} lies in the discrete band of lam^h_{p[i]},{p[j]} = "
+            f"{lam[i, j]} at m = {grid.m}: [{lam[i, j] / b2}, {lam[i, j] / b1}]")
 
 
 def _circulant(symbol: np.ndarray) -> np.ndarray:
@@ -468,9 +487,10 @@ def _sketch(nb: int) -> np.ndarray:
 class HelmholtzOperator:
     """Interior system K_ii u_i = rhs for one coefficient field and frequency.
 
-    Runs the spectrum guard for the field's coefficient box, then condenses
-    the block interiors out of K_ii in closed form and factors the skeleton
-    once; every Dirichlet solve (``solve``, and the indicator bank in
+    Runs the spectrum guard for the field's coefficient box and certifies the
+    same box against the grid's discrete spectrum (_discrete_guard), then
+    condenses the block interiors out of K_ii in closed form and factors the
+    skeleton once; every Dirichlet solve (``solve``, and the indicator bank in
     ``assemble_dtn``) reuses that factor.
 
     The field is constant on the s x s cell blocks (``block_size``, see
@@ -485,13 +505,13 @@ class HelmholtzOperator:
     decide NearEigenfrequencyError, on an exactly zero pivot or one below
     _PIVOT_RTOL of the largest: det K_ii = det K~_XX times the positive block
     determinants, so K~_XX is singular exactly when K_ii is, in the low window
-    and in band windows alike.
+    and in band windows alike. Past the discrete guard this catches only what
+    rounding lets through at a band's edge.
     """
 
     def __init__(self, c2inv: PwcField, omega2: float):
-        if omega2 <= 0:
-            raise AdmissibilityError(f"omega^2 must be positive, got {omega2}")
         spectrum_guard(omega2, *c2inv.bounds)
+        _discrete_guard(c2inv.grid, omega2, *c2inv.bounds)
         self.grid = c2inv.grid
         self.omega2 = float(omega2)
         self.block_size = _block_size(c2inv, self.omega2)

@@ -16,7 +16,7 @@ approximation floor), on a vanishing direction, or at the iteration cap.
 
 The multi-level driver checks the refinement conditions between consecutive
 schedule entries, warm-starts each level by exact embedding of the previous
-exit iterate (whose residual and direction carry over, since the embedded
+exit iterate (whose residual norm and direction carry over, since the embedded
 field is the same cell field), and reports the exit error bound
 
     (4+eps) * stab(N_last) * eta_last + phi(N_last).
@@ -24,13 +24,13 @@ field is the same cell field), and reports the exit error bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import ConstantsBundle, LevelConstants, check_level_transition, \
     check_omega_conditions, derive_level
-from .derivative import Residual, apply_df_adjoint, bank_for_field, residual_from
+from .derivative import apply_df_adjoint, bank_for_field, residual_from
 from .domain import NodalField, Partition, PwcField, bregman, clamp_to_bounds, embed, \
     l2_norm, project
 from .errors import ConfigurationError, LevelConditionError
@@ -51,11 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DescentState:
-    """One iterate: field, residual, direction, and the step quantities."""
+    """One iterate: field, direction, residual norm r, direction norm t, and
+    the step quantities u and mu."""
 
     k: int
     field: PwcField
-    residual: Residual
     direction: NodalField
     r: float
     t: float
@@ -72,16 +72,14 @@ def _step_quantities(r: float, t: float, lc: LevelConstants, eta: float):
 
 def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
                    k: int = 0) -> DescentState:
-    """Assemble the forward map at c and package residual, direction, and quantities."""
+    """Assemble the forward map at c and package direction, norms, and quantities."""
     dtn, bank = bank_for_field(c, data.omega2, weights=data.weights)
     res = residual_from(dtn, data)
-    del dtn  # the state keeps the residual; the DtN matrix goes before the adjoint
+    del dtn  # the DtN matrix goes before the adjoint
     direction = apply_df_adjoint(bank, res)
-    r = res.norm
     t = l2_norm(direction)
-    u, mu = _step_quantities(r, t, lc, eta)
-    return DescentState(k=k, field=c, residual=res, direction=direction,
-                        r=r, t=t, u=u, mu=mu)
+    u, mu = _step_quantities(res.norm, t, lc, eta)
+    return DescentState(k=k, field=c, direction=direction, r=res.norm, t=t, u=u, mu=mu)
 
 
 def descent_step(state: DescentState, lc: LevelConstants, data: DtnMatrix,
@@ -111,14 +109,12 @@ class LevelRun:
     level: int
     partition: Partition
     constants: LevelConstants
-    eta_used: float
     threshold: float
     history: dict
     stop_reason: str
     k_stop: int
     exit_state: DescentState
     warnings: list = field(default_factory=list)
-    fields: list | None = None
 
     @property
     def final(self) -> PwcField:
@@ -129,16 +125,11 @@ class LevelRun:
         """The minimal iterate index meeting the discrepancy criterion, if reached."""
         return self.k_stop if self.stop_reason == "discrepancy" else None
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.history["r"]
-
 
 def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: int,
               eta_override: float | None = None,
               discrepancy_threshold: float | None = None,
               z_best: PwcField | None = None,
-              record_fields: bool = False,
               warm: DescentState | None = None) -> LevelRun:
     """Iterate the projected descent on one partition until a stop condition.
 
@@ -147,7 +138,7 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     default (3+eps)*eta stop level. z_best, when given, is the level's best
     approximation of the truth and feeds the per-iterate Bregman audit.
     warm, when given, is an evaluated state whose field equals start cell for
-    cell (the previous level's exit state); its residual and direction are
+    cell (the previous level's exit state); its residual norm and direction are
     reused instead of evaluating start again, and u and mu are recomputed
     with this level's constants and eta.
     """
@@ -158,13 +149,11 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     tau = (3.0 + eps) * eta if discrepancy_threshold is None else float(discrepancy_threshold)
     cols = {name: [] for name in ("k", "r", "t", "u", "mu", "bregman")}
     warnings: list[str] = []
-    kept_fields: list[PwcField] | None = [] if record_fields else None
     if warm is None:
         state = evaluate_state(start, data, lc, eta, k=0)
     else:
         u, mu = _step_quantities(warm.r, warm.t, lc, eta)
-        state = DescentState(k=0, field=start, residual=warm.residual,
-                             direction=warm.direction, r=warm.r, t=warm.t, u=u, mu=mu)
+        state = replace(warm, k=0, field=start, u=u, mu=mu)
     stop_reason = None
     while True:
         cols["k"].append(state.k)
@@ -173,8 +162,6 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
         cols["u"].append(state.u)
         cols["mu"].append(state.mu)
         cols["bregman"].append(np.nan if z_best is None else bregman(state.field, z_best))
-        if kept_fields is not None:
-            kept_fields.append(state.field)
         if state.r <= tau:
             stop_reason = "discrepancy"
             break
@@ -202,14 +189,12 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
         level=start.partition.level,
         partition=start.partition,
         constants=lc,
-        eta_used=eta,
         threshold=tau,
         history=history,
         stop_reason=stop_reason,
         k_stop=state.k,
         exit_state=state,
         warnings=warnings,
-        fields=kept_fields,
     )
 
 
@@ -219,7 +204,6 @@ class MultilevelResult:
     final: PwcField
     error_bound: float
     warnings: list
-    checks: list
 
 
 def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: DtnMatrix,
@@ -249,12 +233,10 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
 
     constants = [derive_level(bundle, p.n_regions) for p in schedule]
     warnings: list[str] = []
-    checks = []
     for n in range(n_levels - 1):
         n_cur, n_next = schedule[n].n_regions, schedule[n + 1].n_regions
         if override_level_check:
             decision = check_level_transition(constants[n], constants[n + 1])
-            checks.append(decision)
             if not decision.passed:
                 warnings.append(
                     f"level {n} -> {n + 1} (N {n_cur} -> {n_next}): {decision.violated()} "
@@ -262,7 +244,6 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
                 )
         else:
             decision = check_omega_conditions(bundle, n_cur, n_next)
-            checks.append(decision)
             if not decision.passed:
                 raise LevelConditionError(
                     f"refinement N {n_cur} -> {n_next} refused: {decision.violated()}"
@@ -295,7 +276,7 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
     error_bound = (4.0 + bundle.eps) * last.stab * eta_last + bundle.phi(schedule[-1].n_regions)
     return MultilevelResult(runs=runs, final=runs[-1].final,
                             error_bound=float(error_bound),
-                            warnings=warnings, checks=checks)
+                            warnings=warnings)
 
 
 def write_run_log(path, run: LevelRun) -> None:

@@ -180,7 +180,22 @@ def test_non_finite_truth_value_exits_64(tmp_path):
     ("max_iter = 20", "max_iter = inf"),
     ("seed = 7", "seed = 1e400"),
     ("levels = 1", "levels = 100000000000000000000"),
+    ("lhat0 = 1.0", "lhat0 = nan"),
+    ("l0 = 0.001", "l0 = inf"),
+    ("k = 0.0001", "k = nan"),
+    ("eps = 0.1", "eps = nan"),
 ])
 def test_non_numeric_config_value_exits_64(tmp_path, old, new):
     cfg = write_config(tmp_path, BASE.replace(old, new))
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+
+
+@pytest.mark.parametrize("content", [
+    b"m = 17\n",
+    BASE.replace("m = 17\n", "m = 17\nm = 33\n").encode(),
+    BASE.replace("m = 17", "m = 17 # \xe9").encode("latin-1"),
+], ids=["no_section_header", "duplicate_key", "not_utf8"])
+def test_unparseable_config_exits_64(tmp_path, content):
+    path = tmp_path / "config.ini"
+    path.write_bytes(content)
+    assert main(["forward", "--config", str(path), "--out", str(tmp_path / "x")]) == 64

@@ -60,6 +60,27 @@ def test_compression_table_monotonicity_enforced():
     assert 0.1 < phi(8) < 0.5
 
 
+@pytest.mark.parametrize("c, beta", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan),
+                                     (1.0, np.inf)])
+def test_compression_model_rejects_non_finite_power_law(c, beta):
+    with pytest.raises(ConfigurationError, match="finite"):
+        CompressionModel.power_law(c, beta)
+
+
+def test_compression_table_rejects_non_finite_entries():
+    with pytest.raises(ConfigurationError, match="finite"):
+        CompressionModel.from_table([1, 4, 16], [0.5, np.nan, 0.1])
+    with pytest.raises(ConfigurationError, match="finite"):
+        CompressionModel.from_table([1, 4, np.inf], [0.5, 0.2, 0.1])
+
+
+@pytest.mark.parametrize("name", ["df_bound0", "df_lip0", "stab_k", "eps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_bundle_rejects_non_finite_constants(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        bundle(**{name: value})
+
+
 # ---------------------------------------------------------------- derive_level
 
 
@@ -374,3 +395,16 @@ def test_bundle_file_round_trip(tmp_path):
     assert back.df_bound0 == b.df_bound0
     assert back.stab_k == b.stab_k
     assert back.phi.c == 0.25 and back.phi.beta == 1.5
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_bundle_file_rejects_malformed_numbers(tmp_path, value):
+    path = tmp_path / "bundle.txt"
+    save_bundle(path, bundle())
+    text = path.read_text()
+    for key in ("df_bound0", "b2", "phi_beta", "n_exponent"):
+        bad = tmp_path / f"bad_{key}.txt"
+        bad.write_text("".join(f"{key} = {value}\n" if line.startswith(key + " ") else line
+                               for line in text.splitlines(keepends=True)))
+        with pytest.raises(ConfigurationError):
+            load_bundle(bad)

@@ -62,6 +62,14 @@ def test_guard_rejects_exact_eigenvalue():
         spectrum_guard(LAM1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("omega2, b1, b2", [(np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0),
+                                            (-np.inf, 1.0, 2.0), (5.0, np.nan, 2.0),
+                                            (5.0, 1.0, np.nan), (5.0, 1.0, np.inf)])
+def test_guard_rejects_non_finite_inputs(omega2, b1, b2):
+    with pytest.raises(ConfigurationError):
+        spectrum_guard(omega2, b1, b2)
+
+
 def test_guard_band_window():
     # between lam_1 = 2 pi^2 and lam_2 = 5 pi^2 for the unit coefficient box
     win = spectrum_guard(30.0, 1.0, 1.0)
@@ -106,6 +114,46 @@ def test_eigenvalue_enumeration_matches_brute_force(x):
     # the first eigenvalue above upto can lie well past it
     upto = x * np.pi ** 2
     assert np.array_equal(unit_square_eigenvalues(upto), _eigenvalues_brute_force(upto))
+
+
+# ---------------------------------------------------------------- discrete guard
+
+
+def test_discrete_guard_refuses_a_continuum_low_window_at_a_discrete_eigenvalue():
+    # m = 17, box (1, 1.5): omega^2 = lam^h_11 / 1.5 is an eigenvalue of the
+    # discrete system for c = 1.5, and 13.138 lies inside the discrete band
+    # [lam^h_11 / 1.5, lam^h_11]; the continuum guard calls both 'low'
+    g, box = Grid(17), (1.0, 1.5)
+    lam = (4.0 / g.h ** 2) * 2.0 * np.sin(0.5 * np.pi * g.h) ** 2
+    part = make_uniform_partition(g, 1)
+    for omega2, c in ((lam / 1.5, 1.5), (13.138, lam / 13.138 * (1 + 1e-6))):
+        assert spectrum_guard(omega2, *box).kind == "low"
+        with pytest.raises(AdmissibilityError, match="discrete band"):
+            HelmholtzOperator(PwcField(part, np.array([c]), box), omega2)
+    HelmholtzOperator(PwcField(part, np.array([1.5]), box), 0.999 * lam / 1.5)  # below the band
+
+
+def test_discrete_guard_covers_every_singular_frequency(rng):
+    # the generalized eigenvalues of (-Delta_h, diag(mean c)) of random
+    # four-region fields, the frequencies where the interior system is
+    # singular, all lie in a discrete band of the box, which the discrete
+    # guard refuses
+    m, box = 9, (1.0, 2.0)
+    g = Grid(m)
+    ii = interior_nodes(g)
+    lap = grid_laplacian(g)[ii][:, ii].toarray() / g.h ** 2
+    sin2 = np.sin(0.5 * np.pi * g.h * np.arange(1, m - 1)) ** 2
+    lam_h = np.sort((4.0 / g.h ** 2 * (sin2[:, None] + sin2[None, :])).ravel())
+    assert np.allclose(np.linalg.eigvalsh(lap), lam_h, rtol=1e-12)
+    part = make_uniform_partition(g, 2)
+    for _ in range(3):
+        c = PwcField(part, rng.uniform(*box, part.n_regions), box)
+        mean_c = (mass_scatter_matrix(g) @ c.cell_values())[ii] / g.h ** 2
+        singular = np.linalg.eigvalsh(lap / np.sqrt(mean_c)[:, None] / np.sqrt(mean_c)[None, :])
+        for w2 in singular:
+            assert ((lam_h / box[1] <= w2) & (w2 <= lam_h / box[0])).any()
+            with pytest.raises(AdmissibilityError, match="discrete band"):
+                forward._discrete_guard(g, w2, *box)
 
 
 # ---------------------------------------------------------------- solver
@@ -163,11 +211,14 @@ def _spy_dgetrf(monkeypatch, info=None):
 
 
 def test_near_eigenfrequency_error_smallest_pivot(monkeypatch):
-    # smallest discrete eigenvalue of the five-point operator sits just below
-    # the continuum one, so the guard passes but the factorization is singular
+    # omega^2 is the smallest discrete eigenvalue to rounding; with the
+    # discrete guard switched off, whichever side of the band edge rounding
+    # puts it, the pivots of the dense factor (the backstop for what rounding
+    # lets past a band edge) decide
     m = 9
     h = 1.0 / (m - 1)
     lam_h = (4 - 4 * np.cos(np.pi * h)) / h ** 2
+    monkeypatch.setattr(forward, "_discrete_guard", lambda *args: None)
     calls = _spy_dgetrf(monkeypatch)
     with pytest.raises(NearEigenfrequencyError) as exc:
         HelmholtzOperator(const_field(m, 1.0, (1.0, 1.0)), lam_h)

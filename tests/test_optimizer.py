@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -99,17 +100,24 @@ def test_run_level_strictly_decreasing_residuals(problem17):
     assert r[-2] > run.threshold
 
 
-def test_run_level_mu_invariant_and_z_membership(problem17):
+def test_run_level_mu_invariant_and_z_membership(problem17, monkeypatch):
+    import helmrecon.optimizer as opt
+
     _, _, p2, weights, truth, data, bundle = problem17
     lc = derive_level(bundle, 4)
     start = PwcField(p2, np.full(4, 1.5), (B1, B2))
+    evaluated = []
+    real = opt.bank_for_field
+    monkeypatch.setattr(opt, "bank_for_field",
+                        lambda c, *a, **k: evaluated.append(c) or real(c, *a, **k))
     run = run_level(start, lc, data, max_iter=40, eta_override=0.0,
-                    discrepancy_threshold=1e-8, record_fields=True)
+                    discrepancy_threshold=1e-8)
     h = run.history
     live = h["t"] > 0
     assert np.allclose(h["mu"][live], h["u"][live] * h["r"][live] / h["t"][live] ** 2,
                        rtol=1e-12)
-    for field in run.fields:
+    assert len(evaluated) == run.k_stop + 1
+    for field in evaluated:
         assert field.admissible(tol=1e-12)
 
 
@@ -249,3 +257,31 @@ def test_evaluate_state_never_holds_a_dense_bank(m):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * g.n_nodes * g.n_boundary * 8
+
+
+def test_multilevel_result_holds_less_than_one_residual():
+    # a finished three-level run keeps per-iterate scalars and each level's
+    # exit field and direction, but no nb x nb residual matrix
+    g = Grid(33)
+    parts = [make_uniform_partition(g, k, level) for level, k in enumerate((1, 2, 4))]
+    rng = np.random.default_rng(33)
+    weights = build_boundary_weights(g)
+    data = dtn_for_field(PwcField(parts[-1], rng.uniform(B1, B2, 16), (B1, B2)), W2,
+                         weights=weights)
+    bundle = ConstantsBundle(df_bound0=1.0, df_lip0=600.0, stab_k=1e-4, b1=B1, b2=B2,
+                             omega2=W2, eps=0.1, phi=CompressionModel.zero())
+    start = PwcField(parts[0], np.array([1.5]), (B1, B2))
+    settings = dict(max_iter=[2, 2, 2], eta_overrides=[0.0] * 3,
+                    discrepancy_thresholds=[1e-8] * 3)
+    run_multilevel(parts, bundle, data, start, **settings)  # fills the per-grid caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_multilevel(parts, bundle, data, start, **settings)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert [run.k_stop for run in result.runs] == [2, 2, 2]
+    assert held < g.n_boundary ** 2 * 8
