@@ -11,7 +11,9 @@ Schema (sections and keys; * marks required):
                 phi_c, phi_beta (power-law compression), eps*,
                 n_exponent (optional), seed/samples for calibrate mode
     [run]       max_iter, seed, out, eta_override, discrepancy_threshold,
-                trials (verify), target_rho (constants)
+                trials (verify, at least 1), target_rho (constants)
+
+Integer keys (max_iter, seed, trials, samples) refuse fractional values.
 
 Unknown keys are rejected so typos fail loudly. Validation happens before any
 solve: the frequency guard, partition divisibility, and compression model
@@ -116,6 +118,15 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
             )
 
 
+def _get_int(parser: configparser.ConfigParser, section: str, key: str, fallback: int) -> int:
+    """An integer key, refusing a fractional value instead of truncating it."""
+    try:
+        return parser.getint(section, key, fallback=fallback)
+    except ValueError:
+        raise ConfigurationError(f"[{section}] {key} must be an integer, "
+                                 f"got {parser.get(section, key)!r}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -181,6 +192,9 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
         parser.getfloat("run", key) if parser.has_option("run", key) else fallback
     )
     out = parser.get("run", "out", fallback=None)
+    trials = _get_int(parser, "run", "trials", 20)
+    if trials < 1:
+        raise ConfigurationError(f"[run] trials must be at least 1, got {trials}")
 
     return ExperimentConfig(
         grid=grid,
@@ -198,14 +212,14 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
         phi=phi,
         eps=eps,
         n_exponent=get_b("n_exponent", 4.0 / 7.0),
-        bundle_seed=int(get_b("seed", 0)),
-        bundle_samples=int(get_b("samples", 12)),
-        max_iter=int(get_r("max_iter", 500)),
-        seed=int(get_r("seed", 0)),
+        bundle_seed=_get_int(parser, "bundle", "seed", 0),
+        bundle_samples=_get_int(parser, "bundle", "samples", 12),
+        max_iter=_get_int(parser, "run", "max_iter", 500),
+        seed=_get_int(parser, "run", "seed", 0),
         out=out,
         eta_override=get_r("eta_override"),
         discrepancy_threshold=get_r("discrepancy_threshold"),
-        trials=int(get_r("trials", 20)),
+        trials=trials,
         target_rho=get_r("target_rho", 1e3),
         raw_text=text,
     )

@@ -15,10 +15,14 @@ the condensed operator on the skeleton, the grid lines between blocks, with
 partial pivoting: by dense LAPACK getrf when the skeleton has at most twice
 as many unknowns as the boundary loop (coarse blocks, where getrs solves the
 nb right-hand sides as BLAS-3 products), by SuperLU otherwise (fine blocks,
-where a dense factor would not fit in memory: 2 GB at s = 1, m = 129). One
-factor serves the low window and band windows alike; at s = 1 (a partition
-without square blocks) the skeleton is the whole grid. The DtN assembly solves
-for the skeleton values V_X of the
+where a dense factor would not fit in memory: 2 GB at s = 1, m = 129). The
+dense factor eliminates one level further where the blocks group into
+2 x 2 super-blocks (nested dissection, George, SIAM J. Numer. Anal. 10,
+1973): each super-block's inner cross of skeleton lines is factored on its
+own, and only the Schur complement on the coarse skeleton between them is
+factored as a whole. The factor serves the low window and band windows
+alike; at s = 1 (a partition without square blocks) the skeleton is the
+whole grid. The DtN assembly solves for the skeleton values V_X of the
 boundary-indicator solutions only; the SolutionBank keeps V_X and the block
 symbols, and gives the bank's products (U g, U^T diag(w) U, diag(U P U^T))
 from them without forming the dense (n_nodes, nb) bank. A residual audit
@@ -50,10 +54,14 @@ which is circulant (the loop is closed and uniformly spaced), so one
 closed-form DFT symbol determines them all, with no eigensolve.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
-``lapack``: ``spla.splu`` and ``lapack.dgetrf`` are the two skeleton factors,
-one call of one of them per operator. The benchmark's layer trace wraps
-``spla.splu`` there; it does not see the dense factor, whose time counts as
-operator assembly.
+``lapack``: an operator calls ``spla.splu`` once, or ``lapack.dgetrf`` once
+per dense factor (once ungrouped; once per cross plus once for the coarse
+skeleton grouped, five times at four blocks per side). The benchmark's layer
+trace wraps ``spla.splu`` there; it does not see the dense factors, whose
+time, with the cross solves that form the coarse Schur complement, counts as
+operator assembly (``forward.operator_assembly.self_s``), while the coarse
+solve and the back-substitution of the crosses count in
+``forward.assemble_dtn.self_s``.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import circulant, lapack
+from scipy.linalg import blas, circulant, lapack
 
 from .domain import (
     Grid,
@@ -109,7 +117,7 @@ _SOLVE_RTOL = 1e-10
 _BLOCK_MARGIN = 0.5  # block interiors stay at least half as definite as their Laplacian
 _BLOCKS_PER_SIDE = 2  # block size s at most (m - 1) / 2 ...
 _MAX_BLOCK = 32  # ... and at most 32 cells (measured optimum, see _block_size)
-_COLUMN_CHUNKS = 8  # the indicator solve runs over nb / 8 columns at a time
+_COLUMN_CHUNKS = 8  # SuperLU indicator solves and the DtN products run over nb / 8 columns
 _DENSE_SKELETON = 2  # dense LU for a skeleton of at most 2 nb unknowns (measured crossover)
 _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior passes
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
@@ -395,12 +403,18 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
     return skeleton
 
 
+def _definite(sigma: float, s: int) -> bool:
+    """Whether every s x s cell square's interior stays positive definite with
+    margin when sigma = omega^2 h^2 max c: sigma <= _BLOCK_MARGIN (2 mu_1),
+    2 mu_1 = 4 - 4 cos(pi/s) being the smallest eigenvalue of its Laplacian."""
+    return sigma <= _BLOCK_MARGIN * 4.0 * (1.0 - np.cos(np.pi / s))
+
+
 def _block_size(c2inv: PwcField, omega2: float) -> int:
     """The largest s that divides every region's side and offset, is at most
     _MAX_BLOCK and (m - 1) / _BLOCKS_PER_SIDE, and keeps every block interior
-    positive definite with margin: omega^2 h^2 max c <= _BLOCK_MARGIN (2 mu_1),
-    2 mu_1 = 4 - 4 cos(pi/s) being the smallest eigenvalue of a block
-    interior's Laplacian. 1 for a partition without square blocks.
+    positive definite with margin (_definite). 1 for a partition without
+    square blocks.
 
     The caps are where one descent iterate was fastest (BLAS on one thread):
     s = 8 at m = 17, 16 at m = 33, 32 at m = 65 and 129. A larger s grows the
@@ -413,7 +427,7 @@ def _block_size(c2inv: PwcField, omega2: float) -> int:
     common = int(np.gcd.reduce(np.append(blocks.ravel(), grid.cells_per_side)))
     sigma = omega2 * grid.h ** 2 * float(c2inv.coeffs.max())
     for s in range(min(common, _MAX_BLOCK, grid.cells_per_side // _BLOCKS_PER_SIDE), 1, -1):
-        if common % s == 0 and sigma <= _BLOCK_MARGIN * 4.0 * (1.0 - np.cos(np.pi / s)):
+        if common % s == 0 and _definite(sigma, s):
             return s
     return 1
 
@@ -476,6 +490,179 @@ def _fill_blocks(sk: _Skeleton, symbols: np.ndarray, u: np.ndarray, hat=None) ->
         u[sk.interior[blk]] = _to_nodes(sk.basis, x)
 
 
+def _super_blocks(c2inv: PwcField, omega2: float, s: int) -> bool:
+    """Whether the dense factor groups the s x s blocks 2 x 2: an even number
+    of blocks per side, at least 4, and every 2s x 2s super-block interior
+    positive definite with the blocks' margin (_definite)."""
+    grid = c2inv.grid
+    k = grid.cells_per_side // s
+    sigma = omega2 * grid.h ** 2 * float(c2inv.coeffs.max())
+    return k % 2 == 0 and k >= 4 and _definite(sigma, 2 * s)
+
+
+@dataclass(frozen=True, eq=False)
+class _Dissection:
+    """The order in which the dense factor eliminates K~_XX of one grid and
+    block size: one level of nested dissection above the block condensation.
+
+    Grouped, the cross C_i of a 2 x 2 super-block is the skeleton inside it
+    (4s - 3 nodes), and the coarse skeleton T is the rest of X, on the grid
+    lines between super-blocks. A cross couples only to itself and to its
+    ring: the T and loop nodes on its super-block's edges (corners excluded).
+    Ungrouped, X is one cross, its ring is the loop (corners excluded again),
+    and T is empty.
+    slots places each entry of the condensed pattern (rows X) in one flat
+    buffer, which split cuts into the dense blocks.
+    """
+
+    crosses: np.ndarray  # (n_cross, n_c) X positions of each cross
+    coarse: np.ndarray   # (n_t,) X positions of T
+    ring_t: tuple        # per cross: T indices (into coarse) of its ring's T nodes
+    ring_loop: tuple     # per cross: loop indices of its ring's loop nodes
+    offsets: np.ndarray  # buffer offsets of A_i, B_i, E_i per cross, then K~_TT, K~_TB, the end
+    slots: np.ndarray    # buffer index of each pattern entry
+    nb: int              # loop nodes: the columns of K~_TB
+
+    def split(self, buf: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """Fortran-ordered views of buf: per cross (A_i, B_i, E_i), with
+        A_i = K~_{C_i C_i}, B_i = K~ on C_i and its ring (T nodes first, then
+        loop nodes) and E_i = K~_{T_i C_i} (T_i its ring's T nodes); then
+        K~_TT and K~_TB."""
+        n_c, n_t = self.crosses.shape[1], self.coarse.size
+        o = self.offsets
+
+        def view(k, rows, cols):
+            return buf[o[k]:o[k + 1]].reshape(rows, cols, order="F")
+
+        blocks = [(view(3 * c, n_c, n_c), view(3 * c + 1, n_c, rt.size + rl.size),
+                   view(3 * c + 2, rt.size, n_c))
+                  for c, (rt, rl) in enumerate(zip(self.ring_t, self.ring_loop))]
+        k = 3 * len(blocks)
+        return blocks, view(k, n_t, n_t), view(k + 1, n_t, self.nb)
+
+
+@lru_cache(maxsize=None)
+def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
+    sk = _skeleton(grid, s)
+    n_x, n_sigma = sk.n_x, sk.nodes.size
+    owner = np.zeros(n_x, dtype=int)  # the cross of each X node, -1 on T
+    if grouped:
+        i, j = np.divmod(sk.nodes[:n_x], grid.m)
+        size, per_side = 2 * s, grid.cells_per_side // (2 * s)
+        owner = np.where((i % size != 0) & (j % size != 0), i // size * per_side + j // size, -1)
+    n_cross = int(owner.max()) + 1
+    crosses = np.stack([np.flatnonzero(owner == c) for c in range(n_cross)])
+    coarse = np.flatnonzero(owner < 0)
+    n_c, n_t = crosses.shape[1], coarse.size
+    local = np.empty(n_x, dtype=int)  # index within its cross, or within T
+    local[crosses] = np.arange(n_c)
+    local[coarse] = np.arange(n_t)
+
+    rows, cols = sk.x_indices, sk.x_cols
+    in_x = cols < n_x
+    row_owner = owner[rows]
+    col_owner = np.full(cols.size, -2)  # -2 on the loop
+    col_owner[in_x] = owner[cols[in_x]]
+    col_local = cols - n_x  # loop index ...
+    col_local[in_x] = local[cols[in_x]]  # ... or index within its cross or T
+    # ring keys c n_sigma + skeleton position: X positions precede the loop's,
+    # so each ring lists its T nodes first
+    in_cross = row_owner >= 0
+    on_ring = in_cross & (col_owner != row_owner)
+    keys = np.unique(row_owner[on_ring] * n_sigma + cols[on_ring])
+    start = np.searchsorted(keys, np.arange(n_cross + 1) * n_sigma)
+    rings = [keys[start[c]:start[c + 1]] - c * n_sigma for c in range(n_cross)]
+    ring_t = tuple(local[r[r < n_x]] for r in rings)
+    sizes = [[n_c * n_c, n_c * r.size, rt.size * n_c] for r, rt in zip(rings, ring_t)]
+    offsets = np.cumsum([0] + sum(sizes, []) + [n_t * n_t, n_t * grid.n_boundary])
+
+    slots = np.empty(cols.size, dtype=int)
+    a = in_cross & ~on_ring
+    slots[a] = offsets[3 * row_owner[a]] + local[rows[a]] + col_local[a] * n_c
+    q = np.searchsorted(keys, row_owner[on_ring] * n_sigma + cols[on_ring]) - start[row_owner[on_ring]]
+    slots[on_ring] = offsets[3 * row_owner[on_ring] + 1] + local[rows[on_ring]] + q * n_c
+    e = ~in_cross & (col_owner >= 0)  # rows T, columns in a cross: by symmetry, on its ring
+    c = col_owner[e]
+    q = np.searchsorted(keys, c * n_sigma + rows[e]) - start[c]
+    n_ring_t = np.array([rt.size for rt in ring_t])
+    slots[e] = offsets[3 * c + 2] + q + col_local[e] * n_ring_t[c]
+    t = ~in_cross & (col_owner < 0)
+    slots[t] = (offsets[3 * n_cross + (col_owner[t] == -2)] + local[rows[t]]
+                + col_local[t] * n_t)
+    dissection = _Dissection(crosses=crosses, coarse=coarse, ring_t=ring_t,
+                             ring_loop=tuple(r[r >= n_x] - n_x for r in rings),
+                             offsets=offsets, slots=slots, nb=grid.n_boundary)
+    for arr in (crosses, coarse, offsets, slots, *dissection.ring_t, *dissection.ring_loop):
+        arr.setflags(write=False)
+    return dissection
+
+
+def _getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK getrf of a Fortran-ordered a in place; LinAlgError on an exactly
+    zero pivot."""
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"pivot {info} of a dense factor is exactly zero")
+    return lu, piv
+
+
+class _TwoLevelLU:
+    """Dense LU of K~_XX in the order of a _Dissection (nested dissection,
+    George, SIAM J. Numer. Anal. 10, 1973). getrf factors each cross block
+    A_i; W_i = A_i^{-1} K~_{C_i T_i}, on the T nodes of its ring only, gives
+    the Schur complement S_TT = K~_TT - sum_i K~_{T_i C_i} W_i, which getrf
+    factors in turn. pivots pools the pivot moduli of every factor. With one
+    cross and no T this is one getrf of K~_XX. The products run in scipy's
+    BLAS (dgemm) like the factors and solves, so that with unpinned threads
+    the whole skeleton solve stays in one thread pool (see
+    HelmholtzOperator._indicator_skeleton).
+    """
+
+    def __init__(self, dis: _Dissection, k_x: np.ndarray):
+        buf = np.zeros(dis.offsets[-1])
+        buf[dis.slots] = k_x
+        blocks, schur, self._k_tb = dis.split(buf)
+        self._dis = dis
+        self._cross, self._w, self._e, self._b_loop = [], [], [], []
+        for (a, b, e), rt in zip(blocks, dis.ring_t):
+            self._cross.append(_getrf(a))
+            w = lapack.dgetrs(*self._cross[-1], b[:, :rt.size], overwrite_b=True)[0]
+            schur[np.ix_(rt, rt)] -= blas.dgemm(1.0, e, w)
+            self._w.append(w)
+            self._e.append(e)
+            self._b_loop.append(b[:, rt.size:])
+        self._schur = _getrf(schur) if dis.coarse.size else None
+        factors = self._cross + ([self._schur] if self._schur is not None else [])
+        self.pivots = np.concatenate([np.abs(np.diagonal(lu)) for lu, _ in factors])
+
+    def solve(self, rhs: np.ndarray | None) -> np.ndarray:
+        """K~_XX^{-1} rhs for rhs (n_x, k). rhs None stands for -K~_XB, the
+        indicator bank's right-hand side, whose rows on a cross are nonzero
+        only in the columns of its ring's loop nodes: each cross is solved
+        against those columns alone, and S_TT against all nb in one call."""
+        dis = self._dis
+        if rhs is None:
+            r_t = -self._k_tb
+        else:
+            r_t = np.asfortranarray(rhs[dis.coarse])
+        every = np.arange(r_t.shape[1])  # the columns of a general rhs
+        solved = []
+        for c, (lu, e) in enumerate(zip(self._cross, self._e)):
+            cols, r = ((dis.ring_loop[c], -self._b_loop[c]) if rhs is None
+                       else (every, rhs[dis.crosses[c]]))
+            y = lapack.dgetrs(*lu, r, overwrite_b=True)[0]
+            r_t[np.ix_(dis.ring_t[c], cols)] -= blas.dgemm(1.0, e, y)
+            solved.append((cols, y))
+        x_t = r_t if self._schur is None else lapack.dgetrs(*self._schur, r_t, overwrite_b=True)[0]
+        x = np.empty((dis.crosses.size + dis.coarse.size, every.size))
+        x[dis.coarse] = x_t
+        for c, (cols, y) in enumerate(solved):
+            rows = dis.crosses[c]
+            x[rows] = blas.dgemm(-1.0, self._w[c], x_t[dis.ring_t[c]])
+            x[np.ix_(rows, cols)] += y
+        return x
+
+
 @lru_cache(maxsize=None)
 def _sketch(nb: int) -> np.ndarray:
     """The fixed Gaussian test matrix (nb, _SKETCH_COLUMNS) of the bank audit."""
@@ -499,14 +686,24 @@ class HelmholtzOperator:
     omega^2 h^2 c_b), whose inverse is (S x S) D_b (S x S)^T with the DST-I S.
     Eliminating the interiors leaves K~ = K_SS - sum_b scatter(F^T D_b F) on the
     skeleton. Its rows and columns X, K~_XX, are factored with partial
-    pivoting (``factor``): 'dense' (LAPACK getrf/getrs on K~_XX formed dense,
-    fastest while n_x <= 2 nb) or 'superlu' (spla.splu, whose factor stays
-    sparse on the large skeletons of fine blocks). Either way the pivots
-    decide NearEigenfrequencyError, on an exactly zero pivot or one below
-    _PIVOT_RTOL of the largest: det K_ii = det K~_XX times the positive block
-    determinants, so K~_XX is singular exactly when K_ii is, in the low window
-    and in band windows alike. Past the discrete guard this catches only what
-    rounding lets through at a band's edge.
+    pivoting (``factor``): 'dense' (LAPACK getrf/getrs, fastest while
+    n_x <= 2 nb) or 'superlu' (spla.splu, whose factor stays sparse on the
+    large skeletons of fine blocks).
+
+    The dense factor is two-level (_TwoLevelLU) when _super_blocks groups the
+    blocks 2 x 2: getrf of each super-block's inner cross C_i, then of the
+    Schur complement S_TT on the coarse skeleton T between the crosses, which
+    getrs solves for all nb indicator columns in one call; each cross is
+    solved only against the columns of its ring. The margin keeps every cross
+    block positive definite, and det K~_XX = prod_i det A_{C_i C_i} det S_TT.
+    Otherwise it is one getrf of K~_XX (one cross, no T), the same code path.
+
+    The pivots of every factor, pooled, decide NearEigenfrequencyError, on an
+    exactly zero pivot (smallest_pivot 0.0) or one below _PIVOT_RTOL of the
+    largest: det K_ii = det K~_XX times the positive block determinants, so
+    K~_XX is singular exactly when K_ii is, in the low window and in band
+    windows alike. Past the discrete guard this catches only what rounding
+    lets through at a band's edge.
     """
 
     def __init__(self, c2inv: PwcField, omega2: float):
@@ -528,17 +725,16 @@ class HelmholtzOperator:
         self._k_x = sk.x_base - np.bincount(  # the rows X of K~, in the static pattern
             sk.x_slots, weights=np.concatenate([mass[:n_x], self._forms.ravel()[sk.x_forms]]),
             minlength=sk.x_base.size)
-        n_xx = sk.x_indptr[n_x]
         self.factor = "dense" if n_x <= _DENSE_SKELETON * self.grid.n_boundary else "superlu"
         if self.factor == "dense":
-            flat = np.zeros(n_x * n_x)  # K~_XX in Fortran order, from the static pattern
-            flat[sk.x_cols[:n_xx] * n_x + sk.x_indices[:n_xx]] = self._k_x[:n_xx]
-            lu, piv, info = lapack.dgetrf(flat.reshape(n_x, n_x, order="F"), overwrite_a=True)
-            if info > 0:
-                raise self._singular(f"pivot {info} of the dense factor is exactly zero")
-            self._lu = (lu, piv)
-            pivots = np.abs(np.diagonal(lu))
+            grouped = _super_blocks(c2inv, self.omega2, self.block_size)
+            try:
+                self._lu = _TwoLevelLU(_dissection(self.grid, self.block_size, grouped), self._k_x)
+            except np.linalg.LinAlgError as exc:
+                raise self._singular(str(exc)) from exc
+            pivots = self._lu.pivots
         else:
+            n_xx = sk.x_indptr[n_x]
             k_xx = sp.csc_matrix((self._k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
                                  shape=(n_x, n_x))
             try:
@@ -561,13 +757,25 @@ class HelmholtzOperator:
             smallest_pivot=0.0,
         )
 
-    def _solve_skeleton(self, rhs: np.ndarray) -> np.ndarray:
-        """K~_XX^{-1} rhs for rhs (n_x,) or (n_x, k), by the operator's factor;
-        a Fortran-ordered rhs is overwritten on the dense path."""
-        if self.factor == "superlu":
+    def _solve_skeleton(self, rhs: np.ndarray | None) -> np.ndarray:
+        """K~_XX^{-1} rhs for rhs (n_x,) or (n_x, k), by the operator's factor.
+        rhs None gives the indicator bank's skeleton values V_X = -K~_XX^{-1} K~_XB
+        (n_x, nb), over nb / _COLUMN_CHUNKS columns at a time on the SuperLU
+        path, and on the dense path with each cross solved only against its
+        ring's loop columns (_TwoLevelLU.solve)."""
+        if self.factor == "dense":
+            if rhs is None:
+                return self._lu.solve(None)
+            return self._lu.solve(rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
+        if rhs is not None:
             return self._lu.solve(rhs)
-        x, _ = lapack.dgetrs(*self._lu, rhs, overwrite_b=True)
-        return x
+        n_x, nb = self._sk.n_x, self.grid.n_boundary
+        out = np.empty((n_x, nb))
+        width = max(1, nb // _COLUMN_CHUNKS)
+        for c0 in range(0, nb, width):
+            c1 = min(c0 + width, nb)
+            out[:, c0:c1] = self._lu.solve(self._k_xb_columns(c0, c1))
+        return np.negative(out, out=out)
 
     def _k_xb_columns(self, c0: int, c1: int) -> np.ndarray:
         """Dense K~_XB[:, c0:c1], Fortran-ordered."""
@@ -643,13 +851,10 @@ class HelmholtzOperator:
         threads the two pools contend at every switch between them."""
         sk = self._sk
         n_x, nb = sk.n_x, self.grid.n_boundary
-        skeleton = np.empty((n_x, nb))
+        skeleton = self._solve_skeleton(None)
         lam = np.empty((nb, nb))
         width = max(1, nb // _COLUMN_CHUNKS)
         chunks = [slice(c0, min(c0 + width, nb)) for c0 in range(0, nb, width)]
-        for cols in chunks:
-            skeleton[:, cols] = self._solve_skeleton(self._k_xb_columns(cols.start, cols.stop))
-        np.negative(skeleton, out=skeleton)
         v = np.empty((sk.nodes.size, width))
         res2 = 0.0
         for cols in chunks:

@@ -135,7 +135,8 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
 
     eta_override replaces the bundle's modeled approximation error (synthetic
     experiments pass the exact one); discrepancy_threshold overrides the
-    default (3+eps)*eta stop level. z_best, when given, is the level's best
+    default (3+eps)*eta stop level; either one non-finite or negative raises
+    ConfigurationError. z_best, when given, is the level's best
     approximation of the truth and feeds the per-iterate Bregman audit.
     warm, when given, is an evaluated state whose field equals start cell for
     cell (the previous level's exit state); its residual norm and direction are
@@ -144,6 +145,13 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     """
     if max_iter < 0:
         raise ConfigurationError(f"max_iter must be >= 0, got {max_iter}")
+    if eta_override is not None and not (np.isfinite(eta_override) and eta_override >= 0):
+        raise ConfigurationError(f"eta_override must be finite and >= 0, got {eta_override}")
+    if discrepancy_threshold is not None and not (np.isfinite(discrepancy_threshold)
+                                                  and discrepancy_threshold >= 0):
+        # r <= nan or r <= -1 never holds: the discrepancy stop would be silently off
+        raise ConfigurationError(
+            f"discrepancy_threshold must be finite and >= 0, got {discrepancy_threshold}")
     eps = lc.bundle.eps
     eta = lc.eta if eta_override is None else float(eta_override)
     tau = (3.0 + eps) * eta if discrepancy_threshold is None else float(discrepancy_threshold)

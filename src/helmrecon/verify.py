@@ -35,7 +35,8 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     For random boundary pairs (g, h), compares
         omega^2 * sum_cells (c1 - c2) * avg(u1 u2) * h^2
     against h^T (Lam1 - Lam2) g, where u1 solves at c1 with data g and u2 at
-    c2 with data h. Exactly zero for identical fields.
+    c2 with data h. Exactly zero for identical fields. trials < 1 raises
+    ConfigurationError: no trial would read as a defect of zero.
 
     Each defect |lhs - rhs| is relative to the magnitude of the summed terms,
     omega^2 * sum_nodes |s u1 u2| with s the lumped mass of c1 - c2, which
@@ -43,6 +44,8 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     max(|lhs|, |rhs|) instead, a pair whose terms nearly cancel would read
     rounding as a defect.
     """
+    if trials < 1:
+        raise ConfigurationError(f"the identity audit needs at least one trial, got {trials}")
     if c1.grid.m != c2.grid.m:
         raise ConfigurationError("fields live on different grids")
     grid = c1.grid

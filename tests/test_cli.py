@@ -199,3 +199,24 @@ def test_unparseable_config_exits_64(tmp_path, content):
     path = tmp_path / "config.ini"
     path.write_bytes(content)
     assert main(["forward", "--config", str(path), "--out", str(tmp_path / "x")]) == 64
+
+
+@pytest.mark.parametrize("old, new", [
+    ("eta_override = 0.0", "eta_override = nan"),   # printed "exit error bound=nan"
+    ("eta_override = 0.0", "eta_override = -1"),    # printed a negative bound
+    ("discrepancy_threshold = 1e-8", "discrepancy_threshold = nan"),  # stop never fired
+    ("discrepancy_threshold = 1e-8", "discrepancy_threshold = -1"),   # nor did this one
+    ("max_iter = 20", "max_iter = 2.7"),            # truncated to 2
+    ("seed = 7", "seed = 1.5"),                     # truncated to 1
+])
+def test_invalid_run_value_exits_64(tmp_path, old, new):
+    cfg = write_config(tmp_path, BASE.replace(old, new))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_exits_64(tmp_path, capsys, trials):
+    # no trial would print "alessandrini_identity: pass (max relative defect 0.000e+00)"
+    cfg = write_config(tmp_path, BASE + f"trials = {trials}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 64
+    assert "alessandrini_identity" not in capsys.readouterr().out

@@ -196,15 +196,16 @@ def test_solve_rejects_wrong_size_source(source):
         op.solve(f=source)
 
 
-def _spy_dgetrf(monkeypatch, info=None):
-    """Record each dense skeleton factor; with info, report it as LAPACK's info."""
+def _spy_dgetrf(monkeypatch, info=None, at=None):
+    """Record each dense skeleton factor; with info, report it as LAPACK's
+    info, on every call or on call number at (from 0) only."""
     calls = []
     dgetrf = forward.lapack.dgetrf
 
     def spy(*args, **kwargs):
         lu, piv, code = dgetrf(*args, **kwargs)
         calls.append(code)
-        return lu, piv, code if info is None else info
+        return lu, piv, code if info is None or at not in (None, len(calls) - 1) else info
 
     monkeypatch.setattr(forward.lapack, "dgetrf", spy)
     return calls
@@ -321,6 +322,55 @@ def test_skeleton_factor_is_dense_up_to_twice_the_loop(k, n_x, factor):
     assert (op._sk.n_x, op.factor) == (n_x, factor)
 
 
+# The dense factor groups an even number of blocks per side, at least 4, into
+# 2 x 2 super-blocks when every super-block interior keeps the block margin:
+# four cross factors and one of the coarse skeleton T (m = 17: s = 4, crosses
+# of 13 nodes, T of 29; m = 33: s = 8, crosses of 29, T of 61). Otherwise one
+# factor of K~_XX: 2 blocks per side; an odd block count (m = 25: 3 blocks of
+# s = 8); a band window where the 8-cell blocks keep the margin but the
+# 16-cell super-blocks do not. (m, regions per side, box, omega^2, s, getrf calls)
+TWO_LEVEL_CASES = [(17, 4, (1.0, 2.0), 5.0, 4, 5), (33, 4, (1.0, 2.0), 5.0, 8, 5),
+                   (33, 2, (1.0, 2.0), 5.0, 16, 1), (25, 3, (1.0, 2.0), 5.0, 8, 1),
+                   (33, 4, (1.0, 1.0), 85.0, 8, 1)]
+
+
+@pytest.mark.parametrize("m, k, box, omega2, s, getrf", TWO_LEVEL_CASES)
+def test_two_level_factor_matches_splu(m, k, box, omega2, s, getrf, rng, monkeypatch):
+    calls = _spy_dgetrf(monkeypatch)
+    op = _matches_splu(m, k, box, omega2, rng)
+    assert op.block_size == s
+    assert len(calls) == 2 * getrf  # _matches_splu factors the field twice
+
+
+def test_exactly_zero_pivot_in_a_cross_factor_reports_zero(monkeypatch):
+    calls = _spy_dgetrf(monkeypatch, info=3, at=1)
+    with pytest.raises(NearEigenfrequencyError, match="exactly zero") as exc:
+        HelmholtzOperator(_audit_case(4), 5.0)  # grouped: m = 17, s = 4
+    assert len(calls) == 2  # the second cross factor decided it
+    assert exc.value.smallest_pivot == 0.0
+
+
+@pytest.mark.parametrize("at", [1, 4], ids=["cross", "coarse"])
+def test_pivot_test_pools_every_factor(monkeypatch, at):
+    # a pivot shrunk to 1e-14 of its size in one factor, a cross factor or
+    # S_TT (the fifth), fails the _PIVOT_RTOL test of the pooled pivots
+    dgetrf = forward.lapack.dgetrf
+    calls = []
+
+    def spy(a, **kwargs):
+        lu, piv, info = dgetrf(a, **kwargs)
+        if len(calls) == at:
+            lu[-1, -1] *= 1e-14
+        calls.append(info)
+        return lu, piv, info
+
+    monkeypatch.setattr(forward.lapack, "dgetrf", spy)
+    with pytest.raises(NearEigenfrequencyError, match="numerically at an eigenfrequency") as exc:
+        HelmholtzOperator(_audit_case(4), 5.0)
+    assert len(calls) == 5
+    assert exc.value.smallest_pivot < 1e-13
+
+
 def test_block_size_one_without_square_blocks():
     g = Grid(9)
     base = make_uniform_partition(g, 2)
@@ -363,8 +413,9 @@ def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
         assemble_dtn(HelmholtzOperator(c, 5.0))
 
 
-# 2 regions per side: s = 8, n_x = 29 <= 2 nb; 8 per side: s = 2, n_x = 161 > 2 nb = 128
-@pytest.mark.parametrize("per_side, factor", [(2, "dense"), (8, "superlu")])
+# 2 regions per side: s = 8, n_x = 29 <= 2 nb; 4 per side: s = 4, n_x = 81, the
+# two-level dense factor; 8 per side: s = 2, n_x = 161 > 2 nb = 128
+@pytest.mark.parametrize("per_side, factor", [(2, "dense"), (4, "dense"), (8, "superlu")])
 def test_condensed_audit_catches_a_perturbed_skeleton_entry(monkeypatch, per_side, factor):
     c = _audit_case(per_side)
     exact = HelmholtzOperator._solve_skeleton

@@ -76,6 +76,19 @@ def test_run_level_fixed_point_stops_immediately(problem17):
     assert run.discrepancy_index == 0
 
 
+@pytest.mark.parametrize("settings", [
+    {"eta_override": np.nan},                # the exit error bound would read nan
+    {"eta_override": -1.0},                  # ... or a negative bound
+    {"eta_override": np.inf},
+    {"eta_override": 0.0, "discrepancy_threshold": np.nan},  # r <= nan never stops
+    {"eta_override": 0.0, "discrepancy_threshold": -1.0},    # nor does r <= -1
+], ids=["eta_nan", "eta_negative", "eta_inf", "threshold_nan", "threshold_negative"])
+def test_run_level_rejects_non_finite_or_negative_eta_and_threshold(problem17, settings):
+    _, _, p2, _, truth, data, bundle = problem17
+    with pytest.raises(ConfigurationError):
+        run_level(truth, derive_level(bundle, 4), data, max_iter=10, **settings)
+
+
 def test_run_level_max_iter_zero(problem17):
     g, p1, _, weights, truth, data, bundle = problem17
     lc = derive_level(bundle, 1)

@@ -25,6 +25,15 @@ def fields17():
     return g, part, c1, c2
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_identity_audit_needs_a_trial(fields17, trials):
+    # with no trial the audit would return a defect of 0.0 and pass
+    _, _, c1, c2 = fields17
+    for other in (c1, c2):
+        with pytest.raises(ConfigurationError):
+            audit_alessandrini(c1, other, 5.0, trials=trials, seed=0)
+
+
 def test_identity_audit_zero_for_equal_fields(fields17):
     _, _, c1, _ = fields17
     assert audit_alessandrini(c1, c1, 5.0, trials=3, seed=0) == 0.0
