@@ -183,6 +183,8 @@ def main(argv=None) -> int:
                        help="downgrade refinement-condition failures to warnings")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be at least 0, got {args.seed}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -13,7 +13,8 @@ Schema (sections and keys; * marks required):
     [run]       max_iter, seed, out, eta_override, discrepancy_threshold,
                 trials (verify, at least 1), target_rho (constants)
 
-Integer keys (max_iter, seed, trials, samples) refuse fractional values.
+Integer keys (max_iter, seed, trials, samples) refuse fractional and negative
+values. eta_override and discrepancy_threshold must be finite and >= 0.
 
 Unknown keys are rejected so typos fail loudly. Validation happens before any
 solve: the frequency guard, partition divisibility, and compression model
@@ -118,13 +119,18 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
             )
 
 
-def _get_int(parser: configparser.ConfigParser, section: str, key: str, fallback: int) -> int:
-    """An integer key, refusing a fractional value instead of truncating it."""
+def _get_int(parser: configparser.ConfigParser, section: str, key: str, fallback: int,
+             least: int = 0) -> int:
+    """An integer key, refusing a fractional value instead of truncating it, and
+    a value below least."""
     try:
-        return parser.getint(section, key, fallback=fallback)
+        value = parser.getint(section, key, fallback=fallback)
     except ValueError:
         raise ConfigurationError(f"[{section}] {key} must be an integer, "
                                  f"got {parser.get(section, key)!r}") from None
+    if value < least:
+        raise ConfigurationError(f"[{section}] {key} must be at least {least}, got {value}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -192,9 +198,10 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
         parser.getfloat("run", key) if parser.has_option("run", key) else fallback
     )
     out = parser.get("run", "out", fallback=None)
-    trials = _get_int(parser, "run", "trials", 20)
-    if trials < 1:
-        raise ConfigurationError(f"[run] trials must be at least 1, got {trials}")
+    eta_override, tau = get_r("eta_override"), get_r("discrepancy_threshold")
+    for key, value in (("eta_override", eta_override), ("discrepancy_threshold", tau)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(f"[run] {key} must be finite and >= 0, got {value}")
 
     return ExperimentConfig(
         grid=grid,
@@ -217,9 +224,9 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
         max_iter=_get_int(parser, "run", "max_iter", 500),
         seed=_get_int(parser, "run", "seed", 0),
         out=out,
-        eta_override=get_r("eta_override"),
-        discrepancy_threshold=get_r("discrepancy_threshold"),
-        trials=trials,
+        eta_override=eta_override,
+        discrepancy_threshold=tau,
+        trials=_get_int(parser, "run", "trials", 20, least=1),
         target_rho=get_r("target_rho", 1e3),
         raw_text=text,
     )

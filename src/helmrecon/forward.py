@@ -54,8 +54,9 @@ which is circulant (the loop is closed and uniformly spaced), so one
 closed-form DFT symbol determines them all, with no eigensolve.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
-``lapack``: an operator calls ``spla.splu`` once, or ``lapack.dgetrf`` once
-per dense factor (once ungrouped; once per cross plus once for the coarse
+``lapack``: an operator's skeleton factor is a _SparseLU, which calls
+``spla.splu`` once, or a _TwoLevelLU, which calls ``lapack.dgetrf`` once per
+dense factor (once ungrouped; once per cross plus once for the coarse
 skeleton grouped, five times at four blocks per side). The benchmark's layer
 trace wraps ``spla.splu`` there; it does not see the dense factors, whose
 time, with the cross solves that form the coarse Schur complement, counts as
@@ -321,7 +322,6 @@ class _Skeleton:
     mu: np.ndarray          # (s-1)^2 eigenvalues mu_p + mu_q of a block interior's Laplacian
     coupling: np.ndarray    # F = (S x S)^T E, E the 0/1 coupling of a block interior to its ring
     l_sigma: sp.csr_matrix  # skeleton block of the grid Laplacian
-    sigma_diag: np.ndarray  # positions of its diagonal entries in l_sigma.data
     scatter: sp.csr_matrix  # (n_skeleton, n_blocks 4(s-1)): sums ring entries into the skeleton
     x_indptr: np.ndarray    # CSC pattern of the condensed rows X, all skeleton columns
     x_indices: np.ndarray
@@ -382,8 +382,6 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         mu=(mu1[:, None] + mu1[None, :]).ravel(),
         coupling=_to_nodes(basis, e.reshape(1, n * n, 4 * n))[0],
         l_sigma=l_sigma,
-        sigma_diag=np.flatnonzero(l_sigma.indices == np.repeat(np.arange(n_sigma),
-                                                               np.diff(l_sigma.indptr))),
         scatter=sp.csr_matrix((np.ones(ring.size), (ring.ravel(), np.arange(ring.size))),
                               shape=(n_sigma, ring.size)),
         x_indptr=np.concatenate([[0], np.cumsum(np.bincount(pattern // n_x, minlength=n_sigma))]),
@@ -410,11 +408,13 @@ def _definite(sigma: float, s: int) -> bool:
     return sigma <= _BLOCK_MARGIN * 4.0 * (1.0 - np.cos(np.pi / s))
 
 
-def _block_size(c2inv: PwcField, omega2: float) -> int:
-    """The largest s that divides every region's side and offset, is at most
-    _MAX_BLOCK and (m - 1) / _BLOCKS_PER_SIDE, and keeps every block interior
-    positive definite with margin (_definite). 1 for a partition without
-    square blocks.
+def _block_size(c2inv: PwcField, omega2: float) -> tuple[int, bool]:
+    """The block layout (s, grouped). s is the largest block size that divides
+    every region's side and offset, is at most _MAX_BLOCK and (m - 1) /
+    _BLOCKS_PER_SIDE, and keeps every block interior positive definite with
+    margin (_definite); 1 for a partition without square blocks. grouped: the
+    dense factor groups the blocks 2 x 2, at an even number of blocks per
+    side, at least 4, when every 2s x 2s super-block interior keeps the margin.
 
     The caps are where one descent iterate was fastest (BLAS on one thread):
     s = 8 at m = 17, 16 at m = 33, 32 at m = 65 and 129. A larger s grows the
@@ -422,14 +422,13 @@ def _block_size(c2inv: PwcField, omega2: float) -> int:
     skeleton and its factor and solve as m^2 / s."""
     grid = c2inv.grid
     blocks = c2inv.partition.blocks
-    if blocks is None:
-        return 1
-    common = int(np.gcd.reduce(np.append(blocks.ravel(), grid.cells_per_side)))
+    common = 1 if blocks is None else int(np.gcd.reduce(np.append(blocks.ravel(),
+                                                                   grid.cells_per_side)))
     sigma = omega2 * grid.h ** 2 * float(c2inv.coeffs.max())
-    for s in range(min(common, _MAX_BLOCK, grid.cells_per_side // _BLOCKS_PER_SIDE), 1, -1):
-        if common % s == 0 and _definite(sigma, s):
-            return s
-    return 1
+    cap = min(common, _MAX_BLOCK, grid.cells_per_side // _BLOCKS_PER_SIDE)
+    s = max((d for d in range(2, cap + 1) if common % d == 0 and _definite(sigma, d)), default=1)
+    k = grid.cells_per_side // s
+    return s, k % 2 == 0 and k >= 4 and _definite(sigma, 2 * s)
 
 
 def _block_symbols(sk: _Skeleton, sigma: np.ndarray) -> np.ndarray:
@@ -490,16 +489,6 @@ def _fill_blocks(sk: _Skeleton, symbols: np.ndarray, u: np.ndarray, hat=None) ->
         u[sk.interior[blk]] = _to_nodes(sk.basis, x)
 
 
-def _super_blocks(c2inv: PwcField, omega2: float, s: int) -> bool:
-    """Whether the dense factor groups the s x s blocks 2 x 2: an even number
-    of blocks per side, at least 4, and every 2s x 2s super-block interior
-    positive definite with the blocks' margin (_definite)."""
-    grid = c2inv.grid
-    k = grid.cells_per_side // s
-    sigma = omega2 * grid.h ** 2 * float(c2inv.coeffs.max())
-    return k % 2 == 0 and k >= 4 and _definite(sigma, 2 * s)
-
-
 @dataclass(frozen=True, eq=False)
 class _Dissection:
     """The order in which the dense factor eliminates K~_XX of one grid and
@@ -507,10 +496,10 @@ class _Dissection:
 
     Grouped, the cross C_i of a 2 x 2 super-block is the skeleton inside it
     (4s - 3 nodes), and the coarse skeleton T is the rest of X, on the grid
-    lines between super-blocks. A cross couples only to itself and to its
-    ring: the T and loop nodes on its super-block's edges (corners excluded).
-    Ungrouped, X is one cross, its ring is the loop (corners excluded again),
-    and T is empty.
+    lines between super-blocks. A cross's ring, the columns its rows couple
+    to outside it, is the T and loop nodes on its super-block's edges (corners
+    excluded). Ungrouped, X is one cross, its ring is the loop (corners
+    excluded again), and T is empty.
     slots places each entry of the condensed pattern (rows X) in one flat
     buffer, which split cuts into the dense blocks.
     """
@@ -545,51 +534,31 @@ class _Dissection:
 def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
     sk = _skeleton(grid, s)
     n_x, n_sigma = sk.n_x, sk.nodes.size
-    owner = np.zeros(n_x, dtype=int)  # the cross of each X node, -1 on T
+    owner = np.full(n_sigma, -1)  # the cross of each skeleton node, -1 on T and the loop
+    owner[:n_x] = 0
     if grouped:
         i, j = np.divmod(sk.nodes[:n_x], grid.m)
         size, per_side = 2 * s, grid.cells_per_side // (2 * s)
-        owner = np.where((i % size != 0) & (j % size != 0), i // size * per_side + j // size, -1)
-    n_cross = int(owner.max()) + 1
-    crosses = np.stack([np.flatnonzero(owner == c) for c in range(n_cross)])
-    coarse = np.flatnonzero(owner < 0)
-    n_c, n_t = crosses.shape[1], coarse.size
-    local = np.empty(n_x, dtype=int)  # index within its cross, or within T
-    local[crosses] = np.arange(n_c)
-    local[coarse] = np.arange(n_t)
-
+        owner[:n_x] = np.where((i % size != 0) & (j % size != 0),
+                               i // size * per_side + j // size, -1)
     rows, cols = sk.x_indices, sk.x_cols
-    in_x = cols < n_x
-    row_owner = owner[rows]
-    col_owner = np.full(cols.size, -2)  # -2 on the loop
-    col_owner[in_x] = owner[cols[in_x]]
-    col_local = cols - n_x  # loop index ...
-    col_local[in_x] = local[cols[in_x]]  # ... or index within its cross or T
-    # ring keys c n_sigma + skeleton position: X positions precede the loop's,
-    # so each ring lists its T nodes first
-    in_cross = row_owner >= 0
-    on_ring = in_cross & (col_owner != row_owner)
-    keys = np.unique(row_owner[on_ring] * n_sigma + cols[on_ring])
-    start = np.searchsorted(keys, np.arange(n_cross + 1) * n_sigma)
-    rings = [keys[start[c]:start[c + 1]] - c * n_sigma for c in range(n_cross)]
-    ring_t = tuple(local[r[r < n_x]] for r in rings)
-    sizes = [[n_c * n_c, n_c * r.size, rt.size * n_c] for r, rt in zip(rings, ring_t)]
-    offsets = np.cumsum([0] + sum(sizes, []) + [n_t * n_t, n_t * grid.n_boundary])
-
-    slots = np.empty(cols.size, dtype=int)
-    a = in_cross & ~on_ring
-    slots[a] = offsets[3 * row_owner[a]] + local[rows[a]] + col_local[a] * n_c
-    q = np.searchsorted(keys, row_owner[on_ring] * n_sigma + cols[on_ring]) - start[row_owner[on_ring]]
-    slots[on_ring] = offsets[3 * row_owner[on_ring] + 1] + local[rows[on_ring]] + q * n_c
-    e = ~in_cross & (col_owner >= 0)  # rows T, columns in a cross: by symmetry, on its ring
-    c = col_owner[e]
-    q = np.searchsorted(keys, c * n_sigma + rows[e]) - start[c]
-    n_ring_t = np.array([rt.size for rt in ring_t])
-    slots[e] = offsets[3 * c + 2] + q + col_local[e] * n_ring_t[c]
-    t = ~in_cross & (col_owner < 0)
-    slots[t] = (offsets[3 * n_cross + (col_owner[t] == -2)] + local[rows[t]]
-                + col_local[t] * n_t)
-    dissection = _Dissection(crosses=crosses, coarse=coarse, ring_t=ring_t,
+    crosses = np.stack([np.flatnonzero(owner == c) for c in range(owner.max() + 1)])
+    rings = [np.unique(cols[(owner[rows] == c) & (owner[cols] != c)]) for c in range(len(crosses))]
+    coarse = np.flatnonzero(owner[:n_x] < 0)
+    # the dense blocks as (row, column) skeleton positions, in buffer order
+    blocks = [pair for cross, ring in zip(crosses, rings)
+              for pair in ((cross, cross), (cross, ring), (ring[ring < n_x], cross))]
+    blocks += [(coarse, coarse), (coarse, np.arange(n_x, n_sigma))]
+    offsets = np.cumsum([0] + [r.size * c.size for r, c in blocks])
+    slots = np.empty(rows.size, dtype=int)
+    for (r, c), offset in zip(blocks, offsets):
+        at_row, at_col = np.full(n_sigma, -1), np.full(n_sigma, -1)
+        at_row[r], at_col[c] = np.arange(r.size), np.arange(c.size)
+        i, j = at_row[rows], at_col[cols]
+        mine = (i >= 0) & (j >= 0)
+        slots[mine] = offset + i[mine] + j[mine] * r.size  # column-major
+    dissection = _Dissection(crosses=crosses, coarse=coarse,
+                             ring_t=tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings),
                              ring_loop=tuple(r[r >= n_x] - n_x for r in rings),
                              offsets=offsets, slots=slots, nb=grid.n_boundary)
     for arr in (crosses, coarse, offsets, slots, *dissection.ring_t, *dissection.ring_loop):
@@ -663,6 +632,41 @@ class _TwoLevelLU:
         return x
 
 
+class _SparseLU:
+    """SuperLU factor of K~_XX (minimum degree on A^T + A, symmetric mode),
+    whose factor stays sparse on the large skeletons of fine blocks; the same
+    interface as _TwoLevelLU. LinAlgError when SuperLU finds it exactly
+    singular."""
+
+    def __init__(self, sk: _Skeleton, k_x: np.ndarray):
+        n_x, n_xx = sk.n_x, sk.x_indptr[sk.n_x]
+        k_xx = sp.csc_matrix((k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
+                             shape=(n_x, n_x))
+        try:
+            self._lu = spla.splu(k_xx, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(str(exc)) from exc
+        self.pivots = np.abs(self._lu.U.diagonal())
+        self._sk, self._k_x = sk, k_x
+
+    def solve(self, rhs: np.ndarray | None) -> np.ndarray:
+        """K~_XX^{-1} rhs for rhs (n_x, k). rhs None stands for -K~_XB, solved
+        over nb / _COLUMN_CHUNKS dense columns at a time."""
+        if rhs is not None:
+            return self._lu.solve(rhs)
+        sk = self._sk
+        n_x, nb = sk.n_x, sk.nodes.size - sk.n_x
+        out = np.empty((n_x, nb))
+        width = max(1, nb // _COLUMN_CHUNKS)
+        for c0 in range(0, nb, width):
+            c1 = min(c0 + width, nb)
+            entries = slice(sk.x_indptr[n_x + c0], sk.x_indptr[n_x + c1])
+            cols = np.zeros((n_x, c1 - c0), order="F")
+            cols[sk.x_indices[entries], sk.x_cols[entries] - n_x - c0] = -self._k_x[entries]
+            out[:, c0:c1] = self._lu.solve(cols)
+        return out
+
+
 @lru_cache(maxsize=None)
 def _sketch(nb: int) -> np.ndarray:
     """The fixed Gaussian test matrix (nb, _SKETCH_COLUMNS) of the bank audit."""
@@ -686,15 +690,15 @@ class HelmholtzOperator:
     omega^2 h^2 c_b), whose inverse is (S x S) D_b (S x S)^T with the DST-I S.
     Eliminating the interiors leaves K~ = K_SS - sum_b scatter(F^T D_b F) on the
     skeleton. Its rows and columns X, K~_XX, are factored with partial
-    pivoting (``factor``): 'dense' (LAPACK getrf/getrs, fastest while
-    n_x <= 2 nb) or 'superlu' (spla.splu, whose factor stays sparse on the
-    large skeletons of fine blocks).
+    pivoting (``factor``): 'dense' (_TwoLevelLU, LAPACK getrf/getrs, fastest
+    while n_x <= 2 nb) or 'superlu' (_SparseLU, whose factor stays sparse on
+    the large skeletons of fine blocks).
 
-    The dense factor is two-level (_TwoLevelLU) when _super_blocks groups the
-    blocks 2 x 2: getrf of each super-block's inner cross C_i, then of the
-    Schur complement S_TT on the coarse skeleton T between the crosses, which
-    getrs solves for all nb indicator columns in one call; each cross is
-    solved only against the columns of its ring. The margin keeps every cross
+    The dense factor is two-level when _block_size groups the blocks 2 x 2:
+    getrf of each super-block's inner cross C_i, then of the Schur complement
+    S_TT on the coarse skeleton T between the crosses, which getrs solves
+    for all nb indicator columns in one call; each cross is solved only
+    against the columns of its ring. The margin keeps every cross
     block positive definite, and det K~_XX = prod_i det A_{C_i C_i} det S_TT.
     Otherwise it is one getrf of K~_XX (one cross, no T), the same code path.
 
@@ -711,84 +715,45 @@ class HelmholtzOperator:
         _discrete_guard(c2inv.grid, omega2, *c2inv.bounds)
         self.grid = c2inv.grid
         self.omega2 = float(omega2)
-        self.block_size = _block_size(c2inv, self.omega2)
+        self.block_size, grouped = _block_size(c2inv, self.omega2)
         self._sk = sk = _skeleton(self.grid, self.block_size)
+        n_x = sk.n_x
         self.mass_diag = np.asarray(mass_scatter_matrix(self.grid) @ c2inv.cell_values())
-        mass = self.omega2 * self.mass_diag[sk.nodes]
+        self._mass = self.omega2 * self.mass_diag[sk.nodes]
         self._symbols = _block_symbols(sk, self.omega2 * self.mass_diag[sk.interior[:, :1]].ravel())
         self._forms = _ring_forms(sk, self._symbols)
-        data = sk.l_sigma.data.copy()
-        data[sk.sigma_diag] -= mass
-        self._k_sigma = sp.csr_matrix((data, sk.l_sigma.indices, sk.l_sigma.indptr),
-                                      shape=sk.l_sigma.shape)
-        n_x = sk.n_x
         self._k_x = sk.x_base - np.bincount(  # the rows X of K~, in the static pattern
-            sk.x_slots, weights=np.concatenate([mass[:n_x], self._forms.ravel()[sk.x_forms]]),
+            sk.x_slots, weights=np.concatenate([self._mass[:n_x], self._forms.ravel()[sk.x_forms]]),
             minlength=sk.x_base.size)
         self.factor = "dense" if n_x <= _DENSE_SKELETON * self.grid.n_boundary else "superlu"
-        if self.factor == "dense":
-            grouped = _super_blocks(c2inv, self.omega2, self.block_size)
-            try:
-                self._lu = _TwoLevelLU(_dissection(self.grid, self.block_size, grouped), self._k_x)
-            except np.linalg.LinAlgError as exc:
-                raise self._singular(str(exc)) from exc
-            pivots = self._lu.pivots
-        else:
-            n_xx = sk.x_indptr[n_x]
-            k_xx = sp.csc_matrix((self._k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
-                                 shape=(n_x, n_x))
-            try:
-                self._lu = spla.splu(k_xx, permc_spec="MMD_AT_PLUS_A",
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise self._singular(str(exc)) from exc
-            pivots = np.abs(self._lu.U.diagonal())
-        self.smallest_pivot = float(pivots.min())
-        if self.smallest_pivot < _PIVOT_RTOL * float(pivots.max()):
+        try:
+            self._lu = (_TwoLevelLU(_dissection(self.grid, self.block_size, grouped), self._k_x)
+                        if self.factor == "dense" else _SparseLU(sk, self._k_x))
+        except np.linalg.LinAlgError as exc:
+            raise NearEigenfrequencyError(
+                f"interior system is singular at omega^2 = {self.omega2}: {exc}",
+                smallest_pivot=0.0) from exc
+        self.smallest_pivot = float(self._lu.pivots.min())
+        if self.smallest_pivot < _PIVOT_RTOL * float(self._lu.pivots.max()):
             raise NearEigenfrequencyError(
                 f"omega^2 = {self.omega2} is numerically at an eigenfrequency of the "
                 f"discrete operator (smallest pivot {self.smallest_pivot:.3e})",
                 smallest_pivot=self.smallest_pivot,
             )
 
-    def _singular(self, detail: str) -> NearEigenfrequencyError:
-        return NearEigenfrequencyError(
-            f"interior system is singular at omega^2 = {self.omega2}: {detail}",
-            smallest_pivot=0.0,
-        )
-
     def _solve_skeleton(self, rhs: np.ndarray | None) -> np.ndarray:
-        """K~_XX^{-1} rhs for rhs (n_x,) or (n_x, k), by the operator's factor.
-        rhs None gives the indicator bank's skeleton values V_X = -K~_XX^{-1} K~_XB
-        (n_x, nb), over nb / _COLUMN_CHUNKS columns at a time on the SuperLU
-        path, and on the dense path with each cross solved only against its
-        ring's loop columns (_TwoLevelLU.solve)."""
-        if self.factor == "dense":
-            if rhs is None:
-                return self._lu.solve(None)
-            return self._lu.solve(rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
-        if rhs is not None:
-            return self._lu.solve(rhs)
-        n_x, nb = self._sk.n_x, self.grid.n_boundary
-        out = np.empty((n_x, nb))
-        width = max(1, nb // _COLUMN_CHUNKS)
-        for c0 in range(0, nb, width):
-            c1 = min(c0 + width, nb)
-            out[:, c0:c1] = self._lu.solve(self._k_xb_columns(c0, c1))
-        return np.negative(out, out=out)
-
-    def _k_xb_columns(self, c0: int, c1: int) -> np.ndarray:
-        """Dense K~_XB[:, c0:c1], Fortran-ordered."""
-        sk = self._sk
-        entries = slice(sk.x_indptr[sk.n_x + c0], sk.x_indptr[sk.n_x + c1])
-        out = np.zeros((sk.n_x, c1 - c0), order="F")
-        out[sk.x_indices[entries], sk.x_cols[entries] - sk.n_x - c0] = self._k_x[entries]
-        return out
+        """K~_XX^{-1} rhs for rhs (n_x,) or (n_x, k) by the operator's factor; rhs
+        None gives the indicator bank's skeleton values V_X = -K~_XX^{-1} K~_XB."""
+        if rhs is None:
+            return self._lu.solve(None)
+        return self._lu.solve(rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
 
     def _condensed(self, v: np.ndarray) -> np.ndarray:
-        """K~ v for skeleton values v (n_skeleton, k)."""
+        """K~ v = L_SS v - omega^2 diag(d_S) v - sum_b scatter(F^T D_b F v_ring)
+        for skeleton values v (n_skeleton, k)."""
         sk = self._sk
-        out = self._k_sigma @ v
+        out = sk.l_sigma @ v
+        out -= self._mass[:, None] * v
         out -= sk.scatter @ (self._forms @ v[sk.ring]).reshape(-1, v.shape[1])
         return out
 

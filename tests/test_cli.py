@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helmrecon import cli
 from helmrecon.cli import main
 
 BASE = """\
@@ -207,11 +208,31 @@ def test_unparseable_config_exits_64(tmp_path, content):
     ("discrepancy_threshold = 1e-8", "discrepancy_threshold = nan"),  # stop never fired
     ("discrepancy_threshold = 1e-8", "discrepancy_threshold = -1"),   # nor did this one
     ("max_iter = 20", "max_iter = 2.7"),            # truncated to 2
+    ("max_iter = 20", "max_iter = -1"),
     ("seed = 7", "seed = 1.5"),                     # truncated to 1
 ])
-def test_invalid_run_value_exits_64(tmp_path, old, new):
+def test_invalid_run_value_exits_64(tmp_path, monkeypatch, old, new):
+    # refused while loading the config, before the forward data are computed
+    calls = []
+    monkeypatch.setattr(cli, "dtn_for_field", lambda *args, **kwargs: calls.append(args))
     cfg = write_config(tmp_path, BASE.replace(old, new))
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+    assert calls == []
+
+
+CALIBRATE = BASE.replace("mode = analytic", "mode = calibrate\nseed = -3")
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("verify", BASE.replace("seed = 7", "seed = -1"), []),
+    ("verify", BASE, ["--seed", "-5"]),
+    ("calibrate", CALIBRATE, []),
+    ("reconstruct", CALIBRATE, []),
+], ids=["run_seed", "seed_option", "calibrate_bundle_seed", "reconstruct_bundle_seed"])
+def test_negative_seed_exits_64(tmp_path, command, text, extra):
+    # np.random.default_rng raised ValueError for these, which exited 1
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")] + extra) == 64
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -342,6 +342,17 @@ def test_two_level_factor_matches_splu(m, k, box, omega2, s, getrf, rng, monkeyp
     assert len(calls) == 2 * getrf  # _matches_splu factors the field twice
 
 
+def test_exactly_singular_superlu_factor_reports_zero(monkeypatch):
+    # m = 17, 8 regions per side: s = 2, n_x = 161 > 2 nb = 128, the SuperLU path
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(forward.spla, "splu", singular)
+    with pytest.raises(NearEigenfrequencyError, match="exactly singular") as exc:
+        HelmholtzOperator(_audit_case(8), 5.0)
+    assert exc.value.smallest_pivot == 0.0
+
+
 def test_exactly_zero_pivot_in_a_cross_factor_reports_zero(monkeypatch):
     calls = _spy_dgetrf(monkeypatch, info=3, at=1)
     with pytest.raises(NearEigenfrequencyError, match="exactly zero") as exc:
