@@ -4,8 +4,9 @@ Schema (sections and keys; * marks required):
 
     [grid]      m*
     [problem]   omega2*, b1*, b2*
-    [truth]     k (cells per side of the truth partition) and values
-                (region coefficients, row-major), or file (a pwc field file)
+    [truth]     k (regions per side of the truth partition) and values
+                (region coefficients, row-major, each in [b1, b2]), or file
+                (a pwc field file, checked against the box when read)
     [schedule]  levels* (space-separated region counts, each a square number)
     [bundle]    mode (analytic|calibrate), lhat0/l0/k for analytic mode,
                 phi_c, phi_beta (power-law compression), eps*,
@@ -169,6 +170,10 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
                     f"got {truth_values.size}"
                 )
             make_uniform_partition(grid, truth_k)  # divisibility check
+            if not ((truth_values >= b1) & (truth_values <= b2)).all():
+                raise ConfigurationError(
+                    f"[truth] values must lie in the box [{b1}, {b2}] that the frequency "
+                    f"guard certifies, got {truth_values.min()} to {truth_values.max()}")
 
     if not parser.has_option("schedule", "levels"):
         raise ConfigurationError("config needs [schedule] levels")

@@ -479,6 +479,12 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     df_lip0 from derivative-difference probes over omega^4, and stab_k from the
     largest implied exponent of sampled stability ratios across region counts.
     Deterministic under the seed.
+
+    The stability fit is khat_bound of verify.estimate_lipschitz_constant at
+    the same grid, seed and samples per N, taken from the same sweep of field
+    pairs: it evaluates each pair's DtN difference (the mid-box base field of
+    the adversarial pairs once) and reads only the Hilbert-Schmidt data
+    distance, so no operator-norm ratio or report is formed.
     """
     if mode == "analytic":
         if df_bound0 is None or df_lip0 is None or stab_k is None:
@@ -494,7 +500,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     from .domain import PwcField, l2_dist, make_uniform_partition
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
     from .forward import build_boundary_weights
-    from .verify import estimate_lipschitz_constant
+    from .verify import _implied_exponent, _stability_sweep
 
     rng = np.random.default_rng(seed)
     weights = build_boundary_weights(grid)
@@ -528,10 +534,12 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
                   and grid.cells_per_side % int(round(np.sqrt(n))) == 0]
     if not feasible_n:
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
-    report = estimate_lipschitz_constant(grid, omega2, b1, b2, big_ns=feasible_n,
-                                         samples_per_n=max(4, samples // len(feasible_n)),
-                                         seed=seed, n_exponent=n_exponent)
-    fitted_k = max(report.khat_bound, 1e-6)
+    sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
+                             max(4, samples // len(feasible_n)), seed, weights)
+    khat_bound = float(max(_implied_exponent(dist / data_dist, feasible_n[level], omega2, b2,
+                                             n_exponent)
+                           for level, _, dist, _, data_dist in sweep))
+    fitted_k = max(khat_bound, 1e-6)
 
     if fitted_bound <= 0 or fitted_lip <= 0:
         raise CalibrationError(

@@ -526,7 +526,8 @@ def pwc_file_header(path) -> tuple[int, int]:
 
 
 def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> PwcField:
-    """Read a pwc file: N lines 'region coeff', each region exactly once."""
+    """Read a pwc file: N lines 'region coeff', each region exactly once, each
+    coefficient inside bounds (ConfigurationError otherwise)."""
     with open(path, encoding="utf-8") as fh:
         n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
         if n != partition.n_regions:
@@ -548,7 +549,11 @@ def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> P
             coeffs[j] = row[1]
             seen[j] = True
         expect_end(fh, path)
-    return PwcField(partition, coeffs, bounds)
+    field = PwcField(partition, coeffs, bounds)
+    if not field.admissible():
+        raise ConfigurationError(
+            f"{path}: coefficients {coeffs.min()} to {coeffs.max()} leave the box {field.bounds}")
+    return field
 
 
 def load_nodal_field(path, grid: Grid) -> NodalField:

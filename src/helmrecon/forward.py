@@ -678,8 +678,9 @@ def _sketch(nb: int) -> np.ndarray:
 class HelmholtzOperator:
     """Interior system K_ii u_i = rhs for one coefficient field and frequency.
 
-    Runs the spectrum guard for the field's coefficient box and certifies the
-    same box against the grid's discrete spectrum (_discrete_guard), then
+    Refuses a field with a coefficient outside its own box
+    (AdmissibilityError), runs the spectrum guard for that box and certifies
+    the same box against the grid's discrete spectrum (_discrete_guard), then
     condenses the block interiors out of K_ii in closed form and factors the
     skeleton once; every Dirichlet solve (``solve``, and the indicator bank in
     ``assemble_dtn``) reuses that factor.
@@ -711,6 +712,10 @@ class HelmholtzOperator:
     """
 
     def __init__(self, c2inv: PwcField, omega2: float):
+        if not c2inv.admissible():
+            raise AdmissibilityError(
+                f"coefficients in [{c2inv.coeffs.min()}, {c2inv.coeffs.max()}] leave the box "
+                f"{c2inv.bounds} that the frequency guard certifies")
         spectrum_guard(omega2, *c2inv.bounds)
         _discrete_guard(c2inv.grid, omega2, *c2inv.bounds)
         self.grid = c2inv.grid
@@ -961,15 +966,31 @@ class SolutionBank:
         """U^T diag(w) U for nodal weights w, from the rows where w is nonzero:
         skeleton rows of U, and V_ring^T (G_b^T diag(w_b) G_b) V_ring for each
         block interior."""
+        return self._gram(w, None, None)
+
+    def _gram(self, w: np.ndarray, x_rows, loop_rows) -> np.ndarray:
+        """gram(w) for U, or (U p)^T diag(w) (U p) given the rows of U p on X and
+        on the loop (see _rows): the block interiors of U p are G_b (U p)_ring."""
         sk = self._sk
         pos = np.flatnonzero(w[sk.nodes])
-        u = self._rows(pos)
+        u = self._rows(pos, x_rows, loop_rows)
         out = u.T @ (w[sk.nodes[pos], None] * u)
         for b in np.flatnonzero(np.any(w[sk.interior] != 0.0, axis=1)):
             g = self._block_forms(slice(b, b + 1))[0]
-            ring = self._rows(sk.ring[b])
+            ring = self._rows(sk.ring[b], x_rows, loop_rows)
             out += ring.T @ ((g.T @ (w[sk.interior[b], None] * g)) @ ring)
         return out
+
+    @cached_property
+    def _weighted_skeleton(self) -> np.ndarray:
+        """V_X W^{1/2}: the rows X of U W^{1/2}, W^{1/2} = weights.w_minus_half."""
+        return self.skeleton @ self.weights.w_minus_half
+
+    def _weighted_gram(self, w: np.ndarray) -> np.ndarray:
+        """W^{1/2} U^T diag(w) U W^{1/2} = (U W^{1/2})^T diag(w) (U W^{1/2}), whose
+        Frobenius norm is the data norm of U^T diag(w) U (dtn_data_norm) without
+        the two nb^3 weight products."""
+        return self._gram(w, self._weighted_skeleton, self.weights.w_minus_half)
 
     def quadratic_diagonal(self, p: np.ndarray) -> np.ndarray:
         """diag(U p U^T) at every node, with U p formed on the skeleton only:

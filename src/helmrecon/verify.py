@@ -183,7 +183,8 @@ class LipschitzReport:
 
 
 def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int, rng):
-    """Adversarial pair first (deep-interior single-region bump), then random pairs."""
+    """Adversarial pairs first (a deep-interior single-region bump of the
+    constant mid-box field, which is each one's first field), then random pairs."""
     k = int(round(np.sqrt(big_n)))
     if k * k != big_n:
         raise ConfigurationError(f"region count {big_n} is not a square")
@@ -210,39 +211,63 @@ def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int,
     return pairs
 
 
+def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
+                     samples_per_n: int, seed: int, weights):
+    """Yield (level, kind, field distance, DtN difference, data distance) for each
+    sampled pair with a nonzero data distance, one pair at a time; level
+    indexes big_ns.
+
+    The first field of every adversarial pair is the constant mid-box field,
+    whose DtN does not depend on the partition: it is evaluated on first use
+    and reused.
+    """
+    rng = np.random.default_rng(seed)
+    mid_lam = None
+    for level, big_n in enumerate(big_ns):
+        k = int(round(np.sqrt(big_n)))
+        if k * k != big_n or grid.cells_per_side % k != 0:
+            raise ConfigurationError(f"region count {big_n} does not tile grid m={grid.m}")
+        for c1, c2, kind in _stability_pairs(grid, big_n, b1, b2, samples_per_n, rng):
+            if kind == "adversarial":
+                if mid_lam is None:
+                    mid_lam = dtn_for_field(c1, omega2, weights=weights).lam
+                lam1 = mid_lam
+            else:
+                lam1 = dtn_for_field(c1, omega2, weights=weights).lam
+            diff = lam1 - dtn_for_field(c2, omega2, weights=weights).lam
+            data_dist = dtn_data_norm(diff, weights)
+            if data_dist != 0:
+                yield level, kind, l2_dist(c1, c2), diff, data_dist
+
+
+def _implied_exponent(ratio: float, big_n: int, omega2: float, b2: float,
+                      n_exponent: float) -> float:
+    """The stability coefficient k at which omega^-2 exp(k (1 + omega^2 B2) N^e)
+    equals a sampled ratio."""
+    return np.log(ratio * omega2) / ((1.0 + omega2 * b2) * big_n ** n_exponent)
+
+
 def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
                                 big_ns=(1, 4, 16, 64), samples_per_n: int = 6,
                                 seed: int = 0, n_exponent: float = 4.0 / 7.0) -> LipschitzReport:
     """Sample worst stability ratios ||c1-c2|| / ||Lam1-Lam2||_Y per region count.
 
-    Deterministic under the seed; degenerate pairs are skipped.
+    Deterministic under the seed; degenerate pairs are skipped. The mid-box
+    base field that every adversarial pair starts from is evaluated once for
+    the whole sweep (_stability_sweep); each pair's operator-norm ratio is
+    taken from its DtN difference as the sweep yields it.
     """
-    rng = np.random.default_rng(seed)
     weights = build_boundary_weights(grid)
     all_samples: list[StabilitySample] = []
-    max_ratios, max_ratios_op = [], []
-    for big_n in big_ns:
-        k = int(round(np.sqrt(big_n)))
-        if k * k != big_n or grid.cells_per_side % k != 0:
-            raise ConfigurationError(f"region count {big_n} does not tile grid m={grid.m}")
-        best = best_op = 0.0
-        for c1, c2, kind in _stability_pairs(grid, big_n, b1, b2, samples_per_n, rng):
-            dist = l2_dist(c1, c2)
-            dtn1 = dtn_for_field(c1, omega2, weights=weights)
-            dtn2 = dtn_for_field(c2, omega2, weights=weights)
-            diff = dtn1.lam - dtn2.lam
-            data_dist = dtn_data_norm(diff, weights)
-            data_dist_op = dtn_data_norm(diff, weights, kind="op")
-            if data_dist == 0:
-                continue
-            ratio = dist / data_dist
-            ratio_op = dist / data_dist_op
-            all_samples.append(StabilitySample(big_n=big_n, ratio=ratio,
-                                               ratio_op=ratio_op, kind=kind))
-            best = max(best, ratio)
-            best_op = max(best_op, ratio_op)
-        max_ratios.append(best)
-        max_ratios_op.append(best_op)
+    max_ratios, max_ratios_op = [0.0] * len(big_ns), [0.0] * len(big_ns)
+    for level, kind, dist, diff, data_dist in _stability_sweep(
+            grid, omega2, b1, b2, big_ns, samples_per_n, seed, weights):
+        ratio = dist / data_dist
+        ratio_op = dist / dtn_data_norm(diff, weights, kind="op")
+        all_samples.append(StabilitySample(big_n=big_ns[level], ratio=ratio,
+                                           ratio_op=ratio_op, kind=kind))
+        max_ratios[level] = max(max_ratios[level], ratio)
+        max_ratios_op[level] = max(max_ratios_op[level], ratio_op)
     xs = np.array([(1.0 + omega2 * b2) * n ** n_exponent for n in big_ns])
     ys = np.log(np.array(max_ratios) * omega2)
     if len(big_ns) >= 2:
@@ -252,9 +277,8 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     else:
         khat_fit = float(ys[0] / xs[0])
         fit_residual = 0.0
-    implied = [np.log(s.ratio * omega2) / ((1.0 + omega2 * b2) * s.big_n ** n_exponent)
-               for s in all_samples]
-    khat_bound = float(max(implied))
+    khat_bound = float(max(_implied_exponent(s.ratio, s.big_n, omega2, b2, n_exponent)
+                           for s in all_samples))
     return LipschitzReport(
         big_ns=list(big_ns),
         max_ratios=max_ratios,

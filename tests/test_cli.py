@@ -174,6 +174,20 @@ def test_non_finite_truth_value_exits_64(tmp_path):
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
 
 
+@pytest.mark.parametrize("value", ["2.5", "0.5"])
+def test_truth_value_outside_the_box_exits_64(tmp_path, monkeypatch, value):
+    # the frequency guard certifies the box [b1, b2], not a field outside it
+    calls = []
+    monkeypatch.setattr(cli, "dtn_for_field", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, BASE.replace("values = 1.5", f"values = {value}"))
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+    truth = tmp_path / "truth.txt"
+    truth.write_text(f"pwc 1 0\n0 {value}\n")
+    cfg = write_config(tmp_path, BASE.replace("k = 1\nvalues = 1.5", f"file = {truth}"))
+    assert main(["forward", "--config", cfg, "--out", str(tmp_path / "y")]) == 64
+    assert calls == []
+
+
 @pytest.mark.parametrize("old, new", [
     ("values = 1.5", "values = 1.5x"),
     ("levels = 1", "levels = one"),

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,7 +23,7 @@ from helmrecon import (
     rho_vs_omega,
     solve_n_max,
 )
-from helmrecon import constants
+from helmrecon import constants, derivative, forward, verify
 from helmrecon.constants import LevelConstants, _nmax_lhs, load_bundle, save_bundle
 
 
@@ -381,6 +383,45 @@ def test_calibrate_empirical_deterministic_and_positive():
     assert b1.df_bound0 > 0 and b1.df_lip0 > 0 and b1.stab_k > 0
     assert (b1.df_bound0, b1.df_lip0, b1.stab_k) == (b2.df_bound0, b2.df_lip0, b2.stab_k)
     assert b1.calibration == "empirical"
+
+
+# the benchmark's smoke size of calibrate-m33 (bench/run.py, TINY)
+SMOKE = dict(phi=CompressionModel.power_law(0.1, 1), eps=0.1, samples=10,
+             n_values=(1, 4, 16), seed=0)
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "calibrate_reference.json"
+
+
+def test_calibrate_matches_the_benchmark_reference_at_smoke_size():
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["calibrate-m33:tiny"]["0"]
+    b = calibrate(Grid(17), 5.0, 1.0, 2.0, **SMOKE)
+    for name in ("df_bound0", "df_lip0", "stab_k"):
+        assert getattr(b, name) == pytest.approx(ref[name], rel=1e-9), name
+
+
+def test_calibrate_work_count_and_stability_fit(monkeypatch):
+    evals, kinds = [], []
+    init = forward.HelmholtzOperator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        evals.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", counted_init)
+    for module in (forward, derivative, verify):
+        def norm(mat, weights, kind="hs", real=module.dtn_data_norm):
+            kinds.append(kind)
+            return real(mat, weights, kind)
+        monkeypatch.setattr(module, "dtn_data_norm", norm)
+    grid = Grid(17)
+    b = calibrate(grid, 5.0, 1.0, 2.0, **SMOKE)
+    assert "op" not in kinds
+    # 4 bound fields, 10 Lipschitz pairs, and 4 pairs at each N = 1, 4, 16: 48
+    # evaluations less the 3 repeated evaluations of the mid-box base field
+    assert len(evals) == 45
+    report = verify.estimate_lipschitz_constant(grid, 5.0, 1.0, 2.0, big_ns=(1, 4, 16),
+                                                samples_per_n=4, seed=0)
+    assert b.stab_k == report.khat_bound
+    assert kinds.count("op") == len(report.samples)
 
 
 # ---------------------------------------------------------------- persistence

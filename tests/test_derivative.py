@@ -16,7 +16,7 @@ from helmrecon import (
     make_uniform_partition,
     residual_from,
 )
-from helmrecon.derivative import Residual, df_norm_probe, indicator_probes
+from helmrecon.derivative import Residual, _weighted_df, df_norm_probe, indicator_probes
 from helmrecon.domain import l2_norm, mass_scatter_matrix
 
 
@@ -106,7 +106,7 @@ def test_adjoint_dot_product_20_pairs(setup17, rng):
 def test_adjoint_direction_matches_brute_force(setup17):
     # one-region bump: the gradient's sign must predict the misfit change
     _, part, c, weights, dtn_c, bank = setup17
-    target = PwcField(part, c.coeffs + np.array([0.2, -0.1, 0.15, 0.05]), (1.0, 2.0))
+    target = PwcField(part, c.coeffs + np.array([0.2, -0.1, 0.15, 0.05]), (0.5, 3.0))
     data = dtn_for_field(target, 5.0, weights=weights)
     res = residual_from(dtn_c, data)
     grad = apply_df_adjoint(bank, res)
@@ -161,6 +161,29 @@ def test_apply_df_matches_dense_product(m):
             assert np.all(out == 0.0)
         else:
             assert np.linalg.norm(out - dense) <= 1e-13 * np.linalg.norm(dense), name
+
+
+@pytest.mark.parametrize("m", [17, 33])
+def test_weighted_probe_norms_match_the_data_norm_of_apply_df(m):
+    # the probes read ||DF(delta)||_Y as ||W^1/2 DF(delta) W^1/2||_F, formed from
+    # the bank's weighted rows, not as dtn_data_norm of apply_df
+    part, bank = _bank16(m)
+    mixed = np.random.default_rng(m).standard_normal(part.grid.n_cells)
+    assert (mixed > 0).any() and (mixed < 0).any()
+    for delta in [*indicator_probes(part), mixed]:
+        ref = dtn_data_norm(apply_df(bank, delta), bank.weights)
+        assert float(np.linalg.norm(_weighted_df(bank, delta))) == pytest.approx(ref, rel=1e-12)
+    probes = indicator_probes(part)
+    best = max(dtn_data_norm(apply_df(bank, d), bank.weights) / l2_norm(d) for d in probes)
+    assert df_norm_probe(bank, probes) == pytest.approx(best, rel=1e-12)
+
+    c1 = PwcField(part, np.random.default_rng(1).uniform(1.0, 2.0, 16), (1.0, 2.0))
+    c2 = PwcField(part, np.random.default_rng(2).uniform(1.0, 2.0, 16), (1.0, 2.0))
+    assert lipschitz_df_probe(c1, c1, 5.0, weights=bank.weights) == 0.0
+    bank1, bank2 = bank_for_field(c1, 5.0)[1], bank_for_field(c2, 5.0)[1]
+    best = max(dtn_data_norm(apply_df(bank1, d) - apply_df(bank2, d), bank.weights) / l2_norm(d)
+               for d in probes)
+    assert lipschitz_df_probe(c1, c2, 5.0, weights=bank.weights) == pytest.approx(best, rel=1e-12)
 
 
 def test_bank_for_field_matches_dtn_for_field(setup17):

@@ -290,6 +290,7 @@ BAD_PWC = {
     "non_finite": "pwc 4 0\n0 1.5\n1 nan\n2 1.5\n3 1.5\n",
     "infinite": "pwc 4 0\n0 1.5\n1 1.5\n2 inf\n3 1.5\n",
     "trailing": "pwc 4 0\n0 1.5\n1 1.5\n2 1.5\n3 1.5\n0 1.7\n",
+    "outside_box": "pwc 4 0\n0 1.5\n1 2.5\n2 1.5\n3 1.5\n",  # the bounds are (1, 2)
 }
 
 

@@ -133,6 +133,23 @@ def test_discrete_guard_refuses_a_continuum_low_window_at_a_discrete_eigenvalue(
     HelmholtzOperator(PwcField(part, np.array([1.5]), box), 0.999 * lam / 1.5)  # below the band
 
 
+def test_operator_refuses_a_field_outside_its_box():
+    # m = 33, omega^2 = 0.9 lam^h_11 / 2 is certified low for the box (1, 2), but
+    # omega^2 c = 22.19 > lam^h_11 = 19.72 at c = 2.5: K_ii is indefinite there
+    g = Grid(33)
+    lam = (4.0 / g.h ** 2) * 2.0 * np.sin(0.5 * np.pi * g.h) ** 2
+    omega2 = 0.9 * lam / 2.0
+    part = make_uniform_partition(g, 1)
+    assert spectrum_guard(omega2, 1.0, 2.0).kind == "low"
+    with pytest.raises(AdmissibilityError, match="leave the box"):
+        HelmholtzOperator(PwcField(part, np.array([2.5]), (1.0, 2.0)), omega2)
+    with pytest.raises(AdmissibilityError, match="leave the box"):
+        HelmholtzOperator(PwcField(part, np.array([0.5]), (1.0, 2.0)), omega2)
+    with pytest.raises(AdmissibilityError):  # the box that holds it is not certified
+        HelmholtzOperator(PwcField(part, np.array([2.5]), (1.0, 2.5)), omega2)
+    HelmholtzOperator(PwcField(part, np.array([2.0]), (1.0, 2.0)), omega2)  # the box's edge
+
+
 def test_discrete_guard_covers_every_singular_frequency(rng):
     # the generalized eigenvalues of (-Delta_h, diag(mean c)) of random
     # four-region fields, the frequencies where the interior system is
