@@ -70,10 +70,10 @@ def cmd_forward(cfg: ExperimentConfig, out: str) -> int:
 def cmd_reconstruct(cfg: ExperimentConfig, out: str, override_level_check: bool) -> int:
     _snapshot(cfg, out)
     truth = cfg.truth_field()
+    schedule = cfg.schedule_partitions()
+    bundle = cfg.bundle()  # refuses a bad analytic bundle before any solve
     weights = build_boundary_weights(cfg.grid)
     data = dtn_for_field(truth, cfg.omega2, weights=weights)
-    schedule = cfg.schedule_partitions()
-    bundle = cfg.bundle()
     mid = 0.5 * (cfg.b1 + cfg.b2)
     start = PwcField(schedule[0], np.full(schedule[0].n_regions, mid), (cfg.b1, cfg.b2))
     n_levels = len(schedule)
@@ -179,8 +179,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument("--override-level-check", action="store_true",
-                       help="downgrade refinement-condition failures to warnings")
+        if name == "reconstruct":
+            p.add_argument("--override-level-check", action="store_true",
+                           help="downgrade a failed frequency-explicit refinement check "
+                                "to a warning")
     args = parser.parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:

@@ -8,7 +8,8 @@ Schema (sections and keys; * marks required):
                 (region coefficients, row-major, each in [b1, b2]), or file
                 (a pwc field file, checked against the box when read)
     [schedule]  levels* (space-separated region counts, each a square number)
-    [bundle]    mode (analytic|calibrate), lhat0/l0/k for analytic mode,
+    [bundle]    mode (analytic|calibrate), lhat0/l0/k (df_bound0, df_lip0,
+                stab_k; required when a command builds an analytic bundle),
                 phi_c, phi_beta (power-law compression), eps*,
                 n_exponent (optional), seed/samples for calibrate mode
     [run]       max_iter, seed, out, eta_override, discrepancy_threshold,
@@ -99,14 +100,17 @@ class ExperimentConfig:
         return parts
 
     def bundle(self) -> ConstantsBundle:
-        if self.bundle_mode == "analytic":
+        """The analytic bundle of lhat0/l0/k, or an empirical calibration."""
+        if self.bundle_mode == "calibrate":
             return calibrate(self.grid, self.omega2, self.b1, self.b2, phi=self.phi,
-                             eps=self.eps, mode="analytic", df_bound0=self.bundle_lhat0,
-                             df_lip0=self.bundle_l0, stab_k=self.bundle_k,
-                             n_exponent=self.n_exponent)
-        return calibrate(self.grid, self.omega2, self.b1, self.b2, phi=self.phi,
-                         eps=self.eps, mode="empirical", seed=self.bundle_seed,
-                         samples=self.bundle_samples, n_exponent=self.n_exponent)
+                             eps=self.eps, mode="empirical", seed=self.bundle_seed,
+                             samples=self.bundle_samples, n_exponent=self.n_exponent)
+        if None in (self.bundle_lhat0, self.bundle_l0, self.bundle_k):
+            raise ConfigurationError("an analytic [bundle] needs lhat0, l0 and k")
+        return ConstantsBundle(df_bound0=self.bundle_lhat0, df_lip0=self.bundle_l0,
+                               stab_k=self.bundle_k, b1=self.b1, b2=self.b2,
+                               omega2=self.omega2, eps=self.eps, phi=self.phi,
+                               n_exponent=self.n_exponent, calibration="analytic")
 
 
 def _reject_unknown(parser: configparser.ConfigParser) -> None:

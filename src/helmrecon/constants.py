@@ -9,8 +9,9 @@ derived level constants are
     curvature = df_lip * stab^2
     eta       = df_bound0 * omega^2 * phi(N)   (approximation error model)
 
-with e the stability exponent (default 4/7, kept verbatim from the 3D
-estimate; configurable). The convergence radius of the projected descent is
+with phi(N) = c * N^-beta the power-law compression model and e the
+stability exponent (default 4/7, kept verbatim from the 3D estimate;
+configurable). The convergence radius of the projected descent is
 
     rho = 1/2 * (2*curvature*df_bound)^-2 * (1 + sqrt(1 - 8*curvature*eta)
                                                - 4*eta*curvature)^2.
@@ -29,7 +30,9 @@ and the frequency-explicit forms of the same conditions are
 where E_{n+1} = stab_k*(1 + omega^2*B2)*N_{n+1}^e. Under the model equality
 eta = df_bound0*omega^2*phi(N) each frequency-explicit condition is equivalent
 to the corresponding level condition, which in turn implies the classical
-single-inequality criterion. The largest sustainable N solves
+single-inequality criterion. optimizer.run_multilevel decides each
+refinement with the frequency-explicit check alone (check_omega_conditions),
+which cross-checks the level conditions. The largest sustainable N solves
 
     (4+eps)*phi(N) - 2^{-5/2} omega^-2 (df_bound0^2 df_lip0)^-1 exp(-3*E) = 0;
 
@@ -69,81 +72,43 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # largest exponent fed to exp() anywhere in the calculus
+_N_MAX_CAP = 1e9  # solve_n_max reports "unbounded" when still sustainable here
+_N_MAX_SCAN_POINTS = 4096
+_MAX_HALVINGS = 200  # of omega^2 in find_omega_for_rho
 DEFAULT_EXPONENT = 4.0 / 7.0
 
 
 @dataclass(frozen=True)
 class CompressionModel:
-    """Monotone-decreasing bound phi(N) on the best-approximation error.
+    """Monotone-decreasing bound phi(N) = c * N^-beta on the best-approximation
+    error; c = 0 gives the exact-representability model phi = 0."""
 
-    Power-law form phi(N) = c * N^-beta (c = 0 gives the exact-representability
-    model phi = 0), or a finite table interpolated linearly in log N.
-    """
-
-    kind: str = "power"
     c: float = 0.0
     beta: float = 1.0
-    table_n: np.ndarray | None = None
-    table_v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "power":
-            if not (0 <= self.c < np.inf and np.isfinite(self.beta)):
-                raise ConfigurationError("compression prefactor must be finite and >= 0, and the "
-                                         f"exponent finite; got {self.c}, {self.beta}")
-            if self.c > 0 and self.beta <= 0:
-                raise ConfigurationError(
-                    "a nonzero compression model must decrease in N (beta > 0); "
-                    f"got beta = {self.beta}"
-                )
-        elif self.kind == "table":
-            n = np.asarray(self.table_n, dtype=float)
-            v = np.asarray(self.table_v, dtype=float)
-            if n.ndim != 1 or n.shape != v.shape or n.size < 2:
-                raise ConfigurationError("table model needs matching N and value arrays (>= 2 entries)")
-            if not (np.isfinite(n).all() and np.isfinite(v).all()):
-                raise ConfigurationError("table N and values must be finite")
-            if (np.diff(n) <= 0).any():
-                raise ConfigurationError("table N values must be strictly increasing")
-            if (v < 0).any() or (np.diff(v) > 0).any():
-                raise ConfigurationError("table values must be nonnegative and non-increasing")
-            if v[0] > 0 and not v[-1] < v[0]:
-                raise ConfigurationError("a nonzero table model must decrease in N")
-            object.__setattr__(self, "table_n", n)
-            object.__setattr__(self, "table_v", v)
-        else:
-            raise ConfigurationError(f"unknown compression model kind {self.kind!r}")
+        if not (0 <= self.c < np.inf and np.isfinite(self.beta)):
+            raise ConfigurationError("compression prefactor must be finite and >= 0, and the "
+                                     f"exponent finite; got {self.c}, {self.beta}")
+        if self.c > 0 and self.beta <= 0:
+            raise ConfigurationError(
+                "a nonzero compression model must decrease in N (beta > 0); "
+                f"got beta = {self.beta}"
+            )
 
     @classmethod
     def power_law(cls, c: float, beta: float) -> "CompressionModel":
-        return cls(kind="power", c=c, beta=beta)
+        return cls(c=c, beta=beta)
 
     @classmethod
     def zero(cls) -> "CompressionModel":
-        return cls(kind="power", c=0.0, beta=1.0)
-
-    @classmethod
-    def from_table(cls, n_values, values) -> "CompressionModel":
-        return cls(kind="table", table_n=np.asarray(n_values, dtype=float),
-                   table_v=np.asarray(values, dtype=float))
-
-    @property
-    def max_n(self) -> float:
-        return np.inf if self.kind == "power" else float(self.table_n[-1])
+        return cls(c=0.0, beta=1.0)
 
     def __call__(self, n):
         n = np.asarray(n, dtype=float)
         if (n < 1).any():
             raise ConfigurationError("phi is defined for N >= 1")
-        if self.kind == "power":
-            out = self.c * n ** (-self.beta)
-        else:
-            if (n > self.table_n[-1]).any():
-                raise ConfigurationError(
-                    f"table compression model is only defined up to N = {self.table_n[-1]:g}"
-                )
-            out = np.interp(np.log(np.maximum(n, self.table_n[0])),
-                            np.log(self.table_n), self.table_v)
+        out = self.c * n ** (-self.beta)
         return float(out) if out.ndim == 0 else out
 
 
@@ -193,10 +158,6 @@ class LevelConstants:
     eta: float
     rho: float | None
 
-    @property
-    def omega2(self) -> float:
-        return self.bundle.omega2
-
 
 def compute_rho(curvature: float, df_bound: float, eta: float) -> float:
     """Convergence radius of the projected descent at one level.
@@ -217,10 +178,6 @@ def derive_level(bundle: ConstantsBundle, big_n: int) -> LevelConstants:
     """Evaluate every level constant at N = big_n regions."""
     if big_n < 1:
         raise ConfigurationError(f"N must be >= 1, got {big_n}")
-    if big_n > bundle.phi.max_n:
-        raise ConfigurationError(
-            f"compression table does not reach N = {big_n}"
-        )
     expo = bundle.stability_exponent(big_n)
     if 2.0 * expo > _EXP_CAP:
         raise ConfigurationError(
@@ -259,8 +216,6 @@ class TransitionDecision:
     budget_lhs: float
     budget_rhs: float
     classical_ok: bool | None      # the single-inequality criterion, when defined
-    classical_lhs: float | None
-    classical_rhs: float | None
 
     def violated(self) -> str | None:
         if self.passed:
@@ -282,7 +237,7 @@ def check_level_transition(cur: LevelConstants, nxt: LevelConstants) -> Transiti
     rhs2 = 2.0 ** (-2.5) / (nxt.df_bound * nxt.stab * nxt.curvature)
     ok2 = lhs2 <= rhs2
     passed = ok1 and ok2
-    classical_ok = classical_lhs = classical_rhs = None
+    classical_ok = None
     if ok1:
         root = np.sqrt(1.0 - contraction)
         classical_lhs = (3.0 + eps) * cur.eta
@@ -305,8 +260,6 @@ def check_level_transition(cur: LevelConstants, nxt: LevelConstants) -> Transiti
         budget_lhs=float(lhs2),
         budget_rhs=float(rhs2),
         classical_ok=classical_ok,
-        classical_lhs=None if classical_lhs is None else float(classical_lhs),
-        classical_rhs=None if classical_rhs is None else float(classical_rhs),
     )
 
 
@@ -390,22 +343,20 @@ def _nmax_lhs(bundle: ConstantsBundle, n) -> np.ndarray:
     return (4.0 + bundle.eps) * bundle.phi(n) - gain
 
 
-def solve_n_max(bundle: ConstantsBundle, cap: float = 1e9, scan_points: int = 4096) -> NMaxResult:
-    """Locate the fixed point of the refinement budget by pre-scan and bisection."""
-    cap = float(min(cap, bundle.phi.max_n))
-    if cap < 1:
-        raise ConfigurationError("scan cap must be at least 1")
+def solve_n_max(bundle: ConstantsBundle) -> NMaxResult:
+    """Locate the fixed point of the refinement budget by pre-scan and bisection
+    over N in [1, _N_MAX_CAP]."""
     grid = np.unique(np.concatenate([
-        np.arange(1, min(int(cap), 1024) + 1, dtype=float),
-        np.geomspace(1.0, cap, scan_points),
+        np.arange(1, 1025, dtype=float),
+        np.geomspace(1.0, _N_MAX_CAP, _N_MAX_SCAN_POINTS),
     ]))
     vals = _nmax_lhs(bundle, grid)
     ok = vals <= 0.0
     if not ok.any():
-        return NMaxResult(status="none", n_max=None, cap=cap)
+        return NMaxResult(status="none", n_max=None, cap=_N_MAX_CAP)
     last = int(np.nonzero(ok)[0][-1])
     if last == grid.size - 1:
-        return NMaxResult(status="unbounded", n_max=None, cap=cap)
+        return NMaxResult(status="unbounded", n_max=None, cap=_N_MAX_CAP)
     lo, hi = grid[last], grid[last + 1]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -418,7 +369,7 @@ def solve_n_max(bundle: ConstantsBundle, cap: float = 1e9, scan_points: int = 40
     n_max = int(np.floor(lo))
     while n_max > 1 and _nmax_lhs(bundle, n_max) > 0:
         n_max -= 1
-    return NMaxResult(status="bounded", n_max=n_max, cap=cap)
+    return NMaxResult(status="bounded", n_max=n_max, cap=_N_MAX_CAP)
 
 
 @dataclass(frozen=True)
@@ -452,30 +403,28 @@ def rho_vs_omega(bundle: ConstantsBundle, big_n: int, omega2_grid) -> list[RhoPo
     return rows
 
 
-def find_omega_for_rho(bundle: ConstantsBundle, big_n: int, target: float,
-                       start: float | None = None, max_halvings: int = 200):
-    """Halve omega^2 from start until the radius reaches the target; returns (omega2, rho)."""
-    w2 = bundle.omega2 if start is None else float(start)
-    for _ in range(max_halvings):
+def find_omega_for_rho(bundle: ConstantsBundle, big_n: int, target: float):
+    """Halve omega^2 from the bundle's until the radius reaches the target; returns
+    (omega2, rho)."""
+    w2 = bundle.omega2
+    for _ in range(_MAX_HALVINGS):
         rows = rho_vs_omega(bundle, big_n, [w2])
         rho = rows[0].rho
         if rho is not None and rho >= target:
             return w2, rho
         w2 *= 0.5
     raise CalibrationError(
-        f"no omega^2 with radius >= {target} found within {max_halvings} halvings"
+        f"no omega^2 with radius >= {target} found within {_MAX_HALVINGS} halvings"
     )
 
 
 def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionModel,
-              eps: float, mode: str = "empirical", df_bound0: float | None = None,
-              df_lip0: float | None = None, stab_k: float | None = None,
-              n_values=(1, 4, 16), samples: int = 12, seed: int = 0,
-              n_exponent: float = DEFAULT_EXPONENT) -> ConstantsBundle:
-    """Produce a ConstantsBundle, either echoing analytic inputs or fitting
-    the three coefficients from forward/derivative probes.
+              eps: float, mode: str = "empirical", n_values=(1, 4, 16), samples: int = 12,
+              seed: int = 0, n_exponent: float = DEFAULT_EXPONENT) -> ConstantsBundle:
+    """Fit the three coefficients of a ConstantsBundle from forward/derivative
+    probes; "empirical" is the only mode.
 
-    Empirical mode measures df_bound0 from derivative-norm probes over omega^2,
+    It measures df_bound0 from derivative-norm probes over omega^2,
     df_lip0 from derivative-difference probes over omega^4, and stab_k from the
     largest implied exponent of sampled stability ratios across region counts.
     Deterministic under the seed.
@@ -486,12 +435,6 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     the adversarial pairs once) and reads only the Hilbert-Schmidt data
     distance, so no operator-norm ratio or report is formed.
     """
-    if mode == "analytic":
-        if df_bound0 is None or df_lip0 is None or stab_k is None:
-            raise CalibrationError("analytic calibration needs df_bound0, df_lip0, and stab_k")
-        return ConstantsBundle(df_bound0=df_bound0, df_lip0=df_lip0, stab_k=stab_k,
-                               b1=b1, b2=b2, omega2=omega2, eps=eps, phi=phi,
-                               n_exponent=n_exponent, calibration="analytic")
     if mode != "empirical":
         raise CalibrationError(f"unknown calibration mode {mode!r}")
     if samples < 10:
@@ -552,9 +495,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
 
 
 def save_bundle(path, bundle: ConstantsBundle) -> None:
-    """Persist a bundle as a flat key-value file (power-law models only)."""
-    if bundle.phi.kind != "power":
-        raise ConfigurationError("only power-law compression models are persisted")
+    """Persist a bundle as a flat key-value file."""
     lines = [
         f"df_bound0 = {float(bundle.df_bound0)!r}",
         f"df_lip0 = {float(bundle.df_lip0)!r}",

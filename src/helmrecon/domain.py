@@ -163,22 +163,21 @@ def grid_laplacian(grid: Grid) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cover of the grid cells by N regions, with optional refinement links.
+    """Disjoint cover of the grid cells by N regions at one schedule level.
 
     cell_to_region assigns every grid cell a region id in [0, N). Regions of
     partitions produced by this module are square cell blocks, recorded in
     ``blocks`` as rows (i0, j0, side) in cell coordinates, sorted in raster
-    order; that order defines the region numbering.
+    order; that order defines the region numbering. No link to a coarser
+    partition is kept: nesting is a property of the two cell labellings, which
+    embed checks.
     """
 
     grid: Grid
     cell_to_region: np.ndarray
     n_regions: int
     level: int
-    r0: float
     blocks: np.ndarray | None = None
-    parent: "Partition | None" = None
-    child_to_parent: np.ndarray | None = None
 
     def __post_init__(self):
         c2r = np.ascontiguousarray(self.cell_to_region, dtype=np.int64)
@@ -187,8 +186,8 @@ class Partition:
         present = np.bincount(c2r, minlength=self.n_regions)
         if c2r.min() < 0 or c2r.max() >= self.n_regions or (present == 0).any():
             raise ConfigurationError("region ids must cover 0..N-1 with no empty region")
-        if self.n_regions < 1 or self.r0 <= 0:
-            raise ConfigurationError("need N >= 1 and r0 > 0")
+        if self.n_regions < 1:
+            raise ConfigurationError("need N >= 1")
         c2r.setflags(write=False)
         object.__setattr__(self, "cell_to_region", c2r)
         if self.blocks is not None:
@@ -216,39 +215,28 @@ class Partition:
         )
 
 
-def _blocks_to_partition(grid: Grid, blocks: list[tuple[int, int, int]], level: int,
-                         parent: Partition | None, parent_of_block) -> Partition:
-    order = sorted(range(len(blocks)), key=lambda b: (blocks[b][0], blocks[b][1]))
+def _blocks_to_partition(grid: Grid, blocks: list[tuple[int, int, int]],
+                         level: int) -> Partition:
+    sorted_blocks = sorted(blocks, key=lambda b: (b[0], b[1]))
     c2r = np.empty(grid.n_cells, dtype=np.int64)
     cps = grid.cells_per_side
-    sorted_blocks = []
-    child_to_parent = None if parent is None else np.empty(len(blocks), dtype=np.int64)
-    for rid, b in enumerate(order):
-        i0, j0, side = blocks[b]
+    for rid, (i0, j0, side) in enumerate(sorted_blocks):
         ci = np.repeat(np.arange(i0, i0 + side), side)
         cj = np.tile(np.arange(j0, j0 + side), side)
         c2r[ci * cps + cj] = rid
-        sorted_blocks.append((i0, j0, side))
-        if child_to_parent is not None:
-            child_to_parent[rid] = parent_of_block(blocks[b])
-    r0 = np.sqrt(2.0) * grid.h * min(b[2] for b in blocks)
     return Partition(
         grid=grid,
         cell_to_region=c2r,
         n_regions=len(blocks),
         level=level,
-        r0=r0,
         blocks=np.asarray(sorted_blocks, dtype=np.int64),
-        parent=parent,
-        child_to_parent=child_to_parent,
     )
 
 
 def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
     """Uniform k x k partition into N = k^2 square regions of side 1/k.
 
-    Requires k to divide the cells per side; the minimum region diameter is
-    r0 = sqrt(2)/k.
+    Requires k to divide the cells per side.
     """
     if k < 1:
         raise ConfigurationError(f"cells per side k must be >= 1, got {k}")
@@ -259,11 +247,14 @@ def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
         )
     s = grid.cells_per_side // k
     blocks = [(bi * s, bj * s, s) for bi in range(k) for bj in range(k)]
-    return _blocks_to_partition(grid, blocks, level, None, None)
+    return _blocks_to_partition(grid, blocks, level)
 
 
 def refine_partition(p: Partition, factor: int = 2) -> Partition:
-    """Split every region into factor^2 square children; records the parent map."""
+    """Split every region into factor^2 square children, one level finer.
+
+    Each child's cells lie in one region of p; no parent map is kept.
+    """
     if factor < 2:
         raise ConfigurationError(f"refinement factor must be >= 2, got {factor}")
     if p.blocks is None:
@@ -274,15 +265,12 @@ def refine_partition(p: Partition, factor: int = 2) -> Partition:
             f"(grid m={p.grid.m})"
         )
     children: list[tuple[int, int, int]] = []
-    owner: dict[tuple[int, int, int], int] = {}
-    for rid, (i0, j0, side) in enumerate(p.blocks):
+    for i0, j0, side in p.blocks:
         s = side // factor
         for a in range(factor):
             for b in range(factor):
-                blk = (i0 + a * s, j0 + b * s, s)
-                children.append(blk)
-                owner[blk] = rid
-    return _blocks_to_partition(p.grid, children, p.level + 1, p, lambda blk: owner[blk])
+                children.append((i0 + a * s, j0 + b * s, s))
+    return _blocks_to_partition(p.grid, children, p.level + 1)
 
 
 def split_region(p: Partition, region: int) -> Partition:
@@ -296,19 +284,14 @@ def split_region(p: Partition, region: int) -> Partition:
         raise ConfigurationError(f"region {region} has odd cell side {side}, cannot split")
     s = side // 2
     blocks: list[tuple[int, int, int]] = []
-    owner: dict[tuple[int, int, int], int] = {}
     for rid, (bi, bj, bs) in enumerate(p.blocks):
         if rid == region:
             for a in range(2):
                 for b in range(2):
-                    blk = (bi + a * s, bj + b * s, s)
-                    blocks.append(blk)
-                    owner[blk] = rid
+                    blocks.append((bi + a * s, bj + b * s, s))
         else:
-            blk = (int(bi), int(bj), int(bs))
-            blocks.append(blk)
-            owner[blk] = rid
-    return _blocks_to_partition(p.grid, blocks, p.level + 1, p, lambda blk: owner[blk])
+            blocks.append((int(bi), int(bj), int(bs)))
+    return _blocks_to_partition(p.grid, blocks, p.level + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,9 +331,9 @@ class PwcField:
         """Field value on every grid cell."""
         return self.coeffs[self.partition.cell_to_region]
 
-    def admissible(self, tol: float = 0.0) -> bool:
+    def admissible(self) -> bool:
         b1, b2 = self.bounds
-        return bool((self.coeffs >= b1 - tol).all() and (self.coeffs <= b2 + tol).all())
+        return bool((self.coeffs >= b1).all() and (self.coeffs <= b2).all())
 
     def with_coeffs(self, coeffs: np.ndarray) -> "PwcField":
         return PwcField(self.partition, coeffs, self.bounds)

@@ -14,8 +14,8 @@ by clamping into the coefficient box. A level stops at the discrepancy
 threshold (3+eps)*eta by default, on a nonpositive u (residual at the
 approximation floor), on a vanishing direction, or at the iteration cap.
 
-The multi-level driver checks the refinement conditions between consecutive
-schedule entries, warm-starts each level by exact embedding of the previous
+The multi-level driver checks the frequency-explicit refinement conditions
+between consecutive schedule entries, warm-starts each level by exact embedding of the previous
 exit iterate (whose residual norm and direction carry over, since the embedded
 field is the same cell field), and reports the exit error bound
 
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import ConstantsBundle, LevelConstants, check_level_transition, \
-    check_omega_conditions, derive_level
+from .constants import ConstantsBundle, LevelConstants, check_omega_conditions, derive_level
 from .derivative import apply_df_adjoint, bank_for_field, residual_from
 from .domain import NodalField, Partition, PwcField, bregman, clamp_to_bounds, embed, \
     l2_norm, project
@@ -221,11 +220,11 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
                    truth: PwcField | None = None) -> MultilevelResult:
     """Run the descent over a refinement schedule with warm starts.
 
-    Consecutive schedule entries must satisfy the frequency-explicit refinement
-    conditions; with override_level_check the direct level conditions are
-    evaluated instead and failures only warn. truth, when given (synthetic
-    experiments), enables the per-level Bregman audit against the level-best
-    approximation.
+    Each refinement between consecutive schedule entries is decided by
+    check_omega_conditions alone: a failure raises LevelConditionError, or,
+    with override_level_check, adds the same violation text to the warnings
+    with the suffix "(overridden)". truth, when given (synthetic experiments),
+    enables the per-level Bregman audit against the level-best approximation.
     """
     if not schedule:
         raise ConfigurationError("schedule must contain at least one partition")
@@ -243,19 +242,16 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
     warnings: list[str] = []
     for n in range(n_levels - 1):
         n_cur, n_next = schedule[n].n_regions, schedule[n + 1].n_regions
-        if override_level_check:
-            decision = check_level_transition(constants[n], constants[n + 1])
-            if not decision.passed:
-                warnings.append(
-                    f"level {n} -> {n + 1} (N {n_cur} -> {n_next}): {decision.violated()} "
-                    f"(overridden)"
-                )
-        else:
-            decision = check_omega_conditions(bundle, n_cur, n_next)
-            if not decision.passed:
-                raise LevelConditionError(
-                    f"refinement N {n_cur} -> {n_next} refused: {decision.violated()}"
-                )
+        decision = check_omega_conditions(bundle, n_cur, n_next)
+        if decision.passed:
+            continue
+        if not override_level_check:
+            raise LevelConditionError(
+                f"refinement N {n_cur} -> {n_next} refused: {decision.violated()}"
+            )
+        warnings.append(
+            f"level {n} -> {n + 1} (N {n_cur} -> {n_next}): {decision.violated()} (overridden)"
+        )
 
     runs: list[LevelRun] = []
     current, warm = start, None

@@ -3,6 +3,7 @@ import pytest
 
 from helmrecon import cli
 from helmrecon.cli import main
+from helmrecon.config import load_config
 
 BASE = """\
 [grid]
@@ -81,6 +82,30 @@ def test_unknown_subcommand_exits_64(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x"])
     assert exc.value.code == 64
+
+
+def test_override_level_check_is_a_reconstruct_option(tmp_path):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--override-level-check"])
+    assert exc.value.code == 64
+
+
+def test_config_bundle_echoes_analytic_inputs(tmp_path):
+    text = BASE.replace("lhat0 = 1.0\nl0 = 0.001\nk = 0.0001", "lhat0 = 2.0\nl0 = 3.0\nk = 0.4")
+    b = load_config(write_config(tmp_path, text)).bundle()
+    assert (b.df_bound0, b.df_lip0, b.stab_k) == (2.0, 3.0, 0.4)
+    assert b.calibration == "analytic"
+
+
+@pytest.mark.parametrize("old, new", [("lhat0 = 1.0\n", ""), ("l0 = 0.001", "l0 = -1")],
+                         ids=["no_lhat0", "negative_l0"])
+def test_bad_analytic_bundle_exits_64_before_any_solve(tmp_path, monkeypatch, old, new):
+    calls = []
+    monkeypatch.setattr(cli, "dtn_for_field", lambda *args, **kwargs: calls.append(args))
+    cfg = write_config(tmp_path, BASE.replace(old, new))
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+    assert calls == []
 
 
 def test_reconstruct_exactly_representable_truth_stops_at_once(tmp_path):

@@ -54,26 +54,11 @@ def test_compression_model_zero_allowed():
     assert phi(1) == 0.0 and phi(1000) == 0.0
 
 
-def test_compression_table_monotonicity_enforced():
-    with pytest.raises(ConfigurationError):
-        CompressionModel.from_table([1, 4, 16], [0.5, 0.7, 0.1])
-    phi = CompressionModel.from_table([1, 4, 16], [0.5, 0.2, 0.1])
-    assert phi(1) == 0.5 and phi(16) == pytest.approx(0.1)
-    assert 0.1 < phi(8) < 0.5
-
-
 @pytest.mark.parametrize("c, beta", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan),
                                      (1.0, np.inf)])
 def test_compression_model_rejects_non_finite_power_law(c, beta):
     with pytest.raises(ConfigurationError, match="finite"):
         CompressionModel.power_law(c, beta)
-
-
-def test_compression_table_rejects_non_finite_entries():
-    with pytest.raises(ConfigurationError, match="finite"):
-        CompressionModel.from_table([1, 4, 16], [0.5, np.nan, 0.1])
-    with pytest.raises(ConfigurationError, match="finite"):
-        CompressionModel.from_table([1, 4, np.inf], [0.5, 0.2, 0.1])
 
 
 @pytest.mark.parametrize("name", ["df_bound0", "df_lip0", "stab_k", "eps"])
@@ -365,13 +350,6 @@ def test_find_omega_reaches_any_target():
 
 
 # ---------------------------------------------------------------- calibrate
-
-
-def test_calibrate_analytic_echoes_inputs():
-    b = calibrate(Grid(17), 1.0, 1.0, 2.0, phi=CompressionModel.zero(), eps=0.1,
-                  mode="analytic", df_bound0=2.0, df_lip0=3.0, stab_k=0.4)
-    assert (b.df_bound0, b.df_lip0, b.stab_k) == (2.0, 3.0, 0.4)
-    assert b.calibration == "analytic"
 
 
 def test_calibrate_empirical_deterministic_and_positive():

@@ -402,7 +402,7 @@ def test_pivot_test_pools_every_factor(monkeypatch, at):
 def test_block_size_one_without_square_blocks():
     g = Grid(9)
     base = make_uniform_partition(g, 2)
-    raw = Partition(g, base.cell_to_region, base.n_regions, 0, base.r0)
+    raw = Partition(g, base.cell_to_region, base.n_regions, 0)
     op = HelmholtzOperator(PwcField(raw, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)
     assert op.block_size == 1
     ref = HelmholtzOperator(PwcField(base, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)

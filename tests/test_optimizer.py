@@ -14,6 +14,7 @@ from helmrecon import (
     PwcField,
     bregman,
     build_boundary_weights,
+    check_omega_conditions,
     clamp_to_bounds,
     derive_level,
     dtn_for_field,
@@ -131,7 +132,7 @@ def test_run_level_mu_invariant_and_z_membership(problem17, monkeypatch):
                        rtol=1e-12)
     assert len(evaluated) == run.k_stop + 1
     for field in evaluated:
-        assert field.admissible(tol=1e-12)
+        assert field.admissible()
 
 
 def test_run_level_bregman_audit_nonincreasing(problem17):
@@ -184,13 +185,16 @@ def test_multilevel_refuses_bad_schedule_and_override_downgrades(problem17):
     bad = ConstantsBundle(df_bound0=1.0, df_lip0=1.0, stab_k=0.3, b1=B1, b2=B2,
                           omega2=W2, eps=0.1, phi=CompressionModel.power_law(0.9, 0.1))
     start = PwcField(p1, np.array([1.5]), (B1, B2))
-    with pytest.raises(LevelConditionError, match="refused"):
+    # one decision for both: the warning carries the refusal's violation text
+    violated = check_omega_conditions(bad, 1, 4).violated()
+    with pytest.raises(LevelConditionError) as exc:
         run_multilevel([p1, p2], bad, data, start, max_iter=1)
+    assert str(exc.value) == f"refinement N 1 -> 4 refused: {violated}"
     result = run_multilevel([p1, p2], bad, data, start, max_iter=[1, 1],
                             eta_overrides=[0.0, 0.0],
                             discrepancy_thresholds=[1e-8, 1e-8],
                             override_level_check=True)
-    assert any("overridden" in w for w in result.warnings)
+    assert f"level 0 -> 1 (N 1 -> 4): {violated} (overridden)" in result.warnings
 
 
 def test_run_log_csv_format(problem17, tmp_path):
