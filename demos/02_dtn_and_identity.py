@@ -35,8 +35,7 @@ print(f"boundary weights: w_plus @ 1 == h_b (max dev "
 
 print()
 print("== identity audit over 50 random boundary pairs ==")
-good = audit_alessandrini(c1, c2, 5.0, trials=50, seed=1, weights=weights)
-bad = audit_alessandrini(c1, c2, 5.0, trials=50, seed=1, weights=weights,
-                         variant="one_sided")
+good = audit_alessandrini(c1, c2, 5.0, trials=50, seed=1)
+bad = audit_alessandrini(c1, c2, 5.0, trials=50, seed=1, variant="one_sided")
 print(f"variational flux: max relative defect {good:.2e}")
 print(f"one-sided flux:   max relative defect {bad:.2e}  <- why the variational trace matters")

@@ -18,10 +18,9 @@ from . import optimizer as opt
 from . import verify as ver
 from .config import ExperimentConfig, load_config
 from .derivative import indicator_probes
-from .domain import PwcField, l2_dist, l2_norm, save_field
+from .domain import PwcField, l2_dist, l2_norm, make_uniform_partition, save_field
 from .errors import (
     AdmissibilityError,
-    CalibrationError,
     ConfigurationError,
     HelmreconError,
     LevelConditionError,
@@ -42,21 +41,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _outdir(cfg: ExperimentConfig, override: str | None) -> str:
+def _snapshot(cfg: ExperimentConfig, override: str | None) -> str:
+    """The output directory (--out, else [run] out), made if missing and given a
+    config.ini snapshot: the prelude of every command."""
     out = override or cfg.out
     if not out:
         raise ConfigurationError("no output directory: set [run] out or pass --out")
     os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(cfg.raw_text)
     return out
 
 
-def _snapshot(cfg: ExperimentConfig, out: str) -> None:
-    with open(os.path.join(out, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.raw_text)
-
-
-def cmd_forward(cfg: ExperimentConfig, out: str) -> int:
-    _snapshot(cfg, out)
+def cmd_forward(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     truth = cfg.truth_field()
     weights = build_boundary_weights(cfg.grid)
     dtn = dtn_for_field(truth, cfg.omega2, weights=weights)
@@ -67,10 +64,9 @@ def cmd_forward(cfg: ExperimentConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: ExperimentConfig, out: str, override_level_check: bool) -> int:
-    _snapshot(cfg, out)
+def cmd_reconstruct(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     truth = cfg.truth_field()
-    schedule = cfg.schedule_partitions()
+    schedule = cfg.schedule
     bundle = cfg.bundle()  # refuses a bad analytic bundle before any solve
     weights = build_boundary_weights(cfg.grid)
     data = dtn_for_field(truth, cfg.omega2, weights=weights)
@@ -81,7 +77,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, override_level_check: bool)
     taus = None if cfg.discrepancy_threshold is None else [cfg.discrepancy_threshold] * n_levels
     result = opt.run_multilevel(schedule, bundle, data, start, max_iter=cfg.max_iter,
                                 eta_overrides=etas, discrepancy_thresholds=taus,
-                                override_level_check=override_level_check, truth=truth)
+                                override_level_check=args.override_level_check,
+                                truth=truth)
     for n, run in enumerate(result.runs):
         opt.write_run_log(os.path.join(out, f"level{n}.csv"), run)
     save_field(os.path.join(out, "final_field.txt"), result.final)
@@ -94,20 +91,16 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, override_level_check: bool)
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
-    _snapshot(cfg, out)
+def cmd_verify(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
     weights = build_boundary_weights(grid)
     results: list[tuple[str, bool, str]] = []
 
-    k = 2 if grid.cells_per_side % 2 == 0 else 1
-    from .domain import make_uniform_partition
-    part = make_uniform_partition(grid, k)
+    part = make_uniform_partition(grid, 2 if grid.cells_per_side % 2 == 0 else 1)
     c1 = PwcField(part, rng.uniform(cfg.b1, cfg.b2, part.n_regions), (cfg.b1, cfg.b2))
     c2 = PwcField(part, rng.uniform(cfg.b1, cfg.b2, part.n_regions), (cfg.b1, cfg.b2))
-    defect = ver.audit_alessandrini(c1, c2, cfg.omega2, trials=cfg.trials,
-                                    seed=cfg.seed, weights=weights)
+    defect = ver.audit_alessandrini(c1, c2, cfg.omega2, trials=cfg.trials, seed=cfg.seed)
     results.append(("alessandrini_identity", defect <= 1e-9, f"max relative defect {defect:.3e}"))
 
     mid = 0.5 * (cfg.b1 + cfg.b2)
@@ -137,10 +130,9 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
-    _snapshot(cfg, out)
+def cmd_constants(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     bundle = cfg.bundle()
-    big_n = cfg.schedule_n[min(1, len(cfg.schedule_n) - 1)]
+    big_n = cfg.schedule[min(1, len(cfg.schedule) - 1)].n_regions
     grid_w2 = [cfg.omega2 * 0.5 ** i for i in range(12)]
     rows = con.rho_vs_omega(bundle, big_n, grid_w2)
     con.write_rho_table(os.path.join(out, "rho_vs_omega.csv"), rows)
@@ -157,11 +149,8 @@ def cmd_constants(cfg: ExperimentConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
-    _snapshot(cfg, out)
-    bundle = con.calibrate(cfg.grid, cfg.omega2, cfg.b1, cfg.b2, phi=cfg.phi,
-                           eps=cfg.eps, mode="empirical", seed=cfg.bundle_seed,
-                           samples=cfg.bundle_samples, n_exponent=cfg.n_exponent)
+def cmd_calibrate(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
+    bundle = cfg.calibrated_bundle()
     con.save_bundle(os.path.join(out, "bundle.txt"), bundle)
     print(f"calibrated bundle written to {out}/bundle.txt "
           f"(df_bound0={bundle.df_bound0:.3e}, df_lip0={bundle.df_lip0:.3e}, "
@@ -169,12 +158,21 @@ def cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "forward": cmd_forward,
+    "reconstruct": cmd_reconstruct,
+    "verify": cmd_verify,
+    "constants": cmd_constants,
+    "calibrate": cmd_calibrate,
+}
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="helmrecon",
                      description="Piecewise-constant squared-slowness reconstruction "
                                  "from Dirichlet-to-Neumann data")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("forward", "reconstruct", "verify", "constants", "calibrate"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--out", default=None, help="output directory")
@@ -191,25 +189,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.bundle_seed = args.seed
-        out = _outdir(cfg, args.out)
-        if args.command == "forward":
-            return cmd_forward(cfg, out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, out, args.override_level_check)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "constants":
-            return cmd_constants(cfg, out)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        out = _snapshot(cfg, args.out)
+        return COMMANDS[args.command](cfg, out, args)
     except (AdmissibilityError, NearEigenfrequencyError, LevelConditionError) as exc:
         print(f"admissibility error: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigurationError, CalibrationError, HelmreconError) as exc:
+    except HelmreconError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

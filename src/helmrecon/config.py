@@ -6,8 +6,10 @@ Schema (sections and keys; * marks required):
     [problem]   omega2*, b1*, b2*
     [truth]     k (regions per side of the truth partition) and values
                 (region coefficients, row-major, each in [b1, b2]), or file
-                (a pwc field file, checked against the box when read)
-    [schedule]  levels* (space-separated region counts, each a square number)
+                (a pwc field file, read and checked against the box only by
+                the commands that use the truth)
+    [schedule]  levels* (space-separated, nondecreasing region counts, each a
+                square k^2 with k dividing the cells per side)
     [bundle]    mode (analytic|calibrate), lhat0/l0/k (df_bound0, df_lip0,
                 stab_k; required when a command builds an analytic bundle),
                 phi_c, phi_beta (power-law compression), eps*,
@@ -19,8 +21,9 @@ Integer keys (max_iter, seed, trials, samples) refuse fractional and negative
 values. eta_override and discrepancy_threshold must be finite and >= 0.
 
 Unknown keys are rejected so typos fail loudly. Validation happens before any
-solve: the frequency guard, partition divisibility, and compression model
-monotonicity are all checked at parse time.
+solve: the frequency guard, the schedule and inline truth partitions, the
+inline truth field's box and the compression model are all checked at parse
+time, and the parsed config keeps the partitions and the field it built.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CompressionModel, ConstantsBundle, calibrate
-from .domain import Grid, PwcField, load_pwc_field, make_uniform_partition, pwc_file_header
+from .constants import DEFAULT_EXPONENT, CompressionModel, ConstantsBundle, calibrate
+from .domain import (Grid, Partition, PwcField, load_pwc_field, make_uniform_partition,
+                     pwc_file_header, uniform_partition)
 from .errors import ConfigurationError
 from .forward import spectrum_guard
 
@@ -52,16 +56,17 @@ _KNOWN_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description. schedule holds the
+    partitions of [schedule] levels (level n at index n), truth the field of an
+    inline [truth] k/values; a [truth] file is read by truth_field() alone."""
 
     grid: Grid
     omega2: float
     b1: float
     b2: float
-    truth_k: int | None
-    truth_values: np.ndarray | None
+    truth: PwcField | None
     truth_file: str | None
-    schedule_n: list[int]
+    schedule: list[Partition]
     bundle_mode: str
     bundle_lhat0: float | None
     bundle_l0: float | None
@@ -82,29 +87,24 @@ class ExperimentConfig:
 
     def truth_field(self) -> PwcField:
         if self.truth_file is not None:
-            # the file header pins N; rebuild the matching uniform partition
+            # the file header pins N and the level; rebuild the matching uniform partition
             n, level = pwc_file_header(self.truth_file)
-            k = int(round(np.sqrt(n)))
-            part = make_uniform_partition(self.grid, k, level=level)
+            part = uniform_partition(self.grid, n, level=level)
             return load_pwc_field(self.truth_file, part, (self.b1, self.b2))
-        if self.truth_k is None or self.truth_values is None:
+        if self.truth is None:
             raise ConfigurationError("config has no [truth] section with k/values or file")
-        part = make_uniform_partition(self.grid, self.truth_k)
-        return PwcField(part, self.truth_values, (self.b1, self.b2))
+        return self.truth
 
-    def schedule_partitions(self) -> list:
-        parts = []
-        for n in self.schedule_n:
-            k = int(round(np.sqrt(n)))
-            parts.append(make_uniform_partition(self.grid, k, level=len(parts)))
-        return parts
+    def calibrated_bundle(self) -> ConstantsBundle:
+        """An empirical calibration at the config's grid, frequency and box."""
+        return calibrate(self.grid, self.omega2, self.b1, self.b2, phi=self.phi,
+                         eps=self.eps, mode="empirical", seed=self.bundle_seed,
+                         samples=self.bundle_samples, n_exponent=self.n_exponent)
 
     def bundle(self) -> ConstantsBundle:
         """The analytic bundle of lhat0/l0/k, or an empirical calibration."""
         if self.bundle_mode == "calibrate":
-            return calibrate(self.grid, self.omega2, self.b1, self.b2, phi=self.phi,
-                             eps=self.eps, mode="empirical", seed=self.bundle_seed,
-                             samples=self.bundle_samples, n_exponent=self.n_exponent)
+            return self.calibrated_bundle()
         if None in (self.bundle_lhat0, self.bundle_l0, self.bundle_k):
             raise ConfigurationError("an analytic [bundle] needs lhat0, l0 and k")
         return ConstantsBundle(df_bound0=self.bundle_lhat0, df_lip0=self.bundle_l0,
@@ -117,11 +117,9 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = sorted(set(parser[section]) - _KNOWN_KEYS[section])
         if unknown:
-            raise ConfigurationError(
-                f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
-            )
+            raise ConfigurationError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def _get_int(parser: configparser.ConfigParser, section: str, key: str, fallback: int,
@@ -159,55 +157,36 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
     grid = Grid(m)
     spectrum_guard(omega2, b1, b2)
 
-    truth_k = truth_values = truth_file = None
-    if parser.has_section("truth"):
-        if parser.has_option("truth", "file"):
-            truth_file = parser.get("truth", "file")
-        else:
-            truth_k = parser.getint("truth", "k")
-            truth_values = np.array(
-                [float(tok) for tok in parser.get("truth", "values").split()]
-            )
-            if truth_values.size != truth_k ** 2:
-                raise ConfigurationError(
-                    f"[truth] expects {truth_k ** 2} values for k={truth_k}, "
-                    f"got {truth_values.size}"
-                )
-            make_uniform_partition(grid, truth_k)  # divisibility check
-            if not ((truth_values >= b1) & (truth_values <= b2)).all():
-                raise ConfigurationError(
-                    f"[truth] values must lie in the box [{b1}, {b2}] that the frequency "
-                    f"guard certifies, got {truth_values.min()} to {truth_values.max()}")
+    truth = None
+    truth_file = parser.get("truth", "file", fallback=None)
+    if parser.has_section("truth") and truth_file is None:
+        k = parser.getint("truth", "k")
+        values = np.array([float(tok) for tok in parser.get("truth", "values").split()])
+        if values.size != k ** 2:
+            raise ConfigurationError(f"[truth] k={k} needs {k ** 2} values, got {values.size}")
+        truth = PwcField(make_uniform_partition(grid, k), values, (b1, b2))
+        if not truth.admissible():
+            raise ConfigurationError(f"[truth] values must lie in the box [{b1}, {b2}] that the "
+                                     f"frequency guard certifies, got {values.min()} to "
+                                     f"{values.max()}")
 
-    if not parser.has_option("schedule", "levels"):
-        raise ConfigurationError("config needs [schedule] levels")
-    schedule_n = [int(tok) for tok in parser.get("schedule", "levels").split()]
-    if not schedule_n:
+    schedule = []
+    for tok in parser.get("schedule", "levels").split():
+        schedule.append(uniform_partition(grid, int(tok), level=len(schedule)))
+    if not schedule:
         raise ConfigurationError("[schedule] levels must not be empty")
-    for n in schedule_n:
-        k = math.isqrt(n)
-        if k * k != n:
-            raise ConfigurationError(f"schedule entry {n} is not a square region count")
-        make_uniform_partition(grid, k)
-    if any(b < a for a, b in zip(schedule_n, schedule_n[1:])):
+    if any(b.n_regions < a.n_regions for a, b in zip(schedule, schedule[1:])):
         raise ConfigurationError("schedule region counts must be nondecreasing")
 
-    get_b = lambda key, fallback=None: (
-        parser.getfloat("bundle", key) if parser.has_option("bundle", key) else fallback
-    )
     mode = parser.get("bundle", "mode", fallback="analytic")
     if mode not in ("analytic", "calibrate"):
         raise ConfigurationError(f"bundle mode must be analytic or calibrate, got {mode!r}")
-    eps = get_b("eps")
-    if eps is None:
-        raise ConfigurationError("config needs [bundle] eps")
-    phi = CompressionModel.power_law(get_b("phi_c", 0.0), get_b("phi_beta", 1.0))
+    eps = parser.getfloat("bundle", "eps")
+    phi = CompressionModel.power_law(parser.getfloat("bundle", "phi_c", fallback=0.0),
+                                     parser.getfloat("bundle", "phi_beta", fallback=1.0))
 
-    get_r = lambda key, fallback=None: (
-        parser.getfloat("run", key) if parser.has_option("run", key) else fallback
-    )
-    out = parser.get("run", "out", fallback=None)
-    eta_override, tau = get_r("eta_override"), get_r("discrepancy_threshold")
+    eta_override = parser.getfloat("run", "eta_override", fallback=None)
+    tau = parser.getfloat("run", "discrepancy_threshold", fallback=None)
     for key, value in (("eta_override", eta_override), ("discrepancy_threshold", tau)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigurationError(f"[run] {key} must be finite and >= 0, got {value}")
@@ -217,25 +196,24 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
         omega2=omega2,
         b1=b1,
         b2=b2,
-        truth_k=truth_k,
-        truth_values=truth_values,
+        truth=truth,
         truth_file=truth_file,
-        schedule_n=schedule_n,
+        schedule=schedule,
         bundle_mode=mode,
-        bundle_lhat0=get_b("lhat0"),
-        bundle_l0=get_b("l0"),
-        bundle_k=get_b("k"),
+        bundle_lhat0=parser.getfloat("bundle", "lhat0", fallback=None),
+        bundle_l0=parser.getfloat("bundle", "l0", fallback=None),
+        bundle_k=parser.getfloat("bundle", "k", fallback=None),
         phi=phi,
         eps=eps,
-        n_exponent=get_b("n_exponent", 4.0 / 7.0),
+        n_exponent=parser.getfloat("bundle", "n_exponent", fallback=DEFAULT_EXPONENT),
         bundle_seed=_get_int(parser, "bundle", "seed", 0),
         bundle_samples=_get_int(parser, "bundle", "samples", 12),
         max_iter=_get_int(parser, "run", "max_iter", 500),
         seed=_get_int(parser, "run", "seed", 0),
-        out=out,
+        out=parser.get("run", "out", fallback=None),
         eta_override=eta_override,
         discrepancy_threshold=tau,
         trials=_get_int(parser, "run", "trials", 20, least=1),
-        target_rho=get_r("target_rho", 1e3),
+        target_rho=parser.getfloat("run", "target_rho", fallback=1e3),
         raw_text=text,
     )

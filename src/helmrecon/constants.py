@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import parse_number
+from .domain import open_text, parse_number
 from .errors import AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError
 from .forward import spectrum_guard
 
@@ -141,8 +141,14 @@ class ConstantsBundle:
             raise ConfigurationError(f"stability exponent must lie in (0, 1], got {self.n_exponent}")
         spectrum_guard(self.omega2, self.b1, self.b2)  # also checks the bounds
 
-    def stability_exponent(self, big_n: float) -> float:
-        return self.stab_k * (1.0 + self.omega2 * self.b2) * float(big_n) ** self.n_exponent
+    def stability_exponent(self, big_n):
+        """E = stab_k (1 + omega^2 B2) N^e, for a number or an array of N."""
+        return self.stab_k * (1.0 + self.omega2 * self.b2) * big_n ** self.n_exponent
+
+    def budget(self, expo):
+        """The refinement budget 2^{-5/2} omega^-2 (df_bound0^2 df_lip0)^-1 exp(-3 E)."""
+        return (2.0 ** (-2.5) / self.omega2 / (self.df_bound0 ** 2 * self.df_lip0)
+                * np.exp(-3.0 * expo))
 
 
 @dataclass(frozen=True)
@@ -290,13 +296,10 @@ def check_omega_conditions(bundle: ConstantsBundle, n_cur: int, n_next: int) -> 
     if n_next < n_cur:
         raise ConfigurationError(f"refinement must not shrink N: {n_cur} -> {n_next}")
     expo = bundle.stability_exponent(n_next)
-    om2 = bundle.omega2
     first_lhs = bundle.phi(n_next) - (
-        0.125 / om2 / (bundle.df_lip0 * bundle.df_bound0) * np.exp(-2.0 * expo)
-    )
-    second_lhs = (3.0 + bundle.eps) * bundle.phi(n_cur) + bundle.phi(n_next) - (
-        2.0 ** (-2.5) / om2 / (bundle.df_bound0 ** 2 * bundle.df_lip0) * np.exp(-3.0 * expo)
-    )
+        0.125 / bundle.omega2 / (bundle.df_lip0 * bundle.df_bound0) * np.exp(-2.0 * expo))
+    second_lhs = ((3.0 + bundle.eps) * bundle.phi(n_cur) + bundle.phi(n_next)
+                  - bundle.budget(expo))
     first_ok = first_lhs < 0.0
     second_ok = second_lhs <= 0.0
     decision = OmegaDecision(
@@ -337,10 +340,8 @@ class NMaxResult:
 
 def _nmax_lhs(bundle: ConstantsBundle, n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    expo = bundle.stab_k * (1.0 + bundle.omega2 * bundle.b2) * n ** bundle.n_exponent
-    gain = (2.0 ** (-2.5) / bundle.omega2 / (bundle.df_bound0 ** 2 * bundle.df_lip0)
-            * np.exp(-3.0 * np.minimum(expo, _EXP_CAP)))
-    return (4.0 + bundle.eps) * bundle.phi(n) - gain
+    expo = np.minimum(bundle.stability_exponent(n), _EXP_CAP)
+    return (4.0 + bundle.eps) * bundle.phi(n) - bundle.budget(expo)
 
 
 def solve_n_max(bundle: ConstantsBundle) -> NMaxResult:
@@ -440,7 +441,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     if samples < 10:
         raise CalibrationError(f"empirical calibration needs at least 10 sample pairs, got {samples}")
 
-    from .domain import PwcField, l2_dist, make_uniform_partition
+    from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
     from .forward import build_boundary_weights
     from .verify import _implied_exponent, _stability_sweep
@@ -472,9 +473,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
         best_lip = max(best_lip, ratio / (omega2 ** 2 * dist))
     fitted_lip = best_lip
 
-    feasible_n = [n for n in n_values
-                  if int(round(np.sqrt(n))) ** 2 == n
-                  and grid.cells_per_side % int(round(np.sqrt(n))) == 0]
+    feasible_n = [n for n in n_values if tiles(grid, n)]
     if not feasible_n:
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
     sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
@@ -513,15 +512,27 @@ def save_bundle(path, bundle: ConstantsBundle) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_BUNDLE_KEYS = {"df_bound0", "df_lip0", "stab_k", "b1", "b2", "omega2", "eps", "phi_c",
+                "phi_beta", "n_exponent", "calibration"}
+
+
 def load_bundle(path) -> ConstantsBundle:
+    """Read a bundle file: 'key = value' lines, each known key at most once;
+    blank lines and '#' comments are skipped."""
     kv = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in _BUNDLE_KEYS:
+                raise ConfigurationError(f"{path}: {line!r} is not a 'key = value' line "
+                                         "with a bundle key")
+            if key in kv:
+                raise ConfigurationError(f"{path}: bundle key {key!r} is given twice")
+            kv[key] = value.strip()
     num = lambda key: parse_number(path, kv[key])
     try:
         return ConstantsBundle(

@@ -27,7 +27,7 @@ symmetric part of P, so P needs no folding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -58,24 +58,22 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Residual:
-    """DtN-space residual R = F(c) - y with its data norm attached, and the
-    pulled-back residual P = w_minus R w_minus that the adjoint reads, formed
-    once with the norm (forward.pulled_back)."""
+    """Data norm and pulled-back residual P = w_minus R w_minus of a DtN-space
+    residual R = F(c) - y, formed together (forward.pulled_back). P is what
+    the adjoint reads; R itself is not kept."""
 
-    matrix: np.ndarray
+    matrix: InitVar[np.ndarray]
     weights: BoundaryWeights
     norm: float = field(init=False)
     pulled: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=float)
+    def __post_init__(self, matrix):
+        mat = np.ascontiguousarray(matrix, dtype=float)
         nb = self.weights.nb
         if mat.shape != (nb, nb):
             raise DiscretizationMismatchError(f"residual must be {nb} square, got {mat.shape}")
-        mat.setflags(write=False)
         pulled, norm = pulled_back(mat, self.weights)
         pulled.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "pulled", pulled)
         object.__setattr__(self, "norm", norm)
 

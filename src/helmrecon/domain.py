@@ -16,6 +16,8 @@ Everything here is immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -248,6 +250,20 @@ def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
     s = grid.cells_per_side // k
     blocks = [(bi * s, bj * s, s) for bi in range(k) for bj in range(k)]
     return _blocks_to_partition(grid, blocks, level)
+
+
+def tiles(grid: Grid, n: int) -> bool:
+    """Whether n = k^2 regions tile the grid uniformly: k divides the cells per side."""
+    k = math.isqrt(max(n, 0))
+    return n >= 1 and k * k == n and grid.cells_per_side % k == 0
+
+
+def uniform_partition(grid: Grid, n: int, level: int = 0) -> Partition:
+    """The uniform partition into n regions (ConfigurationError unless tiles(grid, n))."""
+    if not tiles(grid, n):
+        raise ConfigurationError(f"{n} regions do not tile grid m={grid.m}: N must be k^2 "
+                                 f"with k dividing the {grid.cells_per_side} cells per side")
+    return make_uniform_partition(grid, math.isqrt(n), level)
 
 
 def refine_partition(p: Partition, factor: int = 2) -> Partition:
@@ -499,9 +515,19 @@ def expect_end(fh, path) -> None:
         raise ConfigurationError(f"{path}: unexpected data after the declared entries")
 
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; other bytes raise ConfigurationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def pwc_file_header(path) -> tuple[int, int]:
     """(N, level) from the header of a piecewise-constant field file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
     if n < 1:
         raise ConfigurationError(f"{path}: region count must be positive, got {n}")
@@ -511,7 +537,7 @@ def pwc_file_header(path) -> tuple[int, int]:
 def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> PwcField:
     """Read a pwc file: N lines 'region coeff', each region exactly once, each
     coefficient inside bounds (ConfigurationError otherwise)."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
         if n != partition.n_regions:
             raise DiscretizationMismatchError(
@@ -542,7 +568,7 @@ def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> P
 def load_nodal_field(path, grid: Grid) -> NodalField:
     """Read a nodal file: m^2 row-major values after the header, in any
     whitespace layout."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         (m,) = read_header(fh, path, "nodal <m>", (int,))
         if m != grid.m:
             raise DiscretizationMismatchError(f"{path}: file has m={m}, grid has m={grid.m}")

@@ -85,6 +85,7 @@ from .domain import (
     expect_end,
     mass_scatter_matrix,
     node_quad_weights,
+    open_text,
     read_header,
     read_rows,
 )
@@ -1080,7 +1081,7 @@ def save_dtn(path, dtn: DtnMatrix) -> None:
 
 
 def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         nb, omega2 = read_header(fh, path, "dtn <nb> <omega2>", (int, float))
         if nb != weights.nb:
             raise DiscretizationMismatchError(f"{path}: file nb={nb}, weights nb={weights.nb}")
@@ -1103,7 +1104,7 @@ def load_weights(path, grid: Grid) -> BoundaryWeights:
     their largest entry (ConfigurationError otherwise)."""
     expected = grid.n_boundary
     mats = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for name in ("wplus", "wminus"):
             (nb,) = read_header(fh, path, f"{name} <nb>", (int,))
             if nb != expected:

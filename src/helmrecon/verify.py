@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, PwcField, l2_dist, make_uniform_partition, mass_scatter_matrix
+from .domain import Grid, PwcField, l2_dist, mass_scatter_matrix, uniform_partition
 from .derivative import apply_df, bank_for_field
 from .errors import AdmissibilityError, ConfigurationError
 from .forward import build_boundary_weights, dtn_data_norm, dtn_for_field
@@ -26,10 +26,12 @@ __all__ = [
     "estimate_lipschitz_constant",
 ]
 
+SLOPE_MIN = 1.8  # the pass thresholds of gradient_check
+REL_TOL = 1e-5
+
 
 def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 50,
-                       seed: int = 0, variant: str = "variational",
-                       weights=None) -> float:
+                       seed: int = 0, variant: str = "variational") -> float:
     """Max relative defect of the interior-boundary product identity.
 
     For random boundary pairs (g, h), compares
@@ -49,14 +51,11 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     if c1.grid.m != c2.grid.m:
         raise ConfigurationError("fields live on different grids")
     grid = c1.grid
-    weights = build_boundary_weights(grid) if weights is None else weights
     dcells = c1.cell_values() - c2.cell_values()
     if np.all(dcells == 0):
         return 0.0
-    dtn1, bank1 = dtn_for_field(c1, omega2, weights=weights, return_solutions=True,
-                                variant=variant)
-    dtn2, bank2 = dtn_for_field(c2, omega2, weights=weights, return_solutions=True,
-                                variant=variant)
+    dtn1, bank1 = dtn_for_field(c1, omega2, return_solutions=True, variant=variant)
+    dtn2, bank2 = dtn_for_field(c2, omega2, return_solutions=True, variant=variant)
     s = np.asarray(mass_scatter_matrix(grid) @ dcells)
     rng = np.random.default_rng(seed)
     nb = grid.n_boundary
@@ -86,16 +85,17 @@ class GradientCheckRow:
 
 
 def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-3),
-                   weights=None, slope_min: float = 1.8,
-                   rel_tol: float = 1e-5) -> list[GradientCheckRow]:
+                   weights=None) -> list[GradientCheckRow]:
     """Central-difference audit of the derivative along given directions.
 
     Per direction, reports the log-log slope of || (F(c+t d) - F(c-t d))/(2t)
     - DF(d) ||_Y against t (central differencing gives slope 2) and the
-    relative error at the smallest t. Perturbed solves run the frequency guard
-    at bounds widened to cover the perturbed coefficients; t shrinks
-    automatically if a perturbation lands in a forbidden band. Every direction
-    must be a PwcField on c's partition (ConfigurationError otherwise).
+    relative error at the smallest t; a direction passes with a slope of at
+    least SLOPE_MIN and a relative error of at most REL_TOL. Perturbed solves
+    run the frequency guard at bounds widened to cover the perturbed
+    coefficients; t shrinks automatically if a perturbation lands in a
+    forbidden band. Every direction must be a PwcField on c's partition
+    (ConfigurationError otherwise).
     """
     for delta in deltas:
         if not (isinstance(delta, PwcField) and delta.partition.same_as(c.partition)):
@@ -144,7 +144,7 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
             rel_err_smallest_t=rel,
             t_values=ts,
             errors=errs,
-            passed=bool(slope >= slope_min and rel <= rel_tol),
+            passed=bool(slope >= SLOPE_MIN and rel <= REL_TOL),
         ))
     return rows
 
@@ -185,10 +185,8 @@ class LipschitzReport:
 def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int, rng):
     """Adversarial pairs first (a deep-interior single-region bump of the
     constant mid-box field, which is each one's first field), then random pairs."""
+    part = uniform_partition(grid, big_n)
     k = int(round(np.sqrt(big_n)))
-    if k * k != big_n:
-        raise ConfigurationError(f"region count {big_n} is not a square")
-    part = make_uniform_partition(grid, k)
     mid = 0.5 * (b1 + b2)
     pairs = []
     base = np.full(big_n, mid)
@@ -224,9 +222,6 @@ def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
     rng = np.random.default_rng(seed)
     mid_lam = None
     for level, big_n in enumerate(big_ns):
-        k = int(round(np.sqrt(big_n)))
-        if k * k != big_n or grid.cells_per_side % k != 0:
-            raise ConfigurationError(f"region count {big_n} does not tile grid m={grid.m}")
         for c1, c2, kind in _stability_pairs(grid, big_n, b1, b2, samples_per_n, rng):
             if kind == "adversarial":
                 if mid_lam is None:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from helmrecon import cli
+from helmrecon import ConfigurationError, Grid, build_boundary_weights, cli, load_dtn
 from helmrecon.cli import main
 from helmrecon.config import load_config
+from helmrecon.constants import load_bundle
+from helmrecon.domain import (
+    load_nodal_field,
+    load_pwc_field,
+    make_uniform_partition,
+    pwc_file_header,
+)
+from helmrecon.forward import load_weights
 
 BASE = """\
 [grid]
@@ -182,16 +190,41 @@ BAD_TRUTH = {
     "non_finite": "pwc 1 0\n0 nan\n",
     "negative_count": "pwc -4 0\n",
     "huge_count": "pwc 100000000000000000000 0\n",
+    "not_utf8": "pwc 1 0\n0 1.5\xe9\n",  # a lone latin-1 byte raised UnicodeDecodeError
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
 def test_malformed_truth_file_exits_64(tmp_path, case):
     truth = tmp_path / "truth.txt"
-    truth.write_text(BAD_TRUTH[case])
+    truth.write_bytes(BAD_TRUTH[case].encode("latin-1"))
     text = BASE.replace("k = 1\nvalues = 1.5", f"file = {truth}")
     cfg = write_config(tmp_path, text)
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "x")]) == 64
+
+
+@pytest.mark.parametrize("load", [
+    pwc_file_header,
+    lambda path: load_pwc_field(path, make_uniform_partition(Grid(9), 1), (1.0, 2.0)),
+    lambda path: load_nodal_field(path, Grid(3)),
+    lambda path: load_dtn(path, build_boundary_weights(Grid(3))),
+    lambda path: load_weights(path, Grid(3)),
+    load_bundle,
+], ids=["pwc_file_header", "load_pwc_field", "load_nodal_field", "load_dtn", "load_weights",
+        "load_bundle"])
+def test_loaders_refuse_bytes_that_are_not_utf8(tmp_path, load):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xe9\n")
+    with pytest.raises(ConfigurationError, match="utf-8"):
+        load(path)
+
+
+def test_config_keeps_the_partitions_and_field_it_checks(tmp_path):
+    text = BASE.replace("k = 1\nvalues = 1.5", "k = 2\nvalues = 1.8 1.8 1.3 1.3")
+    cfg = load_config(write_config(tmp_path, text.replace("levels = 1", "levels = 1 4 16")))
+    assert [(p.n_regions, p.level) for p in cfg.schedule] == [(1, 0), (4, 1), (16, 2)]
+    assert cfg.truth_field() is cfg.truth
+    assert cfg.truth.coeffs.tolist() == [1.8, 1.8, 1.3, 1.3]
 
 
 def test_non_finite_truth_value_exits_64(tmp_path):

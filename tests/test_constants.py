@@ -416,6 +416,18 @@ def test_bundle_file_round_trip(tmp_path):
     assert back.phi.c == 0.25 and back.phi.beta == 1.5
 
 
+@pytest.mark.parametrize("line", ["eps = 0.2", "colour = blue", "eps 0.2"],
+                         ids=["repeated_key", "unknown_key", "no_equals_sign"])
+def test_bundle_file_rejects_malformed_lines(tmp_path, line):
+    # each of these used to load: the last repeat won, the rest were ignored
+    path = tmp_path / "bundle.txt"
+    save_bundle(path, bundle())
+    assert load_bundle(path) == bundle()
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(ConfigurationError):
+        load_bundle(path)
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
 def test_bundle_file_rejects_malformed_numbers(tmp_path, value):
     path = tmp_path / "bundle.txt"

@@ -5,7 +5,6 @@ from helmrecon import (
     ConfigurationError,
     Grid,
     PwcField,
-    build_boundary_weights,
     estimate_lipschitz_constant,
     gradient_check,
     make_uniform_partition,
@@ -39,17 +38,16 @@ def test_identity_audit_zero_for_equal_fields(fields17):
     assert audit_alessandrini(c1, c1, 5.0, trials=3, seed=0) == 0.0
 
 
-def test_identity_audit_variational_flux(fields17, weights17):
+def test_identity_audit_variational_flux(fields17):
     _, _, c1, c2 = fields17
-    defect = audit_alessandrini(c1, c2, 5.0, trials=25, seed=1, weights=weights17)
+    defect = audit_alessandrini(c1, c2, 5.0, trials=25, seed=1)
     assert defect <= 1e-9
 
 
-def test_identity_audit_degrades_with_one_sided_flux(fields17, weights17):
+def test_identity_audit_degrades_with_one_sided_flux(fields17):
     _, _, c1, c2 = fields17
-    good = audit_alessandrini(c1, c2, 5.0, trials=10, seed=1, weights=weights17)
-    bad = audit_alessandrini(c1, c2, 5.0, trials=10, seed=1, weights=weights17,
-                             variant="one_sided")
+    good = audit_alessandrini(c1, c2, 5.0, trials=10, seed=1)
+    bad = audit_alessandrini(c1, c2, 5.0, trials=10, seed=1, variant="one_sided")
     assert bad > 1e-4
     assert bad > 1e3 * max(good, 1e-300)
 
@@ -62,9 +60,8 @@ def test_identity_audit_fine_grid_pair():
     rng = np.random.default_rng(7)
     c1 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
     c2 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
-    weights = build_boundary_weights(g)
-    assert audit_alessandrini(c1, c2, 5.0, seed=7, weights=weights) <= 1e-9
-    bad = audit_alessandrini(c1, c2, 5.0, seed=7, weights=weights, variant="one_sided")
+    assert audit_alessandrini(c1, c2, 5.0, seed=7) <= 1e-9
+    bad = audit_alessandrini(c1, c2, 5.0, seed=7, variant="one_sided")
     assert bad > 1e-3
 
 
