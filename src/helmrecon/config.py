@@ -6,7 +6,8 @@ Schema (sections and keys; * marks required):
     [problem]   omega2*, b1*, b2*
     [truth]     k (regions per side of the truth partition) and values
                 (region coefficients, row-major, each in [b1, b2]), or file
-                (a pwc field file, read and checked against the box only by
+                (a pwc field file, a relative path taken from the config
+                file's directory, read and checked against the box only by
                 the commands that use the truth)
     [schedule]  levels* (space-separated, nondecreasing region counts, each a
                 square k^2 with k dividing the cells per side)
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +60,9 @@ _KNOWN_KEYS = {
 class ExperimentConfig:
     """Parsed and validated experiment description. schedule holds the
     partitions of [schedule] levels (level n at index n), truth the field of an
-    inline [truth] k/values; a [truth] file is read by truth_field() alone."""
+    inline [truth] k/values; a [truth] file, whose path truth_file holds as
+    resolved against the config file's directory, is read by truth_field()
+    alone."""
 
     grid: Grid
     omega2: float
@@ -143,13 +147,14 @@ def load_config(path) -> ExperimentConfig:
             text = fh.read()
         parser.read_string(text)
         _reject_unknown(parser)
-        return _parse(parser, text)
+        return _parse(parser, text, os.path.dirname(os.fspath(path)))
     except (configparser.Error, ValueError, OverflowError) as exc:
         # undecodable bytes, bad INI syntax or a malformed value: a configuration error
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
+def _parse(parser: configparser.ConfigParser, text: str, base: str) -> ExperimentConfig:
+    """The config of parser (text as read); base is the config file's directory."""
     m = parser.getint("grid", "m")
     omega2 = parser.getfloat("problem", "omega2")
     b1 = parser.getfloat("problem", "b1")
@@ -159,7 +164,9 @@ def _parse(parser: configparser.ConfigParser, text: str) -> ExperimentConfig:
 
     truth = None
     truth_file = parser.get("truth", "file", fallback=None)
-    if parser.has_section("truth") and truth_file is None:
+    if truth_file is not None:
+        truth_file = os.path.join(base, truth_file)  # unchanged when absolute
+    elif parser.has_section("truth"):
         k = parser.getint("truth", "k")
         values = np.array([float(tok) for tok in parser.get("truth", "values").split()])
         if values.size != k ** 2:

@@ -169,7 +169,8 @@ def compute_rho(curvature: float, df_bound: float, eta: float) -> float:
     """Convergence radius of the projected descent at one level.
 
     Defined while 8*curvature*eta <= 1 (the square root's domain); beyond that
-    the level is inadmissible.
+    the level is inadmissible. A radius below or above the float range reads
+    0.0 or inf.
     """
     x = curvature * eta
     if 8.0 * x > 1.0:
@@ -177,7 +178,8 @@ def compute_rho(curvature: float, df_bound: float, eta: float) -> float:
             f"level inadmissible: 8 * curvature * eta = {8 * x:.6g} > 1"
         )
     inner = 1.0 + np.sqrt(max(1.0 - 8.0 * x, 0.0)) - 4.0 * x
-    return float(0.5 * (2.0 * curvature * df_bound) ** (-2) * inner ** 2)
+    with np.errstate(over="ignore", under="ignore"):  # 0.0 or inf, not OverflowError
+        return float(0.5 * np.float64(2.0 * curvature * df_bound) ** -2.0 * inner ** 2)
 
 
 def derive_level(bundle: ConstantsBundle, big_n: int) -> LevelConstants:
@@ -386,7 +388,7 @@ def rho_vs_omega(bundle: ConstantsBundle, big_n: int, omega2_grid) -> list[RhoPo
 
     Inadmissible frequencies and levels are skipped with an annotation.
     rho_floor is 1/8 (curvature*df_bound)^-2, the mechanism's lower bound once
-    the contraction condition holds.
+    the contraction condition holds; it reads 0.0 where the square overflows.
     """
     rows: list[RhoPoint] = []
     for w2 in omega2_grid:
@@ -399,7 +401,8 @@ def rho_vs_omega(bundle: ConstantsBundle, big_n: int, omega2_grid) -> list[RhoPo
             rows.append(RhoPoint(float(w2), None, None,
                                  "skipped: contraction condition fails (8*curvature*eta > 1)"))
             continue
-        floor = 0.125 / (lc.curvature * lc.df_bound) ** 2
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            floor = 0.125 / np.float64(lc.curvature * lc.df_bound) ** 2  # 0.0 past overflow
         rows.append(RhoPoint(float(w2), float(lc.rho), float(floor), ""))
     return rows
 
@@ -433,8 +436,9 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     The stability fit is khat_bound of verify.estimate_lipschitz_constant at
     the same grid, seed and samples per N, taken from the same sweep of field
     pairs: it evaluates each pair's DtN difference (the mid-box base field of
-    the adversarial pairs once) and reads only the Hilbert-Schmidt data
-    distance, so no operator-norm ratio or report is formed.
+    the adversarial pairs not again: the derivative-bound fit's last field is
+    that field) and reads only the Hilbert-Schmidt data distance, so no
+    operator-norm ratio or report is formed.
     """
     if mode != "empirical":
         raise CalibrationError(f"unknown calibration mode {mode!r}")
@@ -459,9 +463,10 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     fields = [random_field() for _ in range(max(3, samples // 4))]
     fields.append(PwcField(part, np.full(part.n_regions, 0.5 * (b1 + b2)), (b1, b2)))
     for c in fields:
-        _, bank = bank_for_field(c, omega2, weights=weights)
+        dtn, bank = bank_for_field(c, omega2, weights=weights)
         best_bound = max(best_bound, df_norm_probe(bank, probes))
     fitted_bound = best_bound / omega2
+    mid_lam = dtn.lam  # the last field's: the stability sweep's mid-box base field
 
     best_lip = 0.0
     for _ in range(samples):
@@ -477,7 +482,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     if not feasible_n:
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
     sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
-                             max(4, samples // len(feasible_n)), seed, weights)
+                             max(4, samples // len(feasible_n)), seed, weights, mid_lam)
     khat_bound = float(max(_implied_exponent(dist / data_dist, feasible_n[level], omega2, b2,
                                              n_exponent)
                            for level, _, dist, _, data_dist in sweep))

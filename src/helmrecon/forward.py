@@ -29,7 +29,15 @@ from them without forming the dense (n_nodes, nb) bank. A residual audit
 backs every solve: the whole condensed residual of the bank plus a sketched
 five-point residual of U G for a fixed Gaussian G, and the exact five-point
 residual of a single solve. Static per-grid and per-block-size pieces (index
-sets, the DST, the condensed pattern) are cached.
+sets, the DST, the condensed pattern) are cached, and with them every index
+plan an evaluation reads: the ring split of _Skeleton (which ring rows of U
+are rows of V_X and which are identity rows) and the flat plans of
+_Dissection (where each cross's products land in the Schur complement, the
+coarse right-hand side and the bank). An evaluation then does arithmetic and
+precomputed gathers and scatters only. The block forms G_b = (S x S) D_b F
+of the adjoint and the derivative come in closed form from F's rank-one
+sides (SolutionBank._block_forms), and the frequency certificate of a
+(grid, omega^2, box) runs once, not once per field (_certify).
 
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
@@ -69,6 +77,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,6 +233,15 @@ def _discrete_guard(grid: Grid, omega2: float, b1: float, b2: float) -> None:
             f"{lam[i, j]} at m = {grid.m}: [{lam[i, j] / b2}, {lam[i, j] / b1}]")
 
 
+@lru_cache(maxsize=256)
+def _certify(grid: Grid, omega2: float, b1: float, b2: float) -> None:
+    """spectrum_guard and _discrete_guard for one (grid, omega^2, box), run on
+    its first operator only: the certificate holds for every field in the box.
+    A refusal raises and is not cached, so it repeats on every construction."""
+    spectrum_guard(omega2, b1, b2)
+    _discrete_guard(grid, omega2, b1, b2)
+
+
 def _circulant(symbol: np.ndarray) -> np.ndarray:
     """Read-only dense symmetric circulant with the even real symbol (DFT order)."""
     col = np.fft.ifft(symbol).real
@@ -301,6 +320,19 @@ def _to_nodes(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(basis, y.reshape(blocks, n, n, k)).reshape(blocks, n * n, k)
 
 
+class _RowPlan(NamedTuple):
+    """Where the rows of U at some skeleton positions come from: out[x_slots]
+    = V_X[x_pos] and out[loop_slots] = I[loop_pos] (flat identity, the flat
+    positions of the ones in out), or the same rows of U p."""
+
+    shape: tuple
+    x_slots: np.ndarray | slice
+    x_pos: np.ndarray
+    loop_slots: np.ndarray | slice
+    loop_pos: np.ndarray
+    identity: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class _Skeleton:
     """Static pieces of the five-point system of one grid, condensed at block size s.
@@ -334,6 +366,39 @@ class _Skeleton:
     l_rows: sp.csr_matrix      # their rows of the grid Laplacian, all columns
     inward: np.ndarray         # per loop node: its interior neighbour (diagonal at a corner)
     edge: np.ndarray           # loop positions of the non-corner nodes
+    ring_x: np.ndarray         # flat ring slots on X, block by block, and their X positions
+    ring_x_pos: np.ndarray
+    ring_loop: np.ndarray      # flat ring slots on the loop, and their loop indices
+    ring_loop_pos: np.ndarray
+    ring_starts: np.ndarray    # (2, n_blocks + 1): where each block starts in ring_x, ring_loop
+    sides: np.ndarray          # (2(s-1), s-1): S diag(S[0]) over S diag(S[s-2])
+    side_basis: np.ndarray     # (s-1, (s-1)^2): K[q, (c, y)] = S[c, q] S[q, y]
+
+    def ring_rows(self, blocks: slice) -> _RowPlan:
+        """The _RowPlan of the ring rows of a run of blocks, shape (blocks, 4(s-1))."""
+        b0, b1 = blocks.indices(self.ring.shape[0])[:2]
+        n_ring, nb = self.ring.shape[1], self.nodes.size - self.n_x
+        (x0, x1), (l0, l1) = self.ring_starts[:, [b0, b1]].tolist()
+        loop_slots = self.ring_loop[l0:l1] - b0 * n_ring
+        loop_pos = self.ring_loop_pos[l0:l1]
+        return _RowPlan((b1 - b0, n_ring), self.ring_x[x0:x1] - b0 * n_ring,
+                        self.ring_x_pos[x0:x1], loop_slots, loop_pos, loop_slots * nb + loop_pos)
+
+    @cached_property
+    def ring_groups(self) -> tuple:
+        """(blocks, ring_rows(blocks)) for each group of blocks of the adjoint's
+        block pass, sized by its ring rows (n_ring, nb) or block forms (n_int,
+        n_ring), whichever is larger."""
+        n_int, n_ring = self.coupling.shape
+        per_block = max(n_ring * (self.nodes.size - self.n_x), n_int * n_ring)
+        return tuple((blk, self.ring_rows(blk)) for blk in _block_groups(self, per_block))
+
+    def rows(self, pos: np.ndarray) -> _RowPlan:
+        """The _RowPlan of the sorted skeleton positions pos: X comes first."""
+        k = int(np.searchsorted(pos, self.n_x))
+        loop_pos = pos[k:] - self.n_x
+        return _RowPlan(pos.shape, slice(0, k), pos[:k], slice(k, None), loop_pos,
+                        (np.arange(k, pos.size) * (self.nodes.size - self.n_x)) + loop_pos)
 
 
 @lru_cache(maxsize=None)
@@ -376,6 +441,9 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
     n_lap = int(in_x.sum())
     li, lj = np.divmod(loop, m)
     interior = interior_nodes(grid)
+    flat_ring = ring.ravel()
+    ring_x, ring_loop = np.flatnonzero(flat_ring < n_x), np.flatnonzero(flat_ring >= n_x)
+    block_starts = np.arange(blocks.size + 1) * 4 * n
     skeleton = _Skeleton(
         s=s, nodes=nodes, n_x=n_x, ring=ring,
         interior=(rows[:, :, None] * m + cols[:, None, :]).reshape(blocks.size, n * n),
@@ -395,9 +463,20 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         l_rows=grid_laplacian(grid)[interior].tocsr(),
         inward=(li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1),
         edge=np.flatnonzero((li % (m - 1) != 0) | (lj % (m - 1) != 0)),
+        ring_x=ring_x,
+        ring_x_pos=flat_ring[ring_x],
+        ring_loop=ring_loop,
+        ring_loop_pos=flat_ring[ring_loop] - n_x,
+        ring_starts=np.stack([np.searchsorted(ring_x, block_starts),
+                              np.searchsorted(ring_loop, block_starts)]),
+        sides=np.concatenate([basis * basis[:1], basis * basis[n - 1:n]]),
+        side_basis=(basis.T[:, :, None] * basis[:, None, :]).reshape(n, n * n),
     )
     for arr in (skeleton.nodes, skeleton.ring, skeleton.interior, skeleton.basis,
-                skeleton.coupling, skeleton.x_cols, skeleton.x_base, skeleton.inward):
+                skeleton.coupling, skeleton.x_cols, skeleton.x_base, skeleton.inward,
+                skeleton.ring_x, skeleton.ring_x_pos, skeleton.ring_loop,
+                skeleton.ring_loop_pos, skeleton.ring_starts, skeleton.sides,
+                skeleton.side_basis):
         arr.setflags(write=False)
     return skeleton
 
@@ -502,7 +581,12 @@ class _Dissection:
     excluded). Ungrouped, X is one cross, its ring is the loop (corners
     excluded again), and T is empty.
     slots places each entry of the condensed pattern (rows X) in one flat
-    buffer, which split cuts into the dense blocks.
+    buffer, which split cuts into the dense blocks. Three flat index plans
+    per cross spare the factor and the bank solve every np.ix_: schur_at
+    places T_i x T_i in the buffer's K~_TT block, coarse_at places T_i x
+    (its ring's loop nodes) in the Fortran-ordered coarse right-hand side
+    (n_t, nb), and bank_at places C_i x (its ring's loop nodes) in the
+    solution (n_x, nb).
     """
 
     crosses: np.ndarray  # (n_cross, n_c) X positions of each cross
@@ -512,6 +596,9 @@ class _Dissection:
     offsets: np.ndarray  # buffer offsets of A_i, B_i, E_i per cross, then K~_TT, K~_TB, the end
     slots: np.ndarray    # buffer index of each pattern entry
     nb: int              # loop nodes: the columns of K~_TB
+    schur_at: tuple      # per cross: (|T_i|, |T_i|) buffer indices
+    coarse_at: tuple     # per cross: (|T_i|, |ring loop|) flat indices, column-major
+    bank_at: tuple       # per cross: (n_c, |ring loop|) flat indices, row-major
 
     def split(self, buf: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
         """Fortran-ordered views of buf: per cross (A_i, B_i, E_i), with
@@ -558,11 +645,17 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
         i, j = at_row[rows], at_col[cols]
         mine = (i >= 0) & (j >= 0)
         slots[mine] = offset + i[mine] + j[mine] * r.size  # column-major
-    dissection = _Dissection(crosses=crosses, coarse=coarse,
-                             ring_t=tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings),
-                             ring_loop=tuple(r[r >= n_x] - n_x for r in rings),
-                             offsets=offsets, slots=slots, nb=grid.n_boundary)
-    for arr in (crosses, coarse, offsets, slots, *dissection.ring_t, *dissection.ring_loop):
+    ring_t = tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings)
+    ring_loop = tuple(r[r >= n_x] - n_x for r in rings)
+    n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
+    dissection = _Dissection(
+        crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
+        offsets=offsets, slots=slots, nb=nb,
+        schur_at=tuple(schur + rt[:, None] + rt[None, :] * n_t for rt in ring_t),
+        coarse_at=tuple(rt[:, None] + rl[None, :] * n_t for rt, rl in zip(ring_t, ring_loop)),
+        bank_at=tuple(c[:, None] * nb + rl[None, :] for c, rl in zip(crosses, ring_loop)))
+    for arr in (crosses, coarse, offsets, slots, *ring_t, *ring_loop, *dissection.schur_at,
+                *dissection.coarse_at, *dissection.bank_at):
         arr.setflags(write=False)
     return dissection
 
@@ -594,10 +687,10 @@ class _TwoLevelLU:
         blocks, schur, self._k_tb = dis.split(buf)
         self._dis = dis
         self._cross, self._w, self._e, self._b_loop = [], [], [], []
-        for (a, b, e), rt in zip(blocks, dis.ring_t):
+        for (a, b, e), rt, at in zip(blocks, dis.ring_t, dis.schur_at):
             self._cross.append(_getrf(a))
             w = lapack.dgetrs(*self._cross[-1], b[:, :rt.size], overwrite_b=True)[0]
-            schur[np.ix_(rt, rt)] -= blas.dgemm(1.0, e, w)
+            buf[at] -= blas.dgemm(1.0, e, w)  # S_TT -= K~_{T_i C_i} W_i, in place
             self._w.append(w)
             self._e.append(e)
             self._b_loop.append(b[:, rt.size:])
@@ -609,27 +702,32 @@ class _TwoLevelLU:
         """K~_XX^{-1} rhs for rhs (n_x, k). rhs None stands for -K~_XB, the
         indicator bank's right-hand side, whose rows on a cross are nonzero
         only in the columns of its ring's loop nodes: each cross is solved
-        against those columns alone, and S_TT against all nb in one call."""
+        against those columns alone (placed by the _Dissection's flat plans),
+        and S_TT against all nb in one call."""
         dis = self._dis
-        if rhs is None:
-            r_t = -self._k_tb
-        else:
-            r_t = np.asfortranarray(rhs[dis.coarse])
-        every = np.arange(r_t.shape[1])  # the columns of a general rhs
+        bank = rhs is None
+        r_t = (np.negative(self._k_tb, order="F") if bank
+               else np.asfortranarray(rhs[dis.coarse]))
+        flat_t = r_t.reshape(-1, order="F")  # a view: r_t is Fortran-ordered
         solved = []
         for c, (lu, e) in enumerate(zip(self._cross, self._e)):
-            cols, r = ((dis.ring_loop[c], -self._b_loop[c]) if rhs is None
-                       else (every, rhs[dis.crosses[c]]))
-            y = lapack.dgetrs(*lu, r, overwrite_b=True)[0]
-            r_t[np.ix_(dis.ring_t[c], cols)] -= blas.dgemm(1.0, e, y)
-            solved.append((cols, y))
+            y = lapack.dgetrs(*lu, -self._b_loop[c] if bank else rhs[dis.crosses[c]],
+                              overwrite_b=True)[0]
+            if bank:
+                flat_t[dis.coarse_at[c]] -= blas.dgemm(1.0, e, y)
+            else:
+                r_t[dis.ring_t[c]] -= blas.dgemm(1.0, e, y)
+            solved.append(y)
         x_t = r_t if self._schur is None else lapack.dgetrs(*self._schur, r_t, overwrite_b=True)[0]
-        x = np.empty((dis.crosses.size + dis.coarse.size, every.size))
+        x = np.empty((dis.crosses.size + dis.coarse.size, r_t.shape[1]))
         x[dis.coarse] = x_t
-        for c, (cols, y) in enumerate(solved):
+        for c, y in enumerate(solved):
             rows = dis.crosses[c]
             x[rows] = blas.dgemm(-1.0, self._w[c], x_t[dis.ring_t[c]])
-            x[np.ix_(rows, cols)] += y
+            if bank:
+                x.reshape(-1)[dis.bank_at[c]] += y
+            else:
+                x[rows] += y
         return x
 
 
@@ -681,7 +779,8 @@ class HelmholtzOperator:
 
     Refuses a field with a coefficient outside its own box
     (AdmissibilityError), runs the spectrum guard for that box and certifies
-    the same box against the grid's discrete spectrum (_discrete_guard), then
+    the same box against the grid's discrete spectrum (_discrete_guard), once
+    per (grid, omega^2, box) and again after every refusal (_certify), then
     condenses the block interiors out of K_ii in closed form and factors the
     skeleton once; every Dirichlet solve (``solve``, and the indicator bank in
     ``assemble_dtn``) reuses that factor.
@@ -717,8 +816,7 @@ class HelmholtzOperator:
             raise AdmissibilityError(
                 f"coefficients in [{c2inv.coeffs.min()}, {c2inv.coeffs.max()}] leave the box "
                 f"{c2inv.bounds} that the frequency guard certifies")
-        spectrum_guard(omega2, *c2inv.bounds)
-        _discrete_guard(c2inv.grid, omega2, *c2inv.bounds)
+        _certify(c2inv.grid, float(omega2), *c2inv.bounds)
         self.grid = c2inv.grid
         self.omega2 = float(omega2)
         self.block_size, grouped = _block_size(c2inv, self.omega2)
@@ -814,8 +912,11 @@ class HelmholtzOperator:
     def _indicator_skeleton(self) -> tuple[np.ndarray, np.ndarray]:
         """Skeleton values V_X (n_x, nb) of the boundary-indicator solutions and
         the variational DtN -(K~_BX V_X + K~_BB), over nb / _COLUMN_CHUNKS
-        columns at a time. Audit: the condensed residual K~_XX V_X + K~_XB over
-        all nb columns must be within _SOLVE_RTOL of ||K~_XB||_F.
+        columns at a time. One zeroed chunk buffer serves every chunk: its
+        loop rows get the chunk's identity columns as ones written at flat
+        positions and cleared after the product, with no np.eye per chunk.
+        Audit: the condensed residual K~_XX V_X + K~_XB over all nb columns
+        must be within _SOLVE_RTOL of ||K~_XB||_F.
 
         All solves run before all products: the skeleton solves (SuperLU or
         getrs) call scipy's BLAS and the products numpy's, and with unpinned
@@ -825,14 +926,17 @@ class HelmholtzOperator:
         skeleton = self._solve_skeleton(None)
         lam = np.empty((nb, nb))
         width = max(1, nb // _COLUMN_CHUNKS)
-        chunks = [slice(c0, min(c0 + width, nb)) for c0 in range(0, nb, width)]
-        v = np.empty((sk.nodes.size, width))
+        v = np.zeros((sk.nodes.size, width))
+        ones = (n_x + np.arange(width)) * width + np.arange(width)  # flat (n_x + j, j)
         res2 = 0.0
-        for cols in chunks:
-            chunk = v[:, :cols.stop - cols.start]
+        for c0 in range(0, nb, width):
+            cols = slice(c0, min(c0 + width, nb))
+            chunk = v[:, :cols.stop - c0]
             chunk[:n_x] = skeleton[:, cols]
-            chunk[n_x:] = np.eye(nb, cols.stop - cols.start, -cols.start)
+            at = ones[:cols.stop - c0] + c0 * width  # the chunk's loop identity
+            v.reshape(-1)[at] = 1.0
             out = self._condensed(chunk)
+            v.reshape(-1)[at] = 0.0
             res2 += float(np.vdot(out[:n_x], out[:n_x]))
             lam[:, cols] = -out[n_x:]
         k_xb = self._k_x[sk.x_indptr[n_x]:]
@@ -943,25 +1047,37 @@ class SolutionBank:
         u.setflags(write=False)
         return u
 
-    def _rows(self, pos: np.ndarray, x_rows=None, loop_rows=None) -> np.ndarray:
-        """Rows at skeleton positions pos (any shape) of U, or of U p when given
-        its rows on X and on the loop."""
-        n_x = self._sk.n_x
-        out = np.empty(pos.shape + (self.grid.n_boundary,))
-        inner = pos < n_x
-        out[inner] = (self.skeleton if x_rows is None else x_rows)[pos[inner]]
-        loop = np.nonzero(~inner)
+    def _rows(self, plan: _RowPlan, x_rows=None, loop_rows=None) -> np.ndarray:
+        """Rows of U, or of U p given its rows on X and on the loop, where plan
+        (_Skeleton.ring_rows or rows) says: one gather per source."""
+        nb = self.grid.n_boundary
+        out = np.empty((prod(plan.shape), nb))
+        out[plan.x_slots] = (self.skeleton if x_rows is None else x_rows)[plan.x_pos]
         if loop_rows is None:
-            out[loop] = 0.0
-            out[loop + (pos[loop] - n_x,)] = 1.0
+            out[plan.loop_slots] = 0.0
+            out.reshape(-1)[plan.identity] = 1.0
         else:
-            out[loop] = loop_rows[pos[loop] - n_x]
-        return out
+            out[plan.loop_slots] = loop_rows[plan.loop_pos]
+        return out.reshape(plan.shape + (nb,))
 
     def _block_forms(self, blocks: slice) -> np.ndarray:
-        """G_b = (S x S) D_b F for the given blocks, (blocks, (s-1)^2, 4(s-1))."""
+        """G_b = (S x S) D_b F for the given blocks, (blocks, (s-1)^2, 4(s-1)),
+        in closed form from F's rank-one sides (see _ring_forms): the bottom
+        side is G[(x, y), c] = (B_a K)[x, (c, y)] with B_a = S diag(S[0]) D_b
+        and the static K[q, (c, y)] = S[c, q] S[q, y], the top side the same
+        with B_t = S diag(S[s-2]) D_b, and left and right are their (x, y)
+        transposes (D_b is symmetric in (p, q)). That is 2 n^4 multiply-adds
+        per block (n = s - 1), where the two DST products take 8 n^4."""
         sk = self._sk
-        return _to_nodes(sk.basis, self.symbols[blocks, :, None] * sk.coupling)
+        n = sk.s - 1
+        d = self.symbols[blocks]
+        count = d.shape[0]
+        # (blocks, 2, x, c, y): B_a K and B_t K
+        g = (sk.sides @ d.reshape(count, n, n) @ sk.side_basis).reshape(count, 2, n, n, n)
+        out = np.empty((count, n, n, 4, n))
+        out[:, :, :, :2] = g.transpose(0, 2, 4, 1, 3)  # bottom, top: [x, y, c]
+        out[:, :, :, 2:] = g.transpose(0, 4, 2, 1, 3)  # left, right: [x, y, a] = [y, x, a]
+        return out.reshape(count, n * n, 4 * n)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """U^T diag(w) U for nodal weights w, from the rows where w is nonzero:
@@ -974,11 +1090,11 @@ class SolutionBank:
         on the loop (see _rows): the block interiors of U p are G_b (U p)_ring."""
         sk = self._sk
         pos = np.flatnonzero(w[sk.nodes])
-        u = self._rows(pos, x_rows, loop_rows)
+        u = self._rows(sk.rows(pos), x_rows, loop_rows)
         out = u.T @ (w[sk.nodes[pos], None] * u)
         for b in np.flatnonzero(np.any(w[sk.interior] != 0.0, axis=1)):
             g = self._block_forms(slice(b, b + 1))[0]
-            ring = self._rows(sk.ring[b], x_rows, loop_rows)
+            ring = self._rows(sk.ring_rows(slice(b, b + 1)), x_rows, loop_rows)[0]
             out += ring.T @ ((g.T @ (w[sk.interior[b], None] * g)) @ ring)
         return out
 
@@ -1002,10 +1118,9 @@ class SolutionBank:
         up = self.skeleton @ p  # rows X of U p; its loop rows are p
         out[sk.nodes[:sk.n_x]] = np.einsum("ij,ij->i", self.skeleton, up)
         out[sk.nodes[sk.n_x:]] = np.diagonal(p)
-        n_int, n_ring = sk.coupling.shape
-        for blk in _block_groups(sk, max(n_ring * self.grid.n_boundary, n_int * n_ring)):
-            ring = self._rows(sk.ring[blk])
-            c = self._rows(sk.ring[blk], up, p) @ ring.transpose(0, 2, 1)
+        for blk, plan in sk.ring_groups:
+            ring = self._rows(plan)
+            c = self._rows(plan, up, p) @ ring.transpose(0, 2, 1)
             g = self._block_forms(blk)
             out[sk.interior[blk]] = np.einsum("bij,bij->bi", g @ c, g)
         return out

@@ -210,17 +210,16 @@ def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int,
 
 
 def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
-                     samples_per_n: int, seed: int, weights):
+                     samples_per_n: int, seed: int, weights, mid_lam=None):
     """Yield (level, kind, field distance, DtN difference, data distance) for each
     sampled pair with a nonzero data distance, one pair at a time; level
     indexes big_ns.
 
     The first field of every adversarial pair is the constant mid-box field,
-    whose DtN does not depend on the partition: it is evaluated on first use
-    and reused.
+    whose DtN does not depend on the partition: mid_lam, when the caller has
+    it, else evaluated on first use, and reused.
     """
     rng = np.random.default_rng(seed)
-    mid_lam = None
     for level, big_n in enumerate(big_ns):
         for c1, c2, kind in _stability_pairs(grid, big_n, b1, b2, samples_per_n, rng):
             if kind == "adversarial":

@@ -170,6 +170,34 @@ def test_constants_command_tables(tmp_path):
     assert "status = unbounded" in nmax  # phi defaults to the zero model
 
 
+def test_constants_with_a_huge_analytic_bundle_exits_without_a_traceback(tmp_path):
+    # (curvature * df_bound)^2 overflows a float: the floor reads 0, and no
+    # radius reaches the target, a configuration error; never an
+    # OverflowError traceback (exit 1)
+    cfg = write_config(tmp_path, BASE.replace("lhat0 = 1.0", "lhat0 = 1e300"))
+    out = tmp_path / "c"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) in (0, 64)
+    rows = (out / "rho_vs_omega.csv").read_text().splitlines()
+    assert [r.split(",")[1:3] for r in rows[1:]] == [["0", "0"]] * (len(rows) - 1)
+
+
+def test_relative_truth_file_is_read_beside_its_config(tmp_path, monkeypatch):
+    # run from the parent directory, which holds a decoy truth.txt
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "truth.txt").write_text("pwc 1 0\n0 1.1\n")
+    (tmp_path / "truth.txt").write_text("pwc 1 0\n0 1.8\n")
+    write_config(tmp_path / "sub", BASE.replace("k = 1\nvalues = 1.5", "file = truth.txt"),
+                 name="exp.ini")
+    monkeypatch.chdir(tmp_path)
+    assert load_config("sub/exp.ini").truth_field().coeffs.tolist() == [1.1]
+    assert main(["forward", "--config", "sub/exp.ini", "--out", "run"]) == 0
+    assert (tmp_path / "run" / "truth_field.txt").read_text().splitlines()[1:] == ["0 1.1"]
+    # an absolute path is taken as it is
+    text = BASE.replace("k = 1\nvalues = 1.5", f"file = {tmp_path / 'truth.txt'}")
+    write_config(tmp_path / "sub", text, name="abs.ini")
+    assert load_config("sub/abs.ini").truth_field().coeffs.tolist() == [1.8]
+
+
 def test_calibrate_command_writes_bundle(tmp_path):
     text = BASE.replace("mode = analytic", "mode = calibrate")
     cfg = write_config(tmp_path, text)

@@ -394,8 +394,9 @@ def test_calibrate_work_count_and_stability_fit(monkeypatch):
     b = calibrate(grid, 5.0, 1.0, 2.0, **SMOKE)
     assert "op" not in kinds
     # 4 bound fields, 10 Lipschitz pairs, and 4 pairs at each N = 1, 4, 16: 48
-    # evaluations less the 3 repeated evaluations of the mid-box base field
-    assert len(evals) == 45
+    # evaluations less the 4 of the sweep's mid-box base field, which is the
+    # last bound field
+    assert len(evals) == 44
     report = verify.estimate_lipschitz_constant(grid, 5.0, 1.0, 2.0, big_ns=(1, 4, 16),
                                                 samples_per_n=4, seed=0)
     assert b.stab_k == report.khat_bound

@@ -236,7 +236,8 @@ def test_near_eigenfrequency_error_smallest_pivot(monkeypatch):
     m = 9
     h = 1.0 / (m - 1)
     lam_h = (4 - 4 * np.cos(np.pi * h)) / h ** 2
-    monkeypatch.setattr(forward, "_discrete_guard", lambda *args: None)
+    monkeypatch.setattr(forward, "_certify",  # the continuum guard alone
+                        lambda grid, omega2, b1, b2: spectrum_guard(omega2, b1, b2))
     calls = _spy_dgetrf(monkeypatch)
     with pytest.raises(NearEigenfrequencyError) as exc:
         HelmholtzOperator(const_field(m, 1.0, (1.0, 1.0)), lam_h)
@@ -416,6 +417,53 @@ def test_ring_forms_match_dense_product(rng):
     symbols = forward._block_symbols(sk, rng.uniform(-0.1, 0.05, sk.ring.shape[0]))
     dense = np.einsum("ir,bi,is->brs", sk.coupling, symbols, sk.coupling)
     assert _rel(forward._ring_forms(sk, symbols), dense) <= 1e-14
+
+
+@pytest.mark.parametrize("s", range(1, forward._MAX_BLOCK + 1))
+def test_block_forms_match_the_dst_products(s, rng):
+    # G_b = (S x S) D_b F from F's rank-one sides, against the two DST
+    # products, at every block size the caps allow (2 s cells per side); at
+    # s = 1 there are no block interiors
+    grid = Grid(2 * s + 1)
+    sk = forward._skeleton(grid, s)
+    symbols = forward._block_symbols(sk, rng.uniform(-0.1, 0.05, sk.interior.shape[0]))
+    bank = SolutionBank(np.zeros((sk.n_x, grid.n_boundary)), build_boundary_weights(grid),
+                        5.0, s, symbols)
+    forms = bank._block_forms(slice(None))
+    if s == 1:
+        assert forms.shape == (0, 0, 0)
+        return
+    dst = forward._to_nodes(sk.basis, symbols[:, :, None] * sk.coupling)
+    assert forms.shape == dst.shape == (4, (s - 1) ** 2, 4 * (s - 1))
+    assert _rel(forms, dst) <= 1e-14
+    assert _rel(bank._block_forms(slice(1, 3)), dst[1:3]) <= 1e-14
+
+
+def test_box_certificate_runs_once_per_box_and_refuses_every_time(monkeypatch):
+    calls = []
+    guard = forward.spectrum_guard
+    monkeypatch.setattr(forward, "spectrum_guard", lambda *args: calls.append(args) or guard(*args))
+    forward._certify.cache_clear()
+    part = make_uniform_partition(Grid(17), 2)
+    field = PwcField(part, np.array([1.2, 1.4, 1.6, 1.8]), (1.0, 2.0))
+    for _ in range(3):
+        HelmholtzOperator(field, 5.0)
+    assert len(calls) == 1
+    for n in range(2, 4):  # a band omega^2 is refused on every construction
+        with pytest.raises(AdmissibilityError, match="forbidden band 1"):
+            HelmholtzOperator(field, LAM1 / 1.5)
+        assert len(calls) == n
+    # a discrete band too (see the m = 17 case above)
+    g, box = Grid(17), (1.0, 1.5)
+    lam = (4.0 / g.h ** 2) * 2.0 * np.sin(0.5 * np.pi * g.h) ** 2
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError, match="discrete band"):
+            HelmholtzOperator(const_field(17, 1.5, box), lam / 1.5)
+    # a wider box at the certified omega^2 is checked again: 5.0 lies in its band 1
+    with pytest.raises(AdmissibilityError, match="forbidden band 1"):
+        HelmholtzOperator(PwcField(part, field.coeffs, (1.0, 4.5)), 5.0)
+    HelmholtzOperator(field, 5.0)
+    assert len(calls) == 6
 
 
 def _audit_case(per_side=2):
