@@ -11,6 +11,17 @@ import argparse
 import os
 import sys
 
+# numpy and scipy each load their own OpenBLAS, and the skeleton solve runs in
+# scipy's thread pool while the products run in numpy's: with more than one
+# thread the two pools contend. A CLI run therefore uses one BLAS thread unless
+# the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. The package imports
+# nothing eagerly, so this runs before numpy loads on the console script and
+# on ``python -m helmrecon``; where numpy is loaded already (an import from
+# library code or a test) it would act on one pool only, and changes nothing.
+if ("numpy" not in sys.modules
+        and "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import constants as con

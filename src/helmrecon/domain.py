@@ -111,7 +111,6 @@ def interior_nodes(grid: Grid) -> np.ndarray:
     return ids
 
 
-@lru_cache(maxsize=None)
 def cell_corners(grid: Grid) -> np.ndarray:
     """(n_cells, 4) node ids of each cell's corners (ll, lr, ul, ur)."""
     m = grid.m
@@ -149,7 +148,6 @@ def node_quad_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
 def grid_laplacian(grid: Grid) -> sp.csr_matrix:
     """Graph Laplacian of the node grid; u^T L v approximates the Dirichlet form.
 

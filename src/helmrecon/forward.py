@@ -29,15 +29,21 @@ from them without forming the dense (n_nodes, nb) bank. A residual audit
 backs every solve: the whole condensed residual of the bank plus a sketched
 five-point residual of U G for a fixed Gaussian G, and the exact five-point
 residual of a single solve. Static per-grid and per-block-size pieces (index
-sets, the DST, the condensed pattern) are cached, and with them every index
-plan an evaluation reads: the ring split of _Skeleton (which ring rows of U
-are rows of V_X and which are identity rows) and the flat plans of
-_Dissection (where each cross's products land in the Schur complement, the
-coarse right-hand side and the bank). An evaluation then does arithmetic and
-precomputed gathers and scatters only. The block forms G_b = (S x S) D_b F
-of the adjoint and the derivative come in closed form from F's rank-one
-sides (SolutionBank._block_forms), and the frequency certificate of a
-(grid, omega^2, box) runs once, not once per field (_certify).
+sets, the DST) are cached, and with them every index plan an evaluation
+reads: the ring split of _Skeleton (which ring rows of U are rows of V_X and
+which are identity rows) and the flat plans of _Dissection (where each term
+of K~ lands in the dense factor's buffer, and where each cross's products
+land in the Schur complement, the coarse right-hand side and the bank). The
+dense factor is assembled from the ring forms straight into its blocks
+(multifrontal assembly, Duff & Reid, ACM TOMS 9, 1983); only the SuperLU
+factor reads a compressed-column pattern of K~, which _csc_plan builds for
+its layouts alone. A single solve takes K~_XB g from the condensed operator
+on [0; g] (_condensed), so the dense path keeps no copy of K~_X beside its
+factor. An evaluation then does arithmetic and precomputed gathers and
+scatters only. The block forms G_b = (S x S) D_b F of the adjoint and the
+derivative come in closed form from F's rank-one sides
+(SolutionBank._block_forms), and the frequency certificate of a (grid,
+omega^2, box) runs once, not once per field (_certify).
 
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
@@ -356,11 +362,6 @@ class _Skeleton:
     coupling: np.ndarray    # F = (S x S)^T E, E the 0/1 coupling of a block interior to its ring
     l_sigma: sp.csr_matrix  # skeleton block of the grid Laplacian
     scatter: sp.csr_matrix  # (n_skeleton, n_blocks 4(s-1)): sums ring entries into the skeleton
-    x_indptr: np.ndarray    # CSC pattern of the condensed rows X, all skeleton columns
-    x_indices: np.ndarray
-    x_cols: np.ndarray      # column of each pattern entry; the X columns come first
-    x_base: np.ndarray      # the Laplacian's entries in that pattern
-    x_slots: np.ndarray     # pattern slot of each X diagonal, then of each entry x_forms picks
     x_forms: np.ndarray     # flat indices into the ring forms of the entries with a row in X
     grid_interior: np.ndarray  # interior node ids of the grid, natural order
     l_rows: sp.csr_matrix      # their rows of the grid Laplacian, all columns
@@ -428,17 +429,7 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         e[p - 1, 0, 2 * n + p - 1] = 1.0      # left ring node a beside interior node (a, 0)
         e[p - 1, n - 1, 3 * n + p - 1] = 1.0  # right
 
-    l_sigma = grid_laplacian(grid)[nodes][:, nodes].tocsr()
-    lap = l_sigma.tocoo()
-    in_x = lap.row < n_x
-    form_rows = np.broadcast_to(ring[:, :, None], (blocks.size, 4 * n, 4 * n)).ravel()
-    form_cols = np.broadcast_to(ring[:, None, :], (blocks.size, 4 * n, 4 * n)).ravel()
-    x_forms = np.flatnonzero(form_rows < n_x)
-    diag = np.arange(n_x)
-    pattern, slot = np.unique(np.concatenate([lap.col[in_x], diag, form_cols[x_forms]]) * n_x
-                              + np.concatenate([lap.row[in_x], diag, form_rows[x_forms]]),
-                              return_inverse=True)
-    n_lap = int(in_x.sum())
+    lap = grid_laplacian(grid)
     li, lj = np.divmod(loop, m)
     interior = interior_nodes(grid)
     flat_ring = ring.ravel()
@@ -450,17 +441,13 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         basis=basis,
         mu=(mu1[:, None] + mu1[None, :]).ravel(),
         coupling=_to_nodes(basis, e.reshape(1, n * n, 4 * n))[0],
-        l_sigma=l_sigma,
+        l_sigma=lap[nodes][:, nodes].tocsr(),
         scatter=sp.csr_matrix((np.ones(ring.size), (ring.ravel(), np.arange(ring.size))),
                               shape=(n_sigma, ring.size)),
-        x_indptr=np.concatenate([[0], np.cumsum(np.bincount(pattern // n_x, minlength=n_sigma))]),
-        x_indices=pattern % n_x,
-        x_cols=pattern // n_x,
-        x_base=np.bincount(slot[:n_lap], weights=lap.data[in_x], minlength=pattern.size),
-        x_slots=slot[n_lap:],
-        x_forms=x_forms,
+        x_forms=np.flatnonzero(np.broadcast_to(ring[:, :, None], (blocks.size, 4 * n, 4 * n))
+                               .ravel() < n_x),
         grid_interior=interior,
-        l_rows=grid_laplacian(grid)[interior].tocsr(),
+        l_rows=lap[interior].tocsr(),
         inward=(li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1),
         edge=np.flatnonzero((li % (m - 1) != 0) | (lj % (m - 1) != 0)),
         ring_x=ring_x,
@@ -473,12 +460,28 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         side_basis=(basis.T[:, :, None] * basis[:, None, :]).reshape(n, n * n),
     )
     for arr in (skeleton.nodes, skeleton.ring, skeleton.interior, skeleton.basis,
-                skeleton.coupling, skeleton.x_cols, skeleton.x_base, skeleton.inward,
+                skeleton.coupling, skeleton.x_forms, skeleton.inward,
                 skeleton.ring_x, skeleton.ring_x_pos, skeleton.ring_loop,
                 skeleton.ring_loop_pos, skeleton.ring_starts, skeleton.sides,
                 skeleton.side_basis):
         arr.setflags(write=False)
     return skeleton
+
+
+def _x_entries(sk: _Skeleton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, lap): the skeleton positions of every term of K~ with a row
+    in X, in assembly order (the Laplacian's entries, whose values lap holds,
+    then the diagonal mass on X, then the ring-form entries x_forms picks).
+    The dense and the sparse factor each map these terms to their own storage
+    once; nothing keeps the list."""
+    lap = sk.l_sigma.tocoo()
+    in_x = lap.row < sk.n_x
+    shape = sk.ring.shape + sk.ring.shape[1:]
+    diag = np.arange(sk.n_x)
+    rows = np.broadcast_to(sk.ring[:, :, None], shape).ravel()[sk.x_forms]
+    cols = np.broadcast_to(sk.ring[:, None, :], shape).ravel()[sk.x_forms]
+    return (np.concatenate([lap.row[in_x], diag, rows]),
+            np.concatenate([lap.col[in_x], diag, cols]), lap.data[in_x])
 
 
 def _definite(sigma: float, s: int) -> bool:
@@ -580,13 +583,14 @@ class _Dissection:
     to outside it, is the T and loop nodes on its super-block's edges (corners
     excluded). Ungrouped, X is one cross, its ring is the loop (corners
     excluded again), and T is empty.
-    slots places each entry of the condensed pattern (rows X) in one flat
-    buffer, which split cuts into the dense blocks. Three flat index plans
-    per cross spare the factor and the bank solve every np.ix_: schur_at
-    places T_i x T_i in the buffer's K~_TT block, coarse_at places T_i x
-    (its ring's loop nodes) in the Fortran-ordered coarse right-hand side
-    (n_t, nb), and bank_at places C_i x (its ring's loop nodes) in the
-    solution (n_x, nb).
+    The dense blocks share one flat buffer, which split cuts into views and
+    _TwoLevelLU fills straight from the terms of K~ (see _x_entries): slots
+    places each diagonal mass and ring-form term, lap_slots and lap_values
+    the Laplacian's entries. Three flat index plans per cross spare the
+    factor and the bank solve every np.ix_: schur_at places T_i x T_i in the
+    buffer's K~_TT block, coarse_at places T_i x (its ring's loop nodes) in
+    the Fortran-ordered coarse right-hand side (n_t, nb), and bank_at places
+    C_i x (its ring's loop nodes) in the solution (n_x, nb).
     """
 
     crosses: np.ndarray  # (n_cross, n_c) X positions of each cross
@@ -594,7 +598,9 @@ class _Dissection:
     ring_t: tuple        # per cross: T indices (into coarse) of its ring's T nodes
     ring_loop: tuple     # per cross: loop indices of its ring's loop nodes
     offsets: np.ndarray  # buffer offsets of A_i, B_i, E_i per cross, then K~_TT, K~_TB, the end
-    slots: np.ndarray    # buffer index of each pattern entry
+    slots: np.ndarray    # buffer index of each X diagonal, then of each entry x_forms picks
+    lap_slots: np.ndarray   # buffer index of each Laplacian entry with a row in X ...
+    lap_values: np.ndarray  # ... and its value
     nb: int              # loop nodes: the columns of K~_TB
     schur_at: tuple      # per cross: (|T_i|, |T_i|) buffer indices
     coarse_at: tuple     # per cross: (|T_i|, |ring loop|) flat indices, column-major
@@ -629,7 +635,7 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
         size, per_side = 2 * s, grid.cells_per_side // (2 * s)
         owner[:n_x] = np.where((i % size != 0) & (j % size != 0),
                                i // size * per_side + j // size, -1)
-    rows, cols = sk.x_indices, sk.x_cols
+    rows, cols, lap = _x_entries(sk)
     crosses = np.stack([np.flatnonzero(owner == c) for c in range(owner.max() + 1)])
     rings = [np.unique(cols[(owner[rows] == c) & (owner[cols] != c)]) for c in range(len(crosses))]
     coarse = np.flatnonzero(owner[:n_x] < 0)
@@ -650,11 +656,12 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
     n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
     dissection = _Dissection(
         crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
-        offsets=offsets, slots=slots, nb=nb,
+        offsets=offsets, slots=slots[lap.size:], lap_slots=slots[:lap.size], lap_values=lap,
+        nb=nb,
         schur_at=tuple(schur + rt[:, None] + rt[None, :] * n_t for rt in ring_t),
         coarse_at=tuple(rt[:, None] + rl[None, :] * n_t for rt, rl in zip(ring_t, ring_loop)),
         bank_at=tuple(c[:, None] * nb + rl[None, :] for c, rl in zip(crosses, ring_loop)))
-    for arr in (crosses, coarse, offsets, slots, *ring_t, *ring_loop, *dissection.schur_at,
+    for arr in (crosses, coarse, offsets, slots, lap, *ring_t, *ring_loop, *dissection.schur_at,
                 *dissection.coarse_at, *dissection.bank_at):
         arr.setflags(write=False)
     return dissection
@@ -674,17 +681,26 @@ class _TwoLevelLU:
     George, SIAM J. Numer. Anal. 10, 1973). getrf factors each cross block
     A_i; W_i = A_i^{-1} K~_{C_i T_i}, on the T nodes of its ring only, gives
     the Schur complement S_TT = K~_TT - sum_i K~_{T_i C_i} W_i, which getrf
-    factors in turn. pivots pools the pivot moduli of every factor. With one
+    factors in turn. pivots pools the pivot moduli of every factor, and
+    xb_norm is ||K~_XB||_F, read before any solve from the loop columns of
+    each B_i and from K~_TB, which hold every entry of K~_XB once. With one
     cross and no T this is one getrf of K~_XX. The products run in scipy's
     BLAS (dgemm) like the factors and solves, so that with unpinned threads
     the whole skeleton solve stays in one thread pool (see
     HelmholtzOperator._indicator_skeleton).
     """
 
-    def __init__(self, dis: _Dissection, k_x: np.ndarray):
-        buf = np.zeros(dis.offsets[-1])
-        buf[dis.slots] = k_x
+    def __init__(self, dis: _Dissection, terms: np.ndarray):
+        # K~_X = L - sum(terms), each entry's terms summed in slots order by
+        # one bincount; (0 - t) + L is L - t to the bit (exact negation,
+        # commutative addition), and an entry with no term and no L reads +0.0
+        buf = np.bincount(dis.slots, weights=terms, minlength=dis.offsets[-1])
+        np.subtract(0.0, buf, out=buf)
+        buf[dis.lap_slots] += dis.lap_values
         blocks, schur, self._k_tb = dis.split(buf)
+        self.xb_norm = float(np.linalg.norm(
+            [np.linalg.norm(b[:, rt.size:]) for (_, b, _), rt in zip(blocks, dis.ring_t)]
+            + [np.linalg.norm(self._k_tb)]))
         self._dis = dis
         self._cross, self._w, self._e, self._b_loop = [], [], [], []
         for (a, b, e), rt, at in zip(blocks, dis.ring_t, dis.schur_at):
@@ -731,37 +747,74 @@ class _TwoLevelLU:
         return x
 
 
+class _CscPlan(NamedTuple):
+    """The rows X of K~ in compressed-column form, all skeleton columns (X
+    first, then the loop): the pattern of the terms of _x_entries, the
+    Laplacian's entries in it, and the pattern slot of each X diagonal, then
+    of each entry x_forms picks."""
+
+    n_x: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    cols: np.ndarray
+    base: np.ndarray
+    slots: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _csc_plan(grid: Grid, s: int) -> _CscPlan:
+    """The _CscPlan of a grid and block size, which only _SparseLU reads: the
+    dense factor assembles its blocks from the terms directly."""
+    sk = _skeleton(grid, s)
+    n_x = sk.n_x
+    rows, cols, lap = _x_entries(sk)
+    pattern, slot = np.unique(cols * n_x + rows, return_inverse=True)
+    plan = _CscPlan(
+        n_x=n_x,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(pattern // n_x,
+                                                          minlength=sk.nodes.size))]),
+        indices=pattern % n_x,
+        cols=pattern // n_x,
+        base=np.bincount(slot[:lap.size], weights=lap, minlength=pattern.size),
+        slots=slot[lap.size:])
+    for arr in plan[1:]:
+        arr.setflags(write=False)
+    return plan
+
+
 class _SparseLU:
     """SuperLU factor of K~_XX (minimum degree on A^T + A, symmetric mode),
     whose factor stays sparse on the large skeletons of fine blocks; the same
-    interface as _TwoLevelLU. LinAlgError when SuperLU finds it exactly
-    singular."""
+    interface as _TwoLevelLU. K~_X = base - sum(terms) in the pattern of a
+    _CscPlan. LinAlgError when SuperLU finds it exactly singular."""
 
-    def __init__(self, sk: _Skeleton, k_x: np.ndarray):
-        n_x, n_xx = sk.n_x, sk.x_indptr[sk.n_x]
-        k_xx = sp.csc_matrix((k_x[:n_xx], sk.x_indices[:n_xx], sk.x_indptr[:n_x + 1]),
+    def __init__(self, plan: _CscPlan, terms: np.ndarray):
+        n_x, n_xx = plan.n_x, plan.indptr[plan.n_x]
+        k_x = plan.base - np.bincount(plan.slots, weights=terms, minlength=plan.base.size)
+        k_xx = sp.csc_matrix((k_x[:n_xx], plan.indices[:n_xx], plan.indptr[:n_x + 1]),
                              shape=(n_x, n_x))
         try:
             self._lu = spla.splu(k_xx, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
         self.pivots = np.abs(self._lu.U.diagonal())
-        self._sk, self._k_x = sk, k_x
+        self.xb_norm = float(np.linalg.norm(k_x[n_xx:]))
+        self._plan, self._k_x = plan, k_x
 
     def solve(self, rhs: np.ndarray | None) -> np.ndarray:
         """K~_XX^{-1} rhs for rhs (n_x, k). rhs None stands for -K~_XB, solved
         over nb / _COLUMN_CHUNKS dense columns at a time."""
         if rhs is not None:
             return self._lu.solve(rhs)
-        sk = self._sk
-        n_x, nb = sk.n_x, sk.nodes.size - sk.n_x
+        plan = self._plan
+        n_x, nb = plan.n_x, plan.indptr.size - 1 - plan.n_x
         out = np.empty((n_x, nb))
         width = max(1, nb // _COLUMN_CHUNKS)
         for c0 in range(0, nb, width):
             c1 = min(c0 + width, nb)
-            entries = slice(sk.x_indptr[n_x + c0], sk.x_indptr[n_x + c1])
+            entries = slice(plan.indptr[n_x + c0], plan.indptr[n_x + c1])
             cols = np.zeros((n_x, c1 - c0), order="F")
-            cols[sk.x_indices[entries], sk.x_cols[entries] - n_x - c0] = -self._k_x[entries]
+            cols[plan.indices[entries], plan.cols[entries] - n_x - c0] = -self._k_x[entries]
             out[:, c0:c1] = self._lu.solve(cols)
         return out
 
@@ -826,13 +879,13 @@ class HelmholtzOperator:
         self._mass = self.omega2 * self.mass_diag[sk.nodes]
         self._symbols = _block_symbols(sk, self.omega2 * self.mass_diag[sk.interior[:, :1]].ravel())
         self._forms = _ring_forms(sk, self._symbols)
-        self._k_x = sk.x_base - np.bincount(  # the rows X of K~, in the static pattern
-            sk.x_slots, weights=np.concatenate([self._mass[:n_x], self._forms.ravel()[sk.x_forms]]),
-            minlength=sk.x_base.size)
+        # the terms K~_X = L - sum(terms) takes beside the Laplacian (see _x_entries)
+        terms = np.concatenate([self._mass[:n_x], self._forms.ravel()[sk.x_forms]])
         self.factor = "dense" if n_x <= _DENSE_SKELETON * self.grid.n_boundary else "superlu"
         try:
-            self._lu = (_TwoLevelLU(_dissection(self.grid, self.block_size, grouped), self._k_x)
-                        if self.factor == "dense" else _SparseLU(sk, self._k_x))
+            self._lu = (_TwoLevelLU(_dissection(self.grid, self.block_size, grouped), terms)
+                        if self.factor == "dense"
+                        else _SparseLU(_csc_plan(self.grid, self.block_size), terms))
         except np.linalg.LinAlgError as exc:
             raise NearEigenfrequencyError(
                 f"interior system is singular at omega^2 = {self.omega2}: {exc}",
@@ -897,9 +950,10 @@ class HelmholtzOperator:
             source = node_quad_weights(self.grid) * fv
         hat = _to_nodes(sk.basis, source[sk.interior][:, :, None])
         folded = sk.coupling.T @ (self._symbols[:, :, None] * hat)
-        xb = slice(sk.x_indptr[n_x], None)
-        rhs = source[sk.nodes[:n_x]] + (sk.scatter @ folded.reshape(-1))[:n_x] - np.bincount(
-            sk.x_indices[xb], weights=self._k_x[xb] * g[sk.x_cols[xb] - n_x], minlength=n_x)
+        data = np.zeros((sk.nodes.size, 1))
+        data[n_x:, 0] = g
+        rhs = (source[sk.nodes[:n_x]] + (sk.scatter @ folded.reshape(-1))[:n_x]
+               - self._condensed(data)[:n_x, 0])  # K~_XB g = (K~ [0; g])_X
         u = np.zeros((n_nodes, 1))
         u[sk.nodes[n_x:], 0] = g
         rhs_norm = self._five_point_residual(u, source[sk.grid_interior, None])
@@ -939,8 +993,7 @@ class HelmholtzOperator:
             v.reshape(-1)[at] = 0.0
             res2 += float(np.vdot(out[:n_x], out[:n_x]))
             lam[:, cols] = -out[n_x:]
-        k_xb = self._k_x[sk.x_indptr[n_x]:]
-        self._check(np.sqrt(res2), float(np.linalg.norm(k_xb)), "skeleton")
+        self._check(np.sqrt(res2), self._lu.xb_norm, "skeleton")
         return skeleton, lam
 
     def _audit_bank(self, bank: "SolutionBank") -> None:

@@ -360,6 +360,65 @@ def test_two_level_factor_matches_splu(m, k, box, omega2, s, getrf, rng, monkeyp
     assert len(calls) == 2 * getrf  # _matches_splu factors the field twice
 
 
+def _held_bytes(obj, seen) -> int:
+    """Bytes of the numpy arrays reachable from obj through dataclass fields
+    (cached properties included), tuples and sparse matrices, each buffer once."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if sp.issparse(obj):
+        return sum(_held_bytes(a, seen) for a in (obj.data, obj.indices, obj.indptr))
+    if isinstance(obj, tuple):
+        return sum(_held_bytes(x, seen) for x in obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return sum(_held_bytes(v, seen) for v in vars(obj).values())
+    return 0
+
+
+def test_dense_layout_holds_no_condensed_pattern(monkeypatch):
+    # the dense factor assembles its blocks from the ring forms directly: at
+    # m = 129 with 4 regions per side (s = 32, grouped) the static structures
+    # it reads hold under 8 MiB (11.8 MiB with the CSC pattern beside them),
+    # and the CSC pattern is built for a SuperLU layout only
+    calls, plan = [], forward._csc_plan
+    monkeypatch.setattr(forward, "_csc_plan", lambda *args: calls.append(args) or plan(*args))
+    grid = Grid(129)
+    part = make_uniform_partition(grid, 4)
+    op = HelmholtzOperator(PwcField(part, np.full(16, 1.5), (1.0, 2.0)), 5.0)
+    assert (op.block_size, op.factor, len(op._lu._dis.crosses)) == (32, "dense", 4)
+    seen = set()
+    held = _held_bytes(forward._skeleton(grid, 32), seen) + _held_bytes(
+        forward._dissection(grid, 32, True), seen)
+    assert held < 8 * 2 ** 20
+    assert calls == []
+    part = make_uniform_partition(Grid(33), 16)
+    op = HelmholtzOperator(PwcField(part, np.full(256, 1.5), (1.0, 2.0)), 5.0)
+    assert (op.block_size, op.factor) == (2, "superlu")
+    assert calls == [(Grid(33), 2)]
+
+
+# (m, regions per side, factor, crosses): dense ungrouped, dense grouped, SuperLU
+@pytest.mark.parametrize("m, k, factor, crosses", [(17, 2, "dense", 1), (33, 4, "dense", 4),
+                                                   (33, 16, "superlu", None)])
+def test_audit_divides_by_the_norm_of_the_condensed_boundary_block(m, k, factor, crosses, rng):
+    # the skeleton audit's ||K~_XB||_F, read from the factor's own storage,
+    # against K~_XB taken from the condensed operator on [0; I]
+    part = make_uniform_partition(Grid(m), k)
+    op = HelmholtzOperator(PwcField(part, rng.uniform(1.0, 2.0, k * k), (1.0, 2.0)), 5.0)
+    assert op.factor == factor
+    if crosses is not None:
+        assert len(op._lu._dis.crosses) == crosses
+    sk, nb = op._sk, Grid(m).n_boundary
+    v = np.zeros((sk.nodes.size, nb))
+    v[sk.n_x:] = np.eye(nb)
+    expected = np.linalg.norm(op._condensed(v)[:sk.n_x])
+    assert abs(op._lu.xb_norm - expected) <= 1e-14 * expected
+
+
 def test_exactly_singular_superlu_factor_reports_zero(monkeypatch):
     # m = 17, 8 regions per side: s = 2, n_x = 161 > 2 nb = 128, the SuperLU path
     def singular(*args, **kwargs):
