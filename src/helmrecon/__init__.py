@@ -5,7 +5,8 @@ Layers, bottom up: domain (grids, partitions, fields, projections), forward
 (Helmholtz solves, DtN assembly, the frequency guard, data norms), derivative
 (the DtN derivative and its adjoint), constants (the stability-constant
 calculus and refinement conditions), optimizer (single-level descent and the
-multi-level driver), verify (independent oracles), cli (experiment driver).
+multi-level driver), verify (independent oracles), textio (every text file
+format, its reader and its writer), cli (experiment driver).
 
 The names below resolve on first use (PEP 562), so importing the package
 loads neither numpy nor a submodule. That lets cli choose the BLAS thread
@@ -28,8 +29,8 @@ _EXPORTS = {
     ),
     "domain": (
         "Grid", "NodalField", "Partition", "PwcField", "bregman", "clamp_to_bounds", "embed",
-        "l2_dist", "l2_norm", "load_nodal_field", "load_pwc_field", "make_uniform_partition",
-        "project", "refine_partition", "save_field", "split_region",
+        "l2_dist", "l2_norm", "make_uniform_partition", "project", "refine_partition",
+        "split_region",
     ),
     "errors": (
         "AdmissibilityError", "CalibrationError", "ConfigurationError",
@@ -38,13 +39,14 @@ _EXPORTS = {
     ),
     "forward": (
         "BoundaryWeights", "DtnMatrix", "HelmholtzOperator", "SolutionBank", "SpectrumWindow",
-        "assemble_dtn", "build_boundary_weights", "dtn_data_norm", "dtn_for_field", "load_dtn",
-        "save_dtn", "spectrum_guard",
+        "assemble_dtn", "build_boundary_weights", "dtn_data_norm", "dtn_for_field",
+        "spectrum_guard",
     ),
     "optimizer": (
         "DescentState", "LevelRun", "MultilevelResult", "descent_step", "evaluate_state",
         "run_level", "run_multilevel",
     ),
+    "textio": ("load_dtn", "load_nodal_field", "load_pwc_field", "save_dtn", "save_field"),
     "verify": ("audit_alessandrini", "estimate_lipschitz_constant", "gradient_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,10 +26,11 @@ import numpy as np
 
 from . import constants as con
 from . import optimizer as opt
+from . import textio
 from . import verify as ver
 from .config import ExperimentConfig, load_config
 from .derivative import indicator_probes
-from .domain import PwcField, l2_dist, l2_norm, make_uniform_partition, save_field
+from .domain import PwcField, l2_dist, l2_norm, make_uniform_partition
 from .errors import (
     AdmissibilityError,
     ConfigurationError,
@@ -37,7 +38,7 @@ from .errors import (
     LevelConditionError,
     NearEigenfrequencyError,
 )
-from .forward import build_boundary_weights, dtn_for_field, save_dtn, save_weights
+from .forward import build_boundary_weights, dtn_for_field
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -59,8 +60,7 @@ def _snapshot(cfg: ExperimentConfig, override: str | None) -> str:
     if not out:
         raise ConfigurationError("no output directory: set [run] out or pass --out")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.ini"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.raw_text)
+    textio.write_text(os.path.join(out, "config.ini"), cfg.raw_text)
     return out
 
 
@@ -68,9 +68,9 @@ def cmd_forward(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> in
     truth = cfg.truth_field()
     weights = build_boundary_weights(cfg.grid)
     dtn = dtn_for_field(truth, cfg.omega2, weights=weights)
-    save_dtn(os.path.join(out, "dtn.txt"), dtn)
-    save_weights(os.path.join(out, "weights.txt"), weights)
-    save_field(os.path.join(out, "truth_field.txt"), truth)
+    textio.save_dtn(os.path.join(out, "dtn.txt"), dtn)
+    textio.save_weights(os.path.join(out, "weights.txt"), weights)
+    textio.save_field(os.path.join(out, "truth_field.txt"), truth)
     print(f"wrote DtN ({weights.nb} x {weights.nb}) and weights to {out}")
     return EXIT_OK
 
@@ -91,11 +91,11 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -
                                 override_level_check=args.override_level_check,
                                 truth=truth)
     for n, run in enumerate(result.runs):
-        opt.write_run_log(os.path.join(out, f"level{n}.csv"), run)
-    save_field(os.path.join(out, "final_field.txt"), result.final)
+        textio.write_run_log(os.path.join(out, f"level{n}.csv"), run)
+    textio.save_field(os.path.join(out, "final_field.txt"), result.final)
     rel_err = l2_dist(result.final, truth) / l2_norm(truth)
-    opt.write_run_metadata(os.path.join(out, "run_metadata.txt"), result, bundle,
-                           extra={"relative_error_vs_truth": f"{rel_err:.17g}"})
+    textio.write_run_metadata(os.path.join(out, "run_metadata.txt"), result, bundle,
+                              extra={"relative_error_vs_truth": f"{rel_err:.17g}"})
     print(f"reconstruction finished: levels={n_levels}, "
           f"stop={result.runs[-1].stop_reason}, relative error={rel_err:.3e}, "
           f"exit error bound={result.error_bound:.3e}")
@@ -127,17 +127,15 @@ def cmd_verify(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int
     wdef = float(np.linalg.norm(ident - np.eye(weights.nb)) / np.sqrt(weights.nb))
     results.append(("boundary_weights_inverse", wdef <= 1e-10, f"defect {wdef:.3e}"))
 
-    with open(os.path.join(out, "verify_report.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("check,passed,detail\n")
-        for name, passed, detail in results:
-            fh.write(f"{name},{int(passed)},{detail}\n")
+    textio.write_lines(os.path.join(out, "verify_report.csv"), ["check,passed,detail", *(
+        f"{name},{int(passed)},{detail}" for name, passed, detail in results)])
     all_ok = all(p for _, p, _ in results)
-    with open(os.path.join(out, "verify_summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"passed = {int(all_ok)}\n")
-        for name, passed, detail in results:
-            fh.write(f"{name} = {'pass' if passed else 'FAIL'} ({detail})\n")
-    for name, passed, detail in results:
-        print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
+    verdicts = [(name, f"{'pass' if passed else 'FAIL'} ({detail})")
+                for name, passed, detail in results]
+    textio.write_keyvalues(os.path.join(out, "verify_summary.txt"),
+                           [("passed", int(all_ok)), *verdicts])
+    for name, verdict in verdicts:
+        print(f"{name}: {verdict}")
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -146,23 +144,24 @@ def cmd_constants(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> 
     big_n = cfg.schedule[min(1, len(cfg.schedule) - 1)].n_regions
     grid_w2 = [cfg.omega2 * 0.5 ** i for i in range(12)]
     rows = con.rho_vs_omega(bundle, big_n, grid_w2)
-    con.write_rho_table(os.path.join(out, "rho_vs_omega.csv"), rows)
+    textio.write_rho_table(os.path.join(out, "rho_vs_omega.csv"), rows)
     w2, rho = con.find_omega_for_rho(bundle, big_n, cfg.target_rho)
     nmax = con.solve_n_max(bundle)
-    with open(os.path.join(out, "nmax.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"status = {nmax.status}\n")
-        fh.write(f"n_max = {nmax.n_max if nmax.n_max is not None else ''}\n")
-        fh.write(f"scan_cap = {nmax.cap:.17g}\n")
-        fh.write(f"target_rho = {cfg.target_rho:.17g}\n")
-        fh.write(f"omega2_for_target = {w2:.17g}\n")
-        fh.write(f"rho_at_target = {rho:.17g}\n")
+    textio.write_keyvalues(os.path.join(out, "nmax.txt"), [
+        ("status", nmax.status),
+        ("n_max", "" if nmax.n_max is None else nmax.n_max),
+        ("scan_cap", f"{nmax.cap:.17g}"),
+        ("target_rho", f"{cfg.target_rho:.17g}"),
+        ("omega2_for_target", f"{w2:.17g}"),
+        ("rho_at_target", f"{rho:.17g}"),
+    ])
     print(f"constants tables written to {out} (n_max status: {nmax.status})")
     return EXIT_OK
 
 
 def cmd_calibrate(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     bundle = cfg.calibrated_bundle()
-    con.save_bundle(os.path.join(out, "bundle.txt"), bundle)
+    textio.save_bundle(os.path.join(out, "bundle.txt"), bundle)
     print(f"calibrated bundle written to {out}/bundle.txt "
           f"(df_bound0={bundle.df_bound0:.3e}, df_lip0={bundle.df_lip0:.3e}, "
           f"stab_k={bundle.stab_k:.3e})")

@@ -19,7 +19,8 @@ Schema (sections and keys; * marks required):
                 trials (verify, at least 1), target_rho (constants)
 
 Integer keys (max_iter, seed, trials, samples) refuse fractional and negative
-values. eta_override and discrepancy_threshold must be finite and >= 0.
+values. eta_override and discrepancy_threshold must be finite and >= 0,
+target_rho finite and > 0.
 
 Unknown keys are rejected so typos fail loudly. Validation happens before any
 solve: the frequency guard, the schedule and inline truth partitions, the
@@ -37,10 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_EXPONENT, CompressionModel, ConstantsBundle, calibrate
-from .domain import (Grid, Partition, PwcField, load_pwc_field, make_uniform_partition,
-                     pwc_file_header, uniform_partition)
+from .domain import Grid, Partition, PwcField, make_uniform_partition, uniform_partition
 from .errors import ConfigurationError
 from .forward import spectrum_guard
+from .textio import load_pwc_field, open_text, pwc_file_header
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -143,13 +144,13 @@ def _get_int(parser: configparser.ConfigParser, section: str, key: str, fallback
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             text = fh.read()
         parser.read_string(text)
         _reject_unknown(parser)
         return _parse(parser, text, os.path.dirname(os.fspath(path)))
     except (configparser.Error, ValueError, OverflowError) as exc:
-        # undecodable bytes, bad INI syntax or a malformed value: a configuration error
+        # bad INI syntax or a malformed value: a configuration error
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -197,6 +198,9 @@ def _parse(parser: configparser.ConfigParser, text: str, base: str) -> Experimen
     for key, value in (("eta_override", eta_override), ("discrepancy_threshold", tau)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise ConfigurationError(f"[run] {key} must be finite and >= 0, got {value}")
+    target_rho = parser.getfloat("run", "target_rho", fallback=1e3)
+    if not (math.isfinite(target_rho) and target_rho > 0):
+        raise ConfigurationError(f"[run] target_rho must be finite and > 0, got {target_rho}")
 
     return ExperimentConfig(
         grid=grid,
@@ -221,6 +225,6 @@ def _parse(parser: configparser.ConfigParser, text: str, base: str) -> Experimen
         eta_override=eta_override,
         discrepancy_threshold=tau,
         trials=_get_int(parser, "run", "trials", 20, least=1),
-        target_rho=parser.getfloat("run", "target_rho", fallback=1e3),
+        target_rho=target_rho,
         raw_text=text,
     )

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import open_text, parse_number
 from .errors import AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError
 from .forward import spectrum_guard
 
@@ -66,9 +65,6 @@ __all__ = [
     "calibrate",
     "rho_vs_omega",
     "find_omega_for_rho",
-    "save_bundle",
-    "load_bundle",
-    "write_rho_table",
 ]
 
 _EXP_CAP = 700.0  # largest exponent fed to exp() anywhere in the calculus
@@ -496,70 +492,3 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     return ConstantsBundle(df_bound0=fitted_bound, df_lip0=fitted_lip, stab_k=fitted_k,
                            b1=b1, b2=b2, omega2=omega2, eps=eps, phi=phi,
                            n_exponent=n_exponent, calibration="empirical")
-
-
-def save_bundle(path, bundle: ConstantsBundle) -> None:
-    """Persist a bundle as a flat key-value file."""
-    lines = [
-        f"df_bound0 = {float(bundle.df_bound0)!r}",
-        f"df_lip0 = {float(bundle.df_lip0)!r}",
-        f"stab_k = {float(bundle.stab_k)!r}",
-        f"b1 = {float(bundle.b1)!r}",
-        f"b2 = {float(bundle.b2)!r}",
-        f"omega2 = {float(bundle.omega2)!r}",
-        f"eps = {float(bundle.eps)!r}",
-        f"phi_c = {float(bundle.phi.c)!r}",
-        f"phi_beta = {float(bundle.phi.beta)!r}",
-        f"n_exponent = {float(bundle.n_exponent)!r}",
-        f"calibration = {bundle.calibration}",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-_BUNDLE_KEYS = {"df_bound0", "df_lip0", "stab_k", "b1", "b2", "omega2", "eps", "phi_c",
-                "phi_beta", "n_exponent", "calibration"}
-
-
-def load_bundle(path) -> ConstantsBundle:
-    """Read a bundle file: 'key = value' lines, each known key at most once;
-    blank lines and '#' comments are skipped."""
-    kv = {}
-    with open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _BUNDLE_KEYS:
-                raise ConfigurationError(f"{path}: {line!r} is not a 'key = value' line "
-                                         "with a bundle key")
-            if key in kv:
-                raise ConfigurationError(f"{path}: bundle key {key!r} is given twice")
-            kv[key] = value.strip()
-    num = lambda key: parse_number(path, kv[key])
-    try:
-        return ConstantsBundle(
-            df_bound0=num("df_bound0"),
-            df_lip0=num("df_lip0"),
-            stab_k=num("stab_k"),
-            b1=num("b1"),
-            b2=num("b2"),
-            omega2=num("omega2"),
-            eps=num("eps"),
-            phi=CompressionModel.power_law(num("phi_c"), num("phi_beta")),
-            n_exponent=num("n_exponent") if "n_exponent" in kv else DEFAULT_EXPONENT,
-            calibration=kv.get("calibration", "analytic"),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing bundle key {exc}") from exc
-
-
-def write_rho_table(path, rows: list[RhoPoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("omega2,rho,rho_floor,note\n")
-        for r in rows:
-            rho = "" if r.rho is None else f"{r.rho:.17g}"
-            floor = "" if r.rho_floor is None else f"{r.rho_floor:.17g}"
-            fh.write(f"{r.omega2:.17g},{rho},{floor},{r.note}\n")

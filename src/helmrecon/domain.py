@@ -11,13 +11,13 @@ averaged over the four corner nodes of each cell. This is exact for
 piecewise-constant integrands and makes the region-averaging projection an
 orthogonal projection in the induced inner product, hence non-expansive.
 
-Everything here is immutable after construction; operations are pure.
+Everything here is immutable after construction; operations are pure and
+touch no file (textio reads and writes the field files).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,9 +40,6 @@ __all__ = [
     "l2_norm",
     "l2_dist",
     "bregman",
-    "save_field",
-    "load_pwc_field",
-    "load_nodal_field",
 ]
 
 
@@ -454,124 +451,3 @@ def l2_dist(f, g) -> float:
 def bregman(f, g) -> float:
     """Bregman distance of the squared-norm functional: half the squared L2 distance."""
     return 0.5 * l2_dist(f, g) ** 2
-
-
-def save_field(path, f: PwcField | NodalField) -> None:
-    """Write a field in the plain-text exchange format (UTF-8, LF)."""
-    if isinstance(f, PwcField):
-        lines = [f"pwc {f.partition.n_regions} {f.partition.level}"]
-        lines += [f"{j} {float(v)!r}" for j, v in enumerate(f.coeffs)]
-    elif isinstance(f, NodalField):
-        lines = [f"nodal {f.grid.m}"]
-        lines += [repr(float(v)) for v in f.values]
-    else:
-        raise TypeError(f"cannot save {type(f).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def parse_number(path, token: str, kind=float):
-    """One numeric token of a field or matrix file; anything that is not a
-    finite number of the given kind raises ConfigurationError."""
-    try:
-        value = kind(token)
-    except ValueError:
-        raise ConfigurationError(f"{path}: {token!r} is not a valid {kind.__name__}") from None
-    if kind is int and not -2 ** 63 < value < 2 ** 63:
-        raise ConfigurationError(f"{path}: integer {token!r} is out of range")
-    if kind is float and not np.isfinite(value):
-        raise ConfigurationError(f"{path}: non-finite value {token!r}")
-    return value
-
-
-def read_header(fh, path, layout: str, kinds: tuple) -> list:
-    """Parse a header line laid out as '<name> <field> ...' with the given field types."""
-    tokens = fh.readline().split()
-    name = layout.split()[0]
-    if len(tokens) != len(kinds) + 1 or tokens[0] != name:
-        raise ConfigurationError(f"{path}: expected '{layout}' header")
-    return [parse_number(path, tok, kind) for tok, kind in zip(tokens[1:], kinds)]
-
-
-def read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
-    """Read rows lines of exactly cols finite numbers each."""
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        tokens = fh.readline().split()
-        if not tokens:
-            raise ConfigurationError(f"{path}: truncated after {r} of {rows} data lines")
-        if len(tokens) != cols:
-            raise ConfigurationError(
-                f"{path}: data line {r + 1} has {len(tokens)} values, expected {cols}")
-        out[r] = [parse_number(path, tok) for tok in tokens]
-    return out
-
-
-def expect_end(fh, path) -> None:
-    """Reject anything but blank lines after the declared data."""
-    if fh.read().strip():
-        raise ConfigurationError(f"{path}: unexpected data after the declared entries")
-
-
-@contextmanager
-def open_text(path):
-    """Open a UTF-8 text file for reading; other bytes raise ConfigurationError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
-def pwc_file_header(path) -> tuple[int, int]:
-    """(N, level) from the header of a piecewise-constant field file."""
-    with open_text(path) as fh:
-        n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
-    if n < 1:
-        raise ConfigurationError(f"{path}: region count must be positive, got {n}")
-    return n, level
-
-
-def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> PwcField:
-    """Read a pwc file: N lines 'region coeff', each region exactly once, each
-    coefficient inside bounds (ConfigurationError otherwise)."""
-    with open_text(path) as fh:
-        n, level = read_header(fh, path, "pwc <N> <level>", (int, int))
-        if n != partition.n_regions:
-            raise DiscretizationMismatchError(
-                f"{path}: file has {n} regions, partition has {partition.n_regions}"
-            )
-        if level != partition.level:
-            raise DiscretizationMismatchError(
-                f"{path}: file level {level} != partition level {partition.level}"
-            )
-        coeffs = np.empty(n)
-        seen = np.zeros(n, dtype=bool)
-        for row in read_rows(fh, path, n, 2):
-            j = int(row[0])
-            if j != row[0] or not 0 <= j < n:
-                raise ConfigurationError(f"{path}: region index {row[0]:g} is not in 0..{n - 1}")
-            if seen[j]:
-                raise ConfigurationError(f"{path}: region {j} is listed twice")
-            coeffs[j] = row[1]
-            seen[j] = True
-        expect_end(fh, path)
-    field = PwcField(partition, coeffs, bounds)
-    if not field.admissible():
-        raise ConfigurationError(
-            f"{path}: coefficients {coeffs.min()} to {coeffs.max()} leave the box {field.bounds}")
-    return field
-
-
-def load_nodal_field(path, grid: Grid) -> NodalField:
-    """Read a nodal file: m^2 row-major values after the header, in any
-    whitespace layout."""
-    with open_text(path) as fh:
-        (m,) = read_header(fh, path, "nodal <m>", (int,))
-        if m != grid.m:
-            raise DiscretizationMismatchError(f"{path}: file has m={m}, grid has m={grid.m}")
-        tokens = fh.read().split()
-    if len(tokens) != grid.n_nodes:
-        raise ConfigurationError(f"{path}: expected {grid.n_nodes} values, got {len(tokens)}")
-    values = np.array([parse_number(path, tok) for tok in tokens])
-    return NodalField(grid, values)

@@ -98,12 +98,8 @@ from .domain import (
     boundary_loop,
     grid_laplacian,
     interior_nodes,
-    expect_end,
     mass_scatter_matrix,
     node_quad_weights,
-    open_text,
-    read_header,
-    read_rows,
 )
 from .errors import (
     AdmissibilityError,
@@ -124,10 +120,6 @@ __all__ = [
     "assemble_dtn",
     "dtn_data_norm",
     "dtn_for_field",
-    "save_dtn",
-    "load_dtn",
-    "save_weights",
-    "load_weights",
 ]
 
 _PIVOT_RTOL = 1e-13
@@ -1084,9 +1076,11 @@ class SolutionBank:
     def apply(self, g: np.ndarray) -> np.ndarray:
         """U g for boundary data g (nb,) or (nb, k), in O(n_nodes s k) flops and
         O(n_nodes k) memory."""
-        sk = self._sk
+        sk, nb = self._sk, self.grid.n_boundary
         g = np.asarray(g, dtype=float)
-        cols = g.reshape(self.grid.n_boundary, -1)
+        if g.ndim > 2 or g.shape[:1] != (nb,):
+            raise DiscretizationMismatchError(f"expected ({nb},) or ({nb}, k) data, got {g.shape}")
+        cols = g.reshape(nb, -1)
         u = np.empty((self.grid.n_nodes, cols.shape[1]))
         u[sk.nodes[:sk.n_x]] = self.skeleton @ cols
         u[sk.nodes[sk.n_x:]] = cols
@@ -1239,49 +1233,3 @@ def dtn_for_field(c2inv: PwcField, omega2: float, weights: BoundaryWeights | Non
     with return_solutions (see assemble_dtn)."""
     dtn, bank = assemble_dtn(HelmholtzOperator(c2inv, omega2), weights=weights, variant=variant)
     return (dtn, bank) if return_solutions else dtn
-
-
-def save_dtn(path, dtn: DtnMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"dtn {dtn.weights.nb} {float(dtn.omega2)!r}\n")
-        for row in dtn.lam:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
-    with open_text(path) as fh:
-        nb, omega2 = read_header(fh, path, "dtn <nb> <omega2>", (int, float))
-        if nb != weights.nb:
-            raise DiscretizationMismatchError(f"{path}: file nb={nb}, weights nb={weights.nb}")
-        lam = read_rows(fh, path, nb, nb)
-        expect_end(fh, path)
-    return DtnMatrix(lam=lam, weights=weights, omega2=omega2)
-
-
-def save_weights(path, weights: BoundaryWeights) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name, mat in (("wplus", weights.w_plus), ("wminus", weights.w_minus)):
-            fh.write(f"{name} {weights.nb}\n")
-            for row in mat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_weights(path, grid: Grid) -> BoundaryWeights:
-    """Read a weights file: the symbol is the real DFT of w_minus's first
-    column, and both blocks must match the pair rebuilt from it to 1e-12 of
-    their largest entry (ConfigurationError otherwise)."""
-    expected = grid.n_boundary
-    mats = {}
-    with open_text(path) as fh:
-        for name in ("wplus", "wminus"):
-            (nb,) = read_header(fh, path, f"{name} <nb>", (int,))
-            if nb != expected:
-                raise DiscretizationMismatchError(f"{path}: file nb={nb}, grid nb={expected}")
-            mats[name] = read_rows(fh, path, nb, nb)
-        expect_end(fh, path)
-    weights = BoundaryWeights(grid, np.fft.fft(mats["wminus"][:, 0]).real)
-    for name, rebuilt in (("wplus", weights.w_plus), ("wminus", weights.w_minus)):
-        if np.abs(mats[name] - rebuilt).max() > _SYMBOL_RTOL * np.abs(mats[name]).max():
-            raise ConfigurationError(f"{path}: {name} is not an SPD circulant pair "
-                                     "with wplus wminus = h_b^2 I")
-    return weights

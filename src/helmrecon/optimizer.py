@@ -43,8 +43,6 @@ __all__ = [
     "descent_step",
     "run_level",
     "run_multilevel",
-    "write_run_log",
-    "write_run_metadata",
 ]
 
 
@@ -281,39 +279,3 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
     return MultilevelResult(runs=runs, final=runs[-1].final,
                             error_bound=float(error_bound),
                             warnings=warnings)
-
-
-def write_run_log(path, run: LevelRun) -> None:
-    """Per-iteration CSV: k, r_k, t_k, u_k, mu_k, bregman_opt (blank if unknown)."""
-    h = run.history
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,r_k,t_k,u_k,mu_k,bregman_opt\n")
-        for i in range(h["k"].size):
-            breg = h["bregman"][i]
-            breg_s = "" if np.isnan(breg) else f"{breg:.17g}"
-            fh.write(
-                f"{h['k'][i]},{h['r'][i]:.17g},{h['t'][i]:.17g},"
-                f"{h['u'][i]:.17g},{h['mu'][i]:.17g},{breg_s}\n"
-            )
-
-
-def write_run_metadata(path, result: MultilevelResult, bundle: ConstantsBundle,
-                       extra: dict | None = None) -> None:
-    """Flat key-value run summary."""
-    lines = [
-        f"levels = {len(result.runs)}",
-        f"schedule = {' '.join(str(r.partition.n_regions) for r in result.runs)}",
-        f"stop_reasons = {' '.join(r.stop_reason for r in result.runs)}",
-        f"stop_indices = {' '.join(str(r.k_stop) for r in result.runs)}",
-        f"error_bound = {result.error_bound:.17g}",
-        f"omega2 = {float(bundle.omega2)!r}",
-        f"eps = {float(bundle.eps)!r}",
-        f"calibration = {bundle.calibration}",
-        f"warnings = {len(result.warnings)}",
-    ]
-    for i, w in enumerate(result.warnings):
-        lines.append(f"warning_{i} = {w}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -8,14 +8,14 @@ import pytest
 from helmrecon import ConfigurationError, Grid, build_boundary_weights, cli, load_dtn
 from helmrecon.cli import main
 from helmrecon.config import load_config
-from helmrecon.constants import load_bundle
-from helmrecon.domain import (
+from helmrecon.domain import make_uniform_partition
+from helmrecon.textio import (
+    load_bundle,
     load_nodal_field,
     load_pwc_field,
-    make_uniform_partition,
+    load_weights,
     pwc_file_header,
 )
-from helmrecon.forward import load_weights
 
 BASE = """\
 [grid]
@@ -172,6 +172,16 @@ def test_constants_command_tables(tmp_path):
     assert all(b > a for a, b in zip(rhos, rhos[1:]))  # rho grows as omega^2 shrinks
     nmax = (out / "nmax.txt").read_text()
     assert "status = unbounded" in nmax  # phi defaults to the zero model
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_constants_refuses_a_target_rho_that_is_not_positive(tmp_path, value):
+    # nan and inf ran 200 halvings before exiting 64; 0 and -1 exited 0 with the
+    # bundle's omega2 as omega2_for_target
+    cfg = write_config(tmp_path, BASE + f"target_rho = {value}\n")
+    out = tmp_path / "c"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 64
+    assert not (out / "rho_vs_omega.csv").exists()
 
 
 def test_constants_with_a_huge_analytic_bundle_exits_without_a_traceback(tmp_path):

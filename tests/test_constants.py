@@ -24,7 +24,8 @@ from helmrecon import (
     solve_n_max,
 )
 from helmrecon import constants, derivative, forward, verify
-from helmrecon.constants import LevelConstants, _nmax_lhs, load_bundle, save_bundle
+from helmrecon.constants import LevelConstants, _nmax_lhs
+from helmrecon.textio import load_bundle, save_bundle
 
 
 def bundle(df_bound0=1.0, df_lip0=1.0, stab_k=0.1, b1=1.0, b2=1.0, omega2=1.0,

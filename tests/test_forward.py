@@ -32,7 +32,8 @@ from helmrecon import (
 )
 from helmrecon import forward
 from helmrecon.domain import grid_laplacian, interior_nodes, mass_scatter_matrix, node_quad_weights
-from helmrecon.forward import boundary_loop, load_weights, save_weights, unit_square_eigenvalues
+from helmrecon.forward import boundary_loop, unit_square_eigenvalues
+from helmrecon.textio import load_weights, save_weights
 
 LAM1 = 2 * np.pi ** 2
 
@@ -595,6 +596,15 @@ def test_bank_apply_matches_dense_bank(rng):
     cols = rng.standard_normal((g.n_boundary, 3))
     assert _rel(bank.apply(vec), bank.solutions @ vec) <= 1e-13
     assert _rel(bank.apply(cols), bank.solutions @ cols) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(128,), (65,), (64, 2, 2), ()],
+                         ids=["two_loops", "one_extra", "three_axes", "scalar"])
+def test_bank_apply_rejects_wrong_boundary_length(grid17, weights17, shape):
+    # (2 nb,) used to fold into two columns and return a (2 n_nodes,) array
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    with pytest.raises(DiscretizationMismatchError):
+        bank.apply(np.ones(shape))
 
 
 def test_block_solver_smallest_grid():

@@ -27,7 +27,8 @@ from helmrecon import (
     run_level,
     run_multilevel,
 )
-from helmrecon.optimizer import _step_quantities, write_run_log, write_run_metadata
+from helmrecon.optimizer import _step_quantities
+from helmrecon.textio import write_run_log, write_run_metadata
 
 B1, B2, W2 = 1.0, 2.0, 5.0
 

@@ -12,11 +12,11 @@ import pytest
 
 from helmrecon import Grid, NodalField, PwcField, build_boundary_weights, cli, \
     make_uniform_partition
-from helmrecon.constants import CompressionModel, ConstantsBundle, NMaxResult, RhoPoint, \
-    save_bundle, write_rho_table
-from helmrecon.domain import save_field
-from helmrecon.forward import DtnMatrix, save_dtn, save_weights
-from helmrecon.optimizer import MultilevelResult, write_run_log, write_run_metadata
+from helmrecon.constants import CompressionModel, ConstantsBundle, NMaxResult, RhoPoint
+from helmrecon.forward import DtnMatrix
+from helmrecon.optimizer import MultilevelResult
+from helmrecon.textio import save_bundle, save_dtn, save_field, save_weights, write_rho_table, \
+    write_run_log, write_run_metadata
 
 BUNDLE = ConstantsBundle(df_bound0=0.1, df_lip0=1e-3, stab_k=1e-4, b1=1.0, b2=2.0, omega2=5.0,
                          eps=0.1, phi=CompressionModel.power_law(0.5, 1.5), n_exponent=4 / 7,
