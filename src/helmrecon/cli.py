@@ -144,9 +144,9 @@ def cmd_constants(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> 
     big_n = cfg.schedule[min(1, len(cfg.schedule) - 1)].n_regions
     grid_w2 = [cfg.omega2 * 0.5 ** i for i in range(12)]
     rows = con.rho_vs_omega(bundle, big_n, grid_w2)
-    textio.write_rho_table(os.path.join(out, "rho_vs_omega.csv"), rows)
     w2, rho = con.find_omega_for_rho(bundle, big_n, cfg.target_rho)
     nmax = con.solve_n_max(bundle)
+    textio.write_rho_table(os.path.join(out, "rho_vs_omega.csv"), rows)
     textio.write_keyvalues(os.path.join(out, "nmax.txt"), [
         ("status", nmax.status),
         ("n_max", "" if nmax.n_max is None else nmax.n_max),

@@ -25,25 +25,27 @@ alike; at s = 1 (a partition without square blocks) the skeleton is the
 whole grid. The DtN assembly solves for the skeleton values V_X of the
 boundary-indicator solutions only; the SolutionBank keeps V_X and the block
 symbols, and gives the bank's products (U g, U^T diag(w) U, diag(U P U^T))
-from them without forming the dense (n_nodes, nb) bank. A residual audit
-backs every solve: the whole condensed residual of the bank plus a sketched
-five-point residual of U G for a fixed Gaussian G, and the exact five-point
-residual of a single solve. Static per-grid and per-block-size pieces (index
-sets, the DST) are cached, and with them every index plan an evaluation
-reads: the ring split of _Skeleton (which ring rows of U are rows of V_X and
-which are identity rows) and the flat plans of _Dissection (where each term
-of K~ lands in the dense factor's buffer, and where each cross's products
-land in the Schur complement, the coarse right-hand side and the bank). The
-dense factor is assembled from the ring forms straight into its blocks
-(multifrontal assembly, Duff & Reid, ACM TOMS 9, 1983); only the SuperLU
-factor reads a compressed-column pattern of K~, which _csc_plan builds for
-its layouts alone. A single solve takes K~_XB g from the condensed operator
-on [0; g] (_condensed), so the dense path keeps no copy of K~_X beside its
-factor. An evaluation then does arithmetic and precomputed gathers and
-scatters only. The block forms G_b = (S x S) D_b F of the adjoint and the
-derivative come in closed form from F's rank-one sides
-(SolutionBank._block_forms), and the frequency certificate of a (grid,
-omega^2, box) runs once, not once per field (_certify).
+from them without forming the dense (n_nodes, nb) bank. The DtN is read from
+the loop rows of the condensed operator on [V_X; I] alone. A residual audit
+backs every solve: a sketched five-point residual of U G for a fixed Gaussian
+G, whose rows X are the condensed residual of [V_X G; G], and the exact
+five-point residual of a single solve. Static per-grid and per-block-size
+pieces (index sets, the DST) are cached, and with them every index plan an
+evaluation reads: the row plans of _Skeleton (which ring rows of U are rows of
+V_X and which are identity rows, for the adjoint's block groups and the blocks
+beside the loop) and the flat plans of _Dissection (where each term of K~
+lands in the dense factor's buffer, and where each cross's products land in
+the Schur complement, the coarse right-hand side and the bank). The dense
+factor is assembled from the ring forms straight into its blocks (multifrontal
+assembly, Duff & Reid, ACM TOMS 9, 1983); only the SuperLU factor reads a
+compressed-column pattern of K~, which _csc_plan builds for its layouts alone.
+A single solve takes K~_XB g from the condensed operator on [0; g]
+(_condensed), so the dense path keeps no copy of K~_X beside its factor. An
+evaluation then does arithmetic and precomputed gathers and scatters only. The
+block forms G_b = (S x S) D_b F of the adjoint and the derivative come in
+closed form from F's rank-one sides (SolutionBank._block_forms), and the
+frequency certificate of a (grid, omega^2, box) runs once, not once per field
+(_certify).
 
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
@@ -127,7 +129,7 @@ _SOLVE_RTOL = 1e-10
 _BLOCK_MARGIN = 0.5  # block interiors stay at least half as definite as their Laplacian
 _BLOCKS_PER_SIDE = 2  # block size s at most (m - 1) / 2 ...
 _MAX_BLOCK = 32  # ... and at most 32 cells (measured optimum, see _block_size)
-_COLUMN_CHUNKS = 8  # SuperLU indicator solves and the DtN products run over nb / 8 columns
+_COLUMN_CHUNKS = 8  # SuperLU indicator solves run over nb / 8 right-hand sides at a time
 _DENSE_SKELETON = 2  # dense LU for a skeleton of at most 2 nb unknowns (measured crossover)
 _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior passes
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
@@ -359,23 +361,18 @@ class _Skeleton:
     l_rows: sp.csr_matrix      # their rows of the grid Laplacian, all columns
     inward: np.ndarray         # per loop node: its interior neighbour (diagonal at a corner)
     edge: np.ndarray           # loop positions of the non-corner nodes
-    ring_x: np.ndarray         # flat ring slots on X, block by block, and their X positions
-    ring_x_pos: np.ndarray
-    ring_loop: np.ndarray      # flat ring slots on the loop, and their loop indices
-    ring_loop_pos: np.ndarray
-    ring_starts: np.ndarray    # (2, n_blocks + 1): where each block starts in ring_x, ring_loop
     sides: np.ndarray          # (2(s-1), s-1): S diag(S[0]) over S diag(S[s-2])
     side_basis: np.ndarray     # (s-1, (s-1)^2): K[q, (c, y)] = S[c, q] S[q, y]
 
-    def ring_rows(self, blocks: slice) -> _RowPlan:
-        """The _RowPlan of the ring rows of a run of blocks, shape (blocks, 4(s-1))."""
-        b0, b1 = blocks.indices(self.ring.shape[0])[:2]
-        n_ring, nb = self.ring.shape[1], self.nodes.size - self.n_x
-        (x0, x1), (l0, l1) = self.ring_starts[:, [b0, b1]].tolist()
-        loop_slots = self.ring_loop[l0:l1] - b0 * n_ring
-        loop_pos = self.ring_loop_pos[l0:l1]
-        return _RowPlan((b1 - b0, n_ring), self.ring_x[x0:x1] - b0 * n_ring,
-                        self.ring_x_pos[x0:x1], loop_slots, loop_pos, loop_slots * nb + loop_pos)
+    def ring_rows(self, blocks: slice | np.ndarray) -> _RowPlan:
+        """The _RowPlan of the ring rows of some blocks (a slice or block ids),
+        shape (blocks, 4(s-1))."""
+        ring = self.ring[blocks]
+        flat = ring.ravel()
+        x_slots, loop_slots = np.flatnonzero(flat < self.n_x), np.flatnonzero(flat >= self.n_x)
+        loop_pos = flat[loop_slots] - self.n_x
+        return _RowPlan(ring.shape, x_slots, flat[x_slots], loop_slots, loop_pos,
+                        loop_slots * (self.nodes.size - self.n_x) + loop_pos)
 
     @cached_property
     def ring_groups(self) -> tuple:
@@ -384,7 +381,28 @@ class _Skeleton:
         n_ring), whichever is larger."""
         n_int, n_ring = self.coupling.shape
         per_block = max(n_ring * (self.nodes.size - self.n_x), n_int * n_ring)
-        return tuple((blk, self.ring_rows(blk)) for blk in _block_groups(self, per_block))
+        return tuple((blk, self.ring_rows(blk))
+                     for blk in _block_groups(self.ring.shape[0], per_block))
+
+    @cached_property
+    def loop_groups(self) -> tuple:
+        """(blocks, rows, ring_rows(blocks)) for the blocks beside each side of
+        the loop, in groups of at most _CHUNK_ENTRIES ring-row values: rows
+        are the ring slots of that side, which all lie on the loop."""
+        n, n_ring = self.s - 1, self.ring.shape[1]
+        groups = []
+        for side in range(4 if n else 0):
+            beside = np.flatnonzero(self.ring[:, side * n] >= self.n_x)
+            for blk in _block_groups(beside.size, n_ring * (self.nodes.size - self.n_x)):
+                groups.append((beside[blk], slice(side * n, side * n + n),
+                               self.ring_rows(beside[blk])))
+        return tuple(groups)
+
+    @cached_property
+    def loop_laplacian(self) -> tuple[sp.csr_matrix, sp.coo_matrix]:
+        """The loop rows of l_sigma: L_BX, and L_BB as (row, col, value) entries."""
+        rows = self.l_sigma[self.n_x:]
+        return rows[:, :self.n_x], rows[:, self.n_x:].tocoo()
 
     def rows(self, pos: np.ndarray) -> _RowPlan:
         """The _RowPlan of the sorted skeleton positions pos: X comes first."""
@@ -424,9 +442,6 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
     lap = grid_laplacian(grid)
     li, lj = np.divmod(loop, m)
     interior = interior_nodes(grid)
-    flat_ring = ring.ravel()
-    ring_x, ring_loop = np.flatnonzero(flat_ring < n_x), np.flatnonzero(flat_ring >= n_x)
-    block_starts = np.arange(blocks.size + 1) * 4 * n
     skeleton = _Skeleton(
         s=s, nodes=nodes, n_x=n_x, ring=ring,
         interior=(rows[:, :, None] * m + cols[:, None, :]).reshape(blocks.size, n * n),
@@ -442,19 +457,11 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         l_rows=lap[interior].tocsr(),
         inward=(li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1),
         edge=np.flatnonzero((li % (m - 1) != 0) | (lj % (m - 1) != 0)),
-        ring_x=ring_x,
-        ring_x_pos=flat_ring[ring_x],
-        ring_loop=ring_loop,
-        ring_loop_pos=flat_ring[ring_loop] - n_x,
-        ring_starts=np.stack([np.searchsorted(ring_x, block_starts),
-                              np.searchsorted(ring_loop, block_starts)]),
         sides=np.concatenate([basis * basis[:1], basis * basis[n - 1:n]]),
         side_basis=(basis.T[:, :, None] * basis[:, None, :]).reshape(n, n * n),
     )
     for arr in (skeleton.nodes, skeleton.ring, skeleton.interior, skeleton.basis,
-                skeleton.coupling, skeleton.x_forms, skeleton.inward,
-                skeleton.ring_x, skeleton.ring_x_pos, skeleton.ring_loop,
-                skeleton.ring_loop_pos, skeleton.ring_starts, skeleton.sides,
+                skeleton.coupling, skeleton.x_forms, skeleton.inward, skeleton.sides,
                 skeleton.side_basis):
         arr.setflags(write=False)
     return skeleton
@@ -545,18 +552,18 @@ def _ring_forms(sk: _Skeleton, symbols: np.ndarray) -> np.ndarray:
     return forms
 
 
-def _block_groups(sk: _Skeleton, per_block: int) -> list[slice]:
-    """Slices over the blocks, each group holding at most _CHUNK_ENTRIES of
+def _block_groups(count: int, per_block: int) -> list[slice]:
+    """Slices over count blocks, each group holding at most _CHUNK_ENTRIES of
     per-block values (at least one block)."""
     step = max(1, _CHUNK_ENTRIES // max(1, per_block))
-    return [slice(b0, b0 + step) for b0 in range(0, sk.interior.shape[0], step)]
+    return [slice(b0, b0 + step) for b0 in range(0, count, step)]
 
 
 def _fill_blocks(sk: _Skeleton, symbols: np.ndarray, u: np.ndarray, hat=None) -> None:
     """Write the block interiors of u (n_nodes, k), whose skeleton rows are set:
     u_b = (S x S) D_b (F u_ring + hat_b), hat_b a block source in the DST basis."""
     ring_nodes = sk.nodes[sk.ring]
-    for blk in _block_groups(sk, sk.interior.shape[1] * u.shape[1]):
+    for blk in _block_groups(sk.interior.shape[0], sk.interior.shape[1] * u.shape[1]):
         x = sk.coupling @ u[ring_nodes[blk]]
         if hat is not None:
             x += hat[blk]
@@ -673,13 +680,10 @@ class _TwoLevelLU:
     George, SIAM J. Numer. Anal. 10, 1973). getrf factors each cross block
     A_i; W_i = A_i^{-1} K~_{C_i T_i}, on the T nodes of its ring only, gives
     the Schur complement S_TT = K~_TT - sum_i K~_{T_i C_i} W_i, which getrf
-    factors in turn. pivots pools the pivot moduli of every factor, and
-    xb_norm is ||K~_XB||_F, read before any solve from the loop columns of
-    each B_i and from K~_TB, which hold every entry of K~_XB once. With one
+    factors in turn. pivots pools the pivot moduli of every factor. With one
     cross and no T this is one getrf of K~_XX. The products run in scipy's
     BLAS (dgemm) like the factors and solves, so that with unpinned threads
-    the whole skeleton solve stays in one thread pool (see
-    HelmholtzOperator._indicator_skeleton).
+    the whole skeleton solve stays in one thread pool (see assemble_dtn).
     """
 
     def __init__(self, dis: _Dissection, terms: np.ndarray):
@@ -690,9 +694,6 @@ class _TwoLevelLU:
         np.subtract(0.0, buf, out=buf)
         buf[dis.lap_slots] += dis.lap_values
         blocks, schur, self._k_tb = dis.split(buf)
-        self.xb_norm = float(np.linalg.norm(
-            [np.linalg.norm(b[:, rt.size:]) for (_, b, _), rt in zip(blocks, dis.ring_t)]
-            + [np.linalg.norm(self._k_tb)]))
         self._dis = dis
         self._cross, self._w, self._e, self._b_loop = [], [], [], []
         for (a, b, e), rt, at in zip(blocks, dis.ring_t, dis.schur_at):
@@ -790,7 +791,6 @@ class _SparseLU:
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(str(exc)) from exc
         self.pivots = np.abs(self._lu.U.diagonal())
-        self.xb_norm = float(np.linalg.norm(k_x[n_xx:]))
         self._plan, self._k_x = plan, k_x
 
     def solve(self, rhs: np.ndarray | None) -> np.ndarray:
@@ -955,47 +955,32 @@ class HelmholtzOperator:
                     "linear solve")
         return NodalField(self.grid, u[:, 0])
 
-    def _indicator_skeleton(self) -> tuple[np.ndarray, np.ndarray]:
-        """Skeleton values V_X (n_x, nb) of the boundary-indicator solutions and
-        the variational DtN -(K~_BX V_X + K~_BB), over nb / _COLUMN_CHUNKS
-        columns at a time. One zeroed chunk buffer serves every chunk: its
-        loop rows get the chunk's identity columns as ones written at flat
-        positions and cleared after the product, with no np.eye per chunk.
-        Audit: the condensed residual K~_XX V_X + K~_XB over all nb columns
-        must be within _SOLVE_RTOL of ||K~_XB||_F.
-
-        All solves run before all products: the skeleton solves (SuperLU or
-        getrs) call scipy's BLAS and the products numpy's, and with unpinned
-        threads the two pools contend at every switch between them."""
-        sk = self._sk
-        n_x, nb = sk.n_x, self.grid.n_boundary
-        skeleton = self._solve_skeleton(None)
-        lam = np.empty((nb, nb))
-        width = max(1, nb // _COLUMN_CHUNKS)
-        v = np.zeros((sk.nodes.size, width))
-        ones = (n_x + np.arange(width)) * width + np.arange(width)  # flat (n_x + j, j)
-        res2 = 0.0
-        for c0 in range(0, nb, width):
-            cols = slice(c0, min(c0 + width, nb))
-            chunk = v[:, :cols.stop - c0]
-            chunk[:n_x] = skeleton[:, cols]
-            at = ones[:cols.stop - c0] + c0 * width  # the chunk's loop identity
-            v.reshape(-1)[at] = 1.0
-            out = self._condensed(chunk)
-            v.reshape(-1)[at] = 0.0
-            res2 += float(np.vdot(out[:n_x], out[:n_x]))
-            lam[:, cols] = -out[n_x:]
-        self._check(np.sqrt(res2), self._lu.xb_norm, "skeleton")
-        return skeleton, lam
-
     def _audit_bank(self, bank: "SolutionBank") -> None:
         """Sketched five-point audit of the indicator bank U: for the fixed
         Gaussian G = _sketch(nb), ||(K U) G||_F^2 / _SKETCH_COLUMNS is an
         unbiased estimate of ||K_ii U_i + K_ib U_b||_F^2, which must be within
-        _SOLVE_RTOL of ||K_ib||_F (one unit per non-corner loop node)."""
+        _SOLVE_RTOL of ||K_ib||_F (one unit per non-corner loop node). The
+        block interiors of U G are filled exactly, so its rows X hold the
+        condensed residual of [V_X G; G]: the skeleton solve and the block
+        symbols are audited together (Freivalds' check of a product)."""
         res = self._five_point_residual(bank.apply(_sketch(self.grid.n_boundary)))
         self._check(res / np.sqrt(_SKETCH_COLUMNS), float(np.sqrt(self._sk.edge.size)),
-                    "sketched bank")
+                    "sketched skeleton and bank")
+
+    def _dtn(self, bank: "SolutionBank") -> np.ndarray:
+        """The variational DtN -(K~_BX V_X + K~_BB), the loop rows of K~ [V_X; I]:
+        L_BX V_X + L_BB - omega^2 diag(d_B), minus the loop rows of the ring
+        forms of the blocks beside the loop, gathered through the bank's ring
+        rows a group of blocks at a time. A loop node lies on at most one
+        ring, so every entry is summed in the order _condensed sums it."""
+        sk = self._sk
+        l_bx, l_bb = sk.loop_laplacian
+        out = l_bx @ bank.skeleton
+        out[l_bb.row, l_bb.col] += l_bb.data
+        out.reshape(-1)[::out.shape[0] + 1] -= self._mass[sk.n_x:]
+        for blocks, rows, plan in sk.loop_groups:
+            out[sk.ring[blocks, rows] - sk.n_x] -= self._forms[blocks, rows] @ bank._rows(plan)
+        return np.negative(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1177,14 +1162,17 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
                  variant: str = "variational") -> tuple[DtnMatrix, SolutionBank]:
     """One forward evaluation: the DtN matrix and its solution bank.
 
-    The variational DtN is -(K~_BB + K~_BX V_X), the boundary rows of the
-    condensed operator on the bank's skeleton values, which equal
-    -(K_bb + K_bi U_i). variant='one_sided' replaces the variational flux with
-    an inward finite difference (for degradation experiments only; it reads
-    the dense bank, materialised once and kept by the bank). weights default
-    to build_boundary_weights(op.grid).
-    The condensed residual and a sketched five-point residual of the bank are
-    audited (HelmholtzOperator._indicator_skeleton, _audit_bank).
+    The skeleton solve gives the bank's V_X, a sketched five-point residual
+    audits it (HelmholtzOperator._audit_bank), and the variational DtN is
+    read from the loop rows of the condensed operator on [V_X; I] alone:
+    -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
+    (HelmholtzOperator._dtn). The solve runs whole before the audit's and
+    the DtN's products: it calls scipy's BLAS and they call numpy's, and with
+    unpinned threads the two pools contend at every switch between them.
+    variant='one_sided' replaces the variational flux with an inward finite
+    difference (for degradation experiments only; it reads the dense bank,
+    materialised once and kept by the bank). weights default to
+    build_boundary_weights(op.grid).
     """
     grid = op.grid
     weights = build_boundary_weights(grid) if weights is None else weights
@@ -1192,14 +1180,15 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
         raise DiscretizationMismatchError("weights were built for a different grid")
     if variant not in ("variational", "one_sided"):
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
-    skeleton, lam = op._indicator_skeleton()
-    bank = SolutionBank(skeleton, weights, op.omega2, op.block_size, op._symbols)
+    bank = SolutionBank(op._solve_skeleton(None), weights, op.omega2, op.block_size, op._symbols)
     op._audit_bank(bank)
     if variant == "one_sided":
         sk, nb = op._sk, grid.n_boundary
         factor = np.full(nb, 1.0 / np.sqrt(2.0))
         factor[sk.edge] = 1.0
         lam = (bank.solutions[sk.inward] - np.eye(nb)) * factor[:, None]
+    else:
+        lam = op._dtn(bank)
     return (DtnMatrix(lam=lam, weights=weights, omega2=op.omega2), bank)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helmrecon import ConfigurationError, Grid, build_boundary_weights, cli, load_dtn
+from helmrecon import constants as con
 from helmrecon.cli import main
 from helmrecon.config import load_config
 from helmrecon.domain import make_uniform_partition
@@ -186,13 +187,25 @@ def test_constants_refuses_a_target_rho_that_is_not_positive(tmp_path, value):
 
 def test_constants_with_a_huge_analytic_bundle_exits_without_a_traceback(tmp_path):
     # (curvature * df_bound)^2 overflows a float: the floor reads 0, and no
-    # radius reaches the target, a configuration error; never an
-    # OverflowError traceback (exit 1)
+    # radius reaches the target, a configuration error (exit 64, no table
+    # written); never an OverflowError traceback (exit 1)
     cfg = write_config(tmp_path, BASE.replace("lhat0 = 1.0", "lhat0 = 1e300"))
     out = tmp_path / "c"
-    assert main(["constants", "--config", cfg, "--out", str(out)]) in (0, 64)
-    rows = (out / "rho_vs_omega.csv").read_text().splitlines()
-    assert [r.split(",")[1:3] for r in rows[1:]] == [["0", "0"]] * (len(rows) - 1)
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 64
+    assert not (out / "rho_vs_omega.csv").exists()
+    rows = con.rho_vs_omega(load_config(cfg).bundle(), 1, [0.5 ** i for i in range(12)])
+    assert [(r.rho, r.rho_floor) for r in rows] == [(0.0, 0.0)] * 12
+
+
+def test_constants_with_an_unreachable_target_rho_writes_no_table(tmp_path):
+    # a finite target no frequency reaches fails after 200 halvings, before
+    # either file is written: no half-written run directory
+    text = BASE.replace("m = 17", "m = 9").replace("k = 0.0001", "k = 0.05")
+    cfg = write_config(tmp_path, text + "target_rho = 1e300\n")
+    out = tmp_path / "c"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 64
+    assert not (out / "rho_vs_omega.csv").exists()
+    assert not (out / "nmax.txt").exists()
 
 
 def test_relative_truth_file_is_read_beside_its_config(tmp_path, monkeypatch):

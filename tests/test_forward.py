@@ -402,22 +402,31 @@ def test_dense_layout_holds_no_condensed_pattern(monkeypatch):
     assert calls == [(Grid(33), 2)]
 
 
-# (m, regions per side, factor, crosses): dense ungrouped, dense grouped, SuperLU
-@pytest.mark.parametrize("m, k, factor, crosses", [(17, 2, "dense", 1), (33, 4, "dense", 4),
-                                                   (33, 16, "superlu", None)])
-def test_audit_divides_by_the_norm_of_the_condensed_boundary_block(m, k, factor, crosses, rng):
-    # the skeleton audit's ||K~_XB||_F, read from the factor's own storage,
-    # against K~_XB taken from the condensed operator on [0; I]
+# (m, regions per side, block size, factor): s = 1, dense ungrouped, dense
+# grouped, SuperLU at s = 4 and at s = 2
+@pytest.mark.parametrize("m, k, s, factor", [(9, 8, 1, "dense"), (17, 2, 8, "dense"),
+                                             (33, 4, 8, "dense"), (33, 8, 4, "superlu"),
+                                             (17, 8, 2, "superlu")])
+def test_dtn_is_the_loop_rows_of_the_condensed_operator(m, k, s, factor, rng):
+    # the DtN, read from the loop rows of K~ alone, against the whole product
+    # K~ [V_X; I]: bit for bit, but at s = 2, where a side of a block ring is
+    # one row and its ring-form product a vector-matrix product, which may
+    # sum in another order
     part = make_uniform_partition(Grid(m), k)
     op = HelmholtzOperator(PwcField(part, rng.uniform(1.0, 2.0, k * k), (1.0, 2.0)), 5.0)
-    assert op.factor == factor
-    if crosses is not None:
-        assert len(op._lu._dis.crosses) == crosses
+    assert (op.block_size, op.factor) == (s, factor)
+    if (m, k) == (33, 4):
+        assert len(op._lu._dis.crosses) == 4
+    dtn, bank = assemble_dtn(op)
     sk, nb = op._sk, Grid(m).n_boundary
     v = np.zeros((sk.nodes.size, nb))
+    v[:sk.n_x] = bank.skeleton
     v[sk.n_x:] = np.eye(nb)
-    expected = np.linalg.norm(op._condensed(v)[:sk.n_x])
-    assert abs(op._lu.xb_norm - expected) <= 1e-14 * expected
+    oracle = -op._condensed(v)[sk.n_x:]
+    if s == 2:
+        assert _rel(dtn.lam, oracle) <= 1e-15
+    else:
+        assert np.array_equal(dtn.lam, oracle)
 
 
 def test_exactly_singular_superlu_factor_reports_zero(monkeypatch):
