@@ -31,14 +31,14 @@ backs every solve: a sketched five-point residual of U G for a fixed Gaussian
 G, whose rows X are the condensed residual of [V_X G; G], and the exact
 five-point residual of a single solve. Static per-grid and per-block-size
 pieces (index sets, the DST) are cached, and with them every index plan an
-evaluation reads: the row plans of _Skeleton (which ring rows of U are rows of
-V_X and which are identity rows, for the adjoint's block groups and the blocks
-beside the loop) and the flat plans of _Dissection (where each term of K~
-lands in the dense factor's buffer, and where each cross's products land in
-the Schur complement, the coarse right-hand side and the bank). The dense
-factor is assembled from the ring forms straight into its blocks (multifrontal
-assembly, Duff & Reid, ACM TOMS 9, 1983); only the SuperLU factor reads a
-compressed-column pattern of K~, which _csc_plan builds for its layouts alone.
+evaluation reads, each built from _Skeleton.ring, the one map from the ring
+forms to the skeleton: the row plans of _Skeleton (which ring rows of U are
+rows of V_X and which identity rows) and the flat plans of _Dissection (where
+each term of K~ lands in the dense factor's buffer, and where each cross's
+products land in the Schur complement, the coarse right-hand side and the
+bank). The dense factor is assembled from the ring forms straight into its
+blocks (multifrontal assembly, Duff & Reid, ACM TOMS 9, 1983); only SuperLU
+reads a compressed-column pattern of K~, built for its layouts alone.
 A single solve takes K~_XB g from the condensed operator on [0; g]
 (_condensed), so the dense path keeps no copy of K~_X beside its factor. An
 evaluation then does arithmetic and precomputed gathers and scatters only. The
@@ -321,14 +321,14 @@ def _to_nodes(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _RowPlan(NamedTuple):
-    """Where the rows of U at some skeleton positions come from: out[x_slots]
-    = V_X[x_pos] and out[loop_slots] = I[loop_pos] (flat identity, the flat
-    positions of the ones in out), or the same rows of U p."""
+    """Where the rows of U at some skeleton positions come from (_Skeleton.rows):
+    out[x_slots] = V_X[x_pos] and out[loop_slots] = I[loop_pos] (flat identity,
+    the flat positions of the ones in out), or the same rows of U p."""
 
     shape: tuple
-    x_slots: np.ndarray | slice
+    x_slots: np.ndarray
     x_pos: np.ndarray
-    loop_slots: np.ndarray | slice
+    loop_slots: np.ndarray
     loop_pos: np.ndarray
     identity: np.ndarray
 
@@ -355,8 +355,6 @@ class _Skeleton:
     mu: np.ndarray          # (s-1)^2 eigenvalues mu_p + mu_q of a block interior's Laplacian
     coupling: np.ndarray    # F = (S x S)^T E, E the 0/1 coupling of a block interior to its ring
     l_sigma: sp.csr_matrix  # skeleton block of the grid Laplacian
-    scatter: sp.csr_matrix  # (n_skeleton, n_blocks 4(s-1)): sums ring entries into the skeleton
-    x_forms: np.ndarray     # flat indices into the ring forms of the entries with a row in X
     grid_interior: np.ndarray  # interior node ids of the grid, natural order
     l_rows: sp.csr_matrix      # their rows of the grid Laplacian, all columns
     inward: np.ndarray         # per loop node: its interior neighbour (diagonal at a corner)
@@ -364,30 +362,28 @@ class _Skeleton:
     sides: np.ndarray          # (2(s-1), s-1): S diag(S[0]) over S diag(S[s-2])
     side_basis: np.ndarray     # (s-1, (s-1)^2): K[q, (c, y)] = S[c, q] S[q, y]
 
-    def ring_rows(self, blocks: slice | np.ndarray) -> _RowPlan:
-        """The _RowPlan of the ring rows of some blocks (a slice or block ids),
-        shape (blocks, 4(s-1))."""
-        ring = self.ring[blocks]
-        flat = ring.ravel()
+    def rows(self, pos: np.ndarray) -> _RowPlan:
+        """The _RowPlan of skeleton positions pos of any shape, such as ring[blocks]."""
+        flat = pos.ravel()
         x_slots, loop_slots = np.flatnonzero(flat < self.n_x), np.flatnonzero(flat >= self.n_x)
         loop_pos = flat[loop_slots] - self.n_x
-        return _RowPlan(ring.shape, x_slots, flat[x_slots], loop_slots, loop_pos,
+        return _RowPlan(pos.shape, x_slots, flat[x_slots], loop_slots, loop_pos,
                         loop_slots * (self.nodes.size - self.n_x) + loop_pos)
 
     @cached_property
     def ring_groups(self) -> tuple:
-        """(blocks, ring_rows(blocks)) for each group of blocks of the adjoint's
-        block pass, sized by its ring rows (n_ring, nb) or block forms (n_int,
-        n_ring), whichever is larger."""
+        """(blocks, rows(ring[blocks])) for each group of blocks of the
+        adjoint's block pass, sized by its ring rows (n_ring, nb) or block
+        forms (n_int, n_ring), whichever is larger."""
         n_int, n_ring = self.coupling.shape
         per_block = max(n_ring * (self.nodes.size - self.n_x), n_int * n_ring)
-        return tuple((blk, self.ring_rows(blk))
+        return tuple((blk, self.rows(self.ring[blk]))
                      for blk in _block_groups(self.ring.shape[0], per_block))
 
     @cached_property
     def loop_groups(self) -> tuple:
-        """(blocks, rows, ring_rows(blocks)) for the blocks beside each side of
-        the loop, in groups of at most _CHUNK_ENTRIES ring-row values: rows
+        """(blocks, rows, rows(ring[blocks])) for the blocks beside each side
+        of the loop, in groups of at most _CHUNK_ENTRIES ring-row values: rows
         are the ring slots of that side, which all lie on the loop."""
         n, n_ring = self.s - 1, self.ring.shape[1]
         groups = []
@@ -395,7 +391,7 @@ class _Skeleton:
             beside = np.flatnonzero(self.ring[:, side * n] >= self.n_x)
             for blk in _block_groups(beside.size, n_ring * (self.nodes.size - self.n_x)):
                 groups.append((beside[blk], slice(side * n, side * n + n),
-                               self.ring_rows(beside[blk])))
+                               self.rows(self.ring[beside[blk]])))
         return tuple(groups)
 
     @cached_property
@@ -403,13 +399,6 @@ class _Skeleton:
         """The loop rows of l_sigma: L_BX, and L_BB as (row, col, value) entries."""
         rows = self.l_sigma[self.n_x:]
         return rows[:, :self.n_x], rows[:, self.n_x:].tocoo()
-
-    def rows(self, pos: np.ndarray) -> _RowPlan:
-        """The _RowPlan of the sorted skeleton positions pos: X comes first."""
-        k = int(np.searchsorted(pos, self.n_x))
-        loop_pos = pos[k:] - self.n_x
-        return _RowPlan(pos.shape, slice(0, k), pos[:k], slice(k, None), loop_pos,
-                        (np.arange(k, pos.size) * (self.nodes.size - self.n_x)) + loop_pos)
 
 
 @lru_cache(maxsize=None)
@@ -449,10 +438,6 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         mu=(mu1[:, None] + mu1[None, :]).ravel(),
         coupling=_to_nodes(basis, e.reshape(1, n * n, 4 * n))[0],
         l_sigma=lap[nodes][:, nodes].tocsr(),
-        scatter=sp.csr_matrix((np.ones(ring.size), (ring.ravel(), np.arange(ring.size))),
-                              shape=(n_sigma, ring.size)),
-        x_forms=np.flatnonzero(np.broadcast_to(ring[:, :, None], (blocks.size, 4 * n, 4 * n))
-                               .ravel() < n_x),
         grid_interior=interior,
         l_rows=lap[interior].tocsr(),
         inward=(li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1),
@@ -461,24 +446,23 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         side_basis=(basis.T[:, :, None] * basis[:, None, :]).reshape(n, n * n),
     )
     for arr in (skeleton.nodes, skeleton.ring, skeleton.interior, skeleton.basis,
-                skeleton.coupling, skeleton.x_forms, skeleton.inward, skeleton.sides,
-                skeleton.side_basis):
+                skeleton.coupling, skeleton.inward, skeleton.sides, skeleton.side_basis):
         arr.setflags(write=False)
     return skeleton
 
 
-def _x_entries(sk: _Skeleton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, lap): the skeleton positions of every term of K~ with a row
-    in X, in assembly order (the Laplacian's entries, whose values lap holds,
-    then the diagonal mass on X, then the ring-form entries x_forms picks).
-    The dense and the sparse factor each map these terms to their own storage
-    once; nothing keeps the list."""
+def _term_positions(sk: _Skeleton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, lap): the skeleton positions of the terms of K~ that the
+    factors assemble, in order: the Laplacian's entries with a row in X (values
+    lap), the diagonal mass on X, and every ring-form entry, which a factor
+    discards if its row is on the loop. The dense and the sparse factor each
+    map these terms to their own storage once; nothing keeps the list."""
     lap = sk.l_sigma.tocoo()
     in_x = lap.row < sk.n_x
     shape = sk.ring.shape + sk.ring.shape[1:]
     diag = np.arange(sk.n_x)
-    rows = np.broadcast_to(sk.ring[:, :, None], shape).ravel()[sk.x_forms]
-    cols = np.broadcast_to(sk.ring[:, None, :], shape).ravel()[sk.x_forms]
+    rows = np.broadcast_to(sk.ring[:, :, None], shape).ravel()
+    cols = np.broadcast_to(sk.ring[:, None, :], shape).ravel()
     return (np.concatenate([lap.row[in_x], diag, rows]),
             np.concatenate([lap.col[in_x], diag, cols]), lap.data[in_x])
 
@@ -519,8 +503,8 @@ def _block_symbols(sk: _Skeleton, sigma: np.ndarray) -> np.ndarray:
     return 1.0 / (sk.mu[None, :] - sigma[:, None])
 
 
-def _ring_forms(sk: _Skeleton, symbols: np.ndarray) -> np.ndarray:
-    """F^T D_b F for every block, (n_blocks, 4(s-1), 4(s-1)).
+def _ring_forms(sk: _Skeleton, symbols: np.ndarray, out=None) -> np.ndarray:
+    """F^T D_b F for every block, (n_blocks, 4(s-1), 4(s-1)), in the flat out if given.
 
     A side's column of F is a rank-one DST pattern: t_p S[c, q] for the bottom
     (t = S[0]) and top (t = S[s-2] = (-1)^p S[0]) sides, and the transpose
@@ -537,7 +521,8 @@ def _ring_forms(sk: _Skeleton, symbols: np.ndarray) -> np.ndarray:
     same = (basis * ((a * a) @ d)[:, None, :]) @ basis
     opposite = (basis * ((a * basis[n - 1]) @ d)[:, None, :]) @ basis
     q = basis @ (a[:, None] * d * a) @ basis
-    forms = np.empty((d.shape[0], 4 * n, 4 * n))
+    shape = (d.shape[0], 4 * n, 4 * n)
+    forms = np.empty(shape) if out is None else out.reshape(shape)
     bottom, top, left, right = (slice(r * n, (r + 1) * n) for r in range(4))
     for one, other in ((bottom, top), (left, right)):
         forms[:, one, one] = forms[:, other, other] = same
@@ -583,13 +568,14 @@ class _Dissection:
     excluded). Ungrouped, X is one cross, its ring is the loop (corners
     excluded again), and T is empty.
     The dense blocks share one flat buffer, which split cuts into views and
-    _TwoLevelLU fills straight from the terms of K~ (see _x_entries): slots
-    places each diagonal mass and ring-form term, lap_slots and lap_values
-    the Laplacian's entries. Three flat index plans per cross spare the
-    factor and the bank solve every np.ix_: schur_at places T_i x T_i in the
-    buffer's K~_TT block, coarse_at places T_i x (its ring's loop nodes) in
-    the Fortran-ordered coarse right-hand side (n_t, nb), and bank_at places
-    C_i x (its ring's loop nodes) in the solution (n_x, nb).
+    _TwoLevelLU fills straight from the terms of K~ (see _term_positions):
+    slots places each diagonal mass and ring-form term (past the blocks if on a
+    loop row), lap_slots and lap_values the Laplacian's entries. Three flat
+    index plans per cross spare the factor and the bank solve every np.ix_:
+    schur_at places T_i x T_i in the buffer's K~_TT block, coarse_at places
+    T_i x (its ring's loop nodes) in the Fortran-ordered coarse right-hand
+    side (n_t, nb), and bank_at places C_i x (its ring's loop nodes) in the
+    solution (n_x, nb).
     """
 
     crosses: np.ndarray  # (n_cross, n_c) X positions of each cross
@@ -597,7 +583,7 @@ class _Dissection:
     ring_t: tuple        # per cross: T indices (into coarse) of its ring's T nodes
     ring_loop: tuple     # per cross: loop indices of its ring's loop nodes
     offsets: np.ndarray  # buffer offsets of A_i, B_i, E_i per cross, then K~_TT, K~_TB, the end
-    slots: np.ndarray    # buffer index of each X diagonal, then of each entry x_forms picks
+    slots: np.ndarray    # buffer index of each X diagonal, then of each ring-form entry
     lap_slots: np.ndarray   # buffer index of each Laplacian entry with a row in X ...
     lap_values: np.ndarray  # ... and its value
     nb: int              # loop nodes: the columns of K~_TB
@@ -634,7 +620,9 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
         size, per_side = 2 * s, grid.cells_per_side // (2 * s)
         owner[:n_x] = np.where((i % size != 0) & (j % size != 0),
                                i // size * per_side + j // size, -1)
-    rows, cols, lap = _x_entries(sk)
+    all_rows, all_cols, lap = _term_positions(sk)
+    in_x = np.flatnonzero(all_rows < n_x)  # the terms on a loop row land past the blocks
+    rows, cols = all_rows[in_x], all_cols[in_x]
     crosses = np.stack([np.flatnonzero(owner == c) for c in range(owner.max() + 1)])
     rings = [np.unique(cols[(owner[rows] == c) & (owner[cols] != c)]) for c in range(len(crosses))]
     coarse = np.flatnonzero(owner[:n_x] < 0)
@@ -643,13 +631,13 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
               for pair in ((cross, cross), (cross, ring), (ring[ring < n_x], cross))]
     blocks += [(coarse, coarse), (coarse, np.arange(n_x, n_sigma))]
     offsets = np.cumsum([0] + [r.size * c.size for r, c in blocks])
-    slots = np.empty(rows.size, dtype=int)
+    slots = np.full(all_rows.size, offsets[-1])
     for (r, c), offset in zip(blocks, offsets):
         at_row, at_col = np.full(n_sigma, -1), np.full(n_sigma, -1)
         at_row[r], at_col[c] = np.arange(r.size), np.arange(c.size)
         i, j = at_row[rows], at_col[cols]
         mine = (i >= 0) & (j >= 0)
-        slots[mine] = offset + i[mine] + j[mine] * r.size  # column-major
+        slots[in_x[mine]] = offset + i[mine] + j[mine] * r.size  # column-major
     ring_t = tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings)
     ring_loop = tuple(r[r >= n_x] - n_x for r in rings)
     n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
@@ -690,7 +678,7 @@ class _TwoLevelLU:
         # K~_X = L - sum(terms), each entry's terms summed in slots order by
         # one bincount; (0 - t) + L is L - t to the bit (exact negation,
         # commutative addition), and an entry with no term and no L reads +0.0
-        buf = np.bincount(dis.slots, weights=terms, minlength=dis.offsets[-1])
+        buf = np.bincount(dis.slots, weights=terms, minlength=dis.offsets[-1] + 1)
         np.subtract(0.0, buf, out=buf)
         buf[dis.lap_slots] += dis.lap_values
         blocks, schur, self._k_tb = dis.split(buf)
@@ -742,9 +730,10 @@ class _TwoLevelLU:
 
 class _CscPlan(NamedTuple):
     """The rows X of K~ in compressed-column form, all skeleton columns (X
-    first, then the loop): the pattern of the terms of _x_entries, the
-    Laplacian's entries in it, and the pattern slot of each X diagonal, then
-    of each entry x_forms picks."""
+    first, then the loop): the pattern of the X-row terms of _term_positions,
+    the Laplacian's entries in it (base, with one slot past the pattern for the
+    loop-row terms), and the pattern slot of each X diagonal, then of each
+    ring-form entry."""
 
     n_x: int
     indptr: np.ndarray
@@ -760,15 +749,17 @@ def _csc_plan(grid: Grid, s: int) -> _CscPlan:
     dense factor assembles its blocks from the terms directly."""
     sk = _skeleton(grid, s)
     n_x = sk.n_x
-    rows, cols, lap = _x_entries(sk)
-    pattern, slot = np.unique(cols * n_x + rows, return_inverse=True)
+    rows, cols, lap = _term_positions(sk)
+    past = n_x * sk.nodes.size  # past every cols * n_x + rows with a row in X
+    pattern, slot = np.unique(np.where(rows < n_x, cols * n_x + rows, past), return_inverse=True)
+    pattern = pattern[pattern < past]  # the loop-row terms keep slot pattern.size
     plan = _CscPlan(
         n_x=n_x,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(pattern // n_x,
                                                           minlength=sk.nodes.size))]),
         indices=pattern % n_x,
         cols=pattern // n_x,
-        base=np.bincount(slot[:lap.size], weights=lap, minlength=pattern.size),
+        base=np.bincount(slot[:lap.size], weights=lap, minlength=pattern.size + 1),
         slots=slot[lap.size:])
     for arr in plan[1:]:
         arr.setflags(write=False)
@@ -834,11 +825,12 @@ class HelmholtzOperator:
     _block_size), so a block interior carries the lumped mass h^2 c_b and the
     operator T x I + I x T - sigma_b I (T = tridiag(-1, 2, -1), sigma_b =
     omega^2 h^2 c_b), whose inverse is (S x S) D_b (S x S)^T with the DST-I S.
-    Eliminating the interiors leaves K~ = K_SS - sum_b scatter(F^T D_b F) on the
-    skeleton. Its rows and columns X, K~_XX, are factored with partial
-    pivoting (``factor``): 'dense' (_TwoLevelLU, LAPACK getrf/getrs, fastest
-    while n_x <= 2 nb) or 'superlu' (_SparseLU, whose factor stays sparse on
-    the large skeletons of fine blocks).
+    Eliminating the interiors leaves K~ = K_SS - sum_b F^T D_b F on the
+    skeleton, each block's ring form taken on its ring. Its rows and columns
+    X, K~_XX, are factored with partial pivoting (``factor``): 'dense'
+    (_TwoLevelLU, LAPACK getrf/getrs, fastest while n_x <= 2 nb) or
+    'superlu' (_SparseLU, whose factor stays sparse on the large skeletons of
+    fine blocks).
 
     The dense factor is two-level when _block_size groups the blocks 2 x 2:
     getrf of each super-block's inner cross C_i, then of the Schur complement
@@ -870,9 +862,10 @@ class HelmholtzOperator:
         self.mass_diag = np.asarray(mass_scatter_matrix(self.grid) @ c2inv.cell_values())
         self._mass = self.omega2 * self.mass_diag[sk.nodes]
         self._symbols = _block_symbols(sk, self.omega2 * self.mass_diag[sk.interior[:, :1]].ravel())
-        self._forms = _ring_forms(sk, self._symbols)
-        # the terms K~_X = L - sum(terms) takes beside the Laplacian (see _x_entries)
-        terms = np.concatenate([self._mass[:n_x], self._forms.ravel()[sk.x_forms]])
+        # K~_X = L - sum(terms): the mass on X, then the ring forms in place (_term_positions)
+        terms = np.empty(n_x + sk.ring.size * sk.ring.shape[1])
+        terms[:n_x] = self._mass[:n_x]
+        self._forms = _ring_forms(sk, self._symbols, terms[n_x:])
         self.factor = "dense" if n_x <= _DENSE_SKELETON * self.grid.n_boundary else "superlu"
         try:
             self._lu = (_TwoLevelLU(_dissection(self.grid, self.block_size, grouped), terms)
@@ -898,12 +891,12 @@ class HelmholtzOperator:
         return self._lu.solve(rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
 
     def _condensed(self, v: np.ndarray) -> np.ndarray:
-        """K~ v = L_SS v - omega^2 diag(d_S) v - sum_b scatter(F^T D_b F v_ring)
-        for skeleton values v (n_skeleton, k)."""
+        """K~ v = L_SS v - omega^2 diag(d_S) v - sum_b (F^T D_b F v_ring) on the
+        ring of b, for skeleton values v (n_skeleton, k)."""
         sk = self._sk
         out = sk.l_sigma @ v
         out -= self._mass[:, None] * v
-        out -= sk.scatter @ (self._forms @ v[sk.ring]).reshape(-1, v.shape[1])
+        np.subtract.at(out, sk.ring.ravel(), (self._forms @ v[sk.ring]).reshape(-1, v.shape[1]))
         return out
 
     def _five_point_residual(self, u: np.ndarray, source=None) -> float:
@@ -944,7 +937,7 @@ class HelmholtzOperator:
         folded = sk.coupling.T @ (self._symbols[:, :, None] * hat)
         data = np.zeros((sk.nodes.size, 1))
         data[n_x:, 0] = g
-        rhs = (source[sk.nodes[:n_x]] + (sk.scatter @ folded.reshape(-1))[:n_x]
+        rhs = (source[sk.nodes[:n_x]] + np.bincount(sk.ring.ravel(), folded.ravel(), n_x)[:n_x]
                - self._condensed(data)[:n_x, 0])  # K~_XB g = (K~ [0; g])_X
         u = np.zeros((n_nodes, 1))
         u[sk.nodes[n_x:], 0] = g
@@ -1081,7 +1074,7 @@ class SolutionBank:
 
     def _rows(self, plan: _RowPlan, x_rows=None, loop_rows=None) -> np.ndarray:
         """Rows of U, or of U p given its rows on X and on the loop, where plan
-        (_Skeleton.ring_rows or rows) says: one gather per source."""
+        (_Skeleton.rows) says: one gather per source."""
         nb = self.grid.n_boundary
         out = np.empty((prod(plan.shape), nb))
         out[plan.x_slots] = (self.skeleton if x_rows is None else x_rows)[plan.x_pos]
@@ -1115,6 +1108,9 @@ class SolutionBank:
         """U^T diag(w) U for nodal weights w, from the rows where w is nonzero:
         skeleton rows of U, and V_ring^T (G_b^T diag(w_b) G_b) V_ring for each
         block interior."""
+        if np.shape(w) != (self.grid.n_nodes,):
+            raise DiscretizationMismatchError(
+                f"expected {self.grid.n_nodes} nodal weights, got shape {np.shape(w)}")
         return self._gram(w, None, None)
 
     def _gram(self, w: np.ndarray, x_rows, loop_rows) -> np.ndarray:
@@ -1126,7 +1122,7 @@ class SolutionBank:
         out = u.T @ (w[sk.nodes[pos], None] * u)
         for b in np.flatnonzero(np.any(w[sk.interior] != 0.0, axis=1)):
             g = self._block_forms(slice(b, b + 1))[0]
-            ring = self._rows(sk.ring_rows(slice(b, b + 1)), x_rows, loop_rows)[0]
+            ring = self._rows(sk.rows(sk.ring[b:b + 1]), x_rows, loop_rows)[0]
             out += ring.T @ ((g.T @ (w[sk.interior[b], None] * g)) @ ring)
         return out
 
@@ -1145,6 +1141,9 @@ class SolutionBank:
         """diag(U p U^T) at every node, with U p formed on the skeleton only:
         p_qq on the loop, rowsum(V_X o V_X p) on X, and rowsum((G_b C_b) o G_b)
         on each block interior with C_b = V_ring p V_ring^T."""
+        nb = self.grid.n_boundary
+        if np.shape(p) != (nb, nb):
+            raise DiscretizationMismatchError(f"expected a ({nb}, {nb}) matrix, got {np.shape(p)}")
         sk = self._sk
         out = np.empty(self.grid.n_nodes)
         up = self.skeleton @ p  # rows X of U p; its loop rows are p

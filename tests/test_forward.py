@@ -383,8 +383,10 @@ def _held_bytes(obj, seen) -> int:
 def test_dense_layout_holds_no_condensed_pattern(monkeypatch):
     # the dense factor assembles its blocks from the ring forms directly: at
     # m = 129 with 4 regions per side (s = 32, grouped) the static structures
-    # it reads hold under 8 MiB (11.8 MiB with the CSC pattern beside them),
-    # and the CSC pattern is built for a SuperLU layout only
+    # it reads hold under 6.5 MiB (11.8 MiB with the CSC pattern beside them,
+    # 6.8 with a gather index of the X-row ring-form entries and a sparse
+    # ring-to-skeleton sum), and the CSC pattern is built for a SuperLU layout
+    # only
     calls, plan = [], forward._csc_plan
     monkeypatch.setattr(forward, "_csc_plan", lambda *args: calls.append(args) or plan(*args))
     grid = Grid(129)
@@ -394,7 +396,7 @@ def test_dense_layout_holds_no_condensed_pattern(monkeypatch):
     seen = set()
     held = _held_bytes(forward._skeleton(grid, 32), seen) + _held_bytes(
         forward._dissection(grid, 32, True), seen)
-    assert held < 8 * 2 ** 20
+    assert held < 6.5 * 2 ** 20
     assert calls == []
     part = make_uniform_partition(Grid(33), 16)
     op = HelmholtzOperator(PwcField(part, np.full(256, 1.5), (1.0, 2.0)), 5.0)
@@ -614,6 +616,22 @@ def test_bank_apply_rejects_wrong_boundary_length(grid17, weights17, shape):
     _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
     with pytest.raises(DiscretizationMismatchError):
         bank.apply(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(17 * 17 + 5,), (17 * 17, 2)], ids=["extra_nodes", "two_columns"])
+def test_bank_gram_rejects_wrong_node_count(grid17, weights17, shape):
+    # (n_nodes + 5,) used to return a 64 x 64 result, (n_nodes, 2) a bare IndexError
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    with pytest.raises(DiscretizationMismatchError):
+        bank.gram(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(65, 65), (64, 5)], ids=["one_extra", "narrow"])
+def test_bank_quadratic_diagonal_rejects_wrong_shape(grid17, weights17, shape):
+    # both used to raise a bare ValueError
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    with pytest.raises(DiscretizationMismatchError):
+        bank.quadratic_diagonal(np.ones(shape))
 
 
 def test_block_solver_smallest_grid():
