@@ -7,10 +7,9 @@ both exponents are visible in log-log sweeps and feed the constants calculus.
 
 import numpy as np
 
-from helmrecon import Grid, PwcField, build_boundary_weights, gradient_check, \
-    lipschitz_df_probe, make_uniform_partition
-from helmrecon.derivative import apply_df, apply_df_adjoint, bank_for_field, \
-    df_norm_probe, indicator_probes
+from helmrecon import Grid, HelmholtzOperator, PwcField, build_boundary_weights, \
+    gradient_check, lipschitz_df_probe, make_uniform_partition, solution_bank
+from helmrecon.derivative import apply_df, apply_df_adjoint, df_norm_probe, indicator_probes
 from helmrecon.domain import mass_scatter_matrix
 
 grid = Grid(17)
@@ -27,7 +26,7 @@ for i, row in enumerate(gradient_check(c, 5.0, deltas, weights=weights)):
 
 print()
 print("== adjoint dot-product test (exact by construction) ==")
-_, bank = bank_for_field(c, 5.0, weights=weights)
+bank = solution_bank(HelmholtzOperator(c, 5.0), weights)
 scatter = mass_scatter_matrix(grid)
 delta = PwcField(part, rng.standard_normal(4), (1e-12, 10.0))
 r_mat = rng.standard_normal((weights.nb, weights.nb))
@@ -44,7 +43,7 @@ w2s = np.geomspace(1e-3, 1.0, 6)
 norms = []
 lips = []
 for w2 in w2s:
-    _, b = bank_for_field(c, w2, weights=weights)
+    b = solution_bank(HelmholtzOperator(c, w2), weights)
     norms.append(df_norm_probe(b, probes))
     lips.append(lipschitz_df_probe(c, c2, w2, weights=weights, probes=probes))
     print(f"omega^2 = {w2:8.1e}: ||DF|| ~ {norms[-1]:.3e}, Lipschitz probe ~ {lips[-1]:.3e}")

@@ -40,7 +40,7 @@ _EXPORTS = {
     "forward": (
         "BoundaryWeights", "DtnMatrix", "HelmholtzOperator", "SolutionBank", "SpectrumWindow",
         "assemble_dtn", "build_boundary_weights", "dtn_data_norm", "dtn_for_field",
-        "spectrum_guard",
+        "solution_bank", "spectrum_guard",
     ),
     "optimizer": (
         "DescentState", "LevelRun", "MultilevelResult", "descent_step", "evaluate_state",

@@ -429,11 +429,14 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     largest implied exponent of sampled stability ratios across region counts.
     Deterministic under the seed.
 
-    The stability fit is khat_bound of verify.estimate_lipschitz_constant at
-    the same grid, seed and samples per N, taken from the same sweep of field
-    pairs: it evaluates each pair's DtN difference (the mid-box base field of
-    the adversarial pairs not again: the derivative-bound fit's last field is
-    that field) and reads only the Hilbert-Schmidt data distance, so no
+    The two derivative fits read solution banks only, so their fields are
+    evaluated by forward.solution_bank, which assembles no DtN matrix; the one
+    exception is the derivative-bound fit's last field, the constant mid-box
+    field, whose DtN the stability fit reuses. The stability fit is khat_bound
+    of verify.estimate_lipschitz_constant at the same grid, seed and samples
+    per N, taken from the same sweep of field pairs: it evaluates each pair's
+    DtN difference (the mid-box base field of the adversarial pairs not
+    again) and reads only the Hilbert-Schmidt data distance, so no
     operator-norm ratio or report is formed.
     """
     if mode != "empirical":
@@ -443,7 +446,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
 
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
-    from .forward import build_boundary_weights
+    from .forward import HelmholtzOperator, build_boundary_weights, solution_bank
     from .verify import _implied_exponent, _stability_sweep
 
     rng = np.random.default_rng(seed)
@@ -456,13 +459,13 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
 
     probes = indicator_probes(part)
     best_bound = 0.0
-    fields = [random_field() for _ in range(max(3, samples // 4))]
-    fields.append(PwcField(part, np.full(part.n_regions, 0.5 * (b1 + b2)), (b1, b2)))
-    for c in fields:
-        dtn, bank = bank_for_field(c, omega2, weights=weights)
+    for c in [random_field() for _ in range(max(3, samples // 4))]:
+        bank = solution_bank(HelmholtzOperator(c, omega2), weights)
         best_bound = max(best_bound, df_norm_probe(bank, probes))
-    fitted_bound = best_bound / omega2
-    mid_lam = dtn.lam  # the last field's: the stability sweep's mid-box base field
+    # the mid-box field last, with its DtN: the stability sweep's base field
+    mid = PwcField(part, np.full(part.n_regions, 0.5 * (b1 + b2)), (b1, b2))
+    mid_dtn, bank = bank_for_field(mid, omega2, weights=weights)
+    fitted_bound = max(best_bound, df_norm_probe(bank, probes)) / omega2
 
     best_lip = 0.0
     for _ in range(samples):
@@ -478,7 +481,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     if not feasible_n:
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
     sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
-                             max(4, samples // len(feasible_n)), seed, weights, mid_lam)
+                             max(4, samples // len(feasible_n)), seed, weights, mid_dtn.lam)
     khat_bound = float(max(_implied_exponent(dist / data_dist, feasible_n[level], omega2, b2,
                                              n_exponent)
                            for level, _, dist, _, data_dist in sweep))

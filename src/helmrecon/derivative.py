@@ -13,8 +13,11 @@ the derivative of the assembled DtN matrix and the adjoint
 
 is its exact transpose under the weighted Hilbert-Schmidt data product and the
 cell-area field product: the dot-product test holds to rounding. One bank per
-iterate suffices: forward.assemble_dtn returns it beside the DtN matrix, and
-SolutionBank is defined there.
+field suffices: forward.solution_bank solves and audits it, and SolutionBank
+is defined there. A descent iterate reads the DtN matrix too and takes both
+from forward.assemble_dtn (bank_for_field); the derivative probes read the
+bank alone, so lipschitz_df_probe takes it from solution_bank and no DtN is
+assembled for them.
 
 The bank is kept in condensed form (skeleton values V_X and closed-form block
 symbols), and both products are taken from it without forming U. DF(dc)
@@ -36,11 +39,13 @@ from .errors import DiscretizationMismatchError
 from .forward import (
     BoundaryWeights,
     DtnMatrix,
+    HelmholtzOperator,
     SolutionBank,
     build_boundary_weights,
     dtn_data_norm,  # noqa: F401  (unused here; the benchmark's trace wraps this name)
     dtn_for_field,
     pulled_back,
+    solution_bank,
 )
 
 __all__ = [
@@ -182,13 +187,15 @@ def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float,
     Probes default to the region indicators of c1's partition; the result is
     the largest Y-norm of the difference per unit perturbation norm, taken
     from the two weighted derivatives (_weighted_df). Used to calibrate the
-    derivative Lipschitz coefficient (growth omega^4).
+    derivative Lipschitz coefficient (growth omega^4). It reads the two
+    solution banks only, so both come from forward.solution_bank and no DtN
+    matrix is assembled.
     """
     if c1.grid.m != c2.grid.m:
         raise DiscretizationMismatchError("fields live on different grids")
     weights = build_boundary_weights(c1.grid) if weights is None else weights
-    _, bank1 = bank_for_field(c1, omega2, weights=weights)
-    _, bank2 = bank_for_field(c2, omega2, weights=weights)
+    bank1 = solution_bank(HelmholtzOperator(c1, omega2), weights)
+    bank2 = solution_bank(HelmholtzOperator(c2, omega2), weights)
     if probes is None:
         probes = indicator_probes(c1.partition)
     best = 0.0

@@ -60,9 +60,11 @@ and stability layers rely on.
 
 One forward evaluation is assemble_dtn: it returns the DtN matrix and the
 SolutionBank behind it (the indicator solutions in condensed form, which also
-give the derivative and its adjoint), with the default boundary weights
-resolved there. dtn_for_field and derivative.bank_for_field are named entries
-onto it.
+give the derivative and its adjoint). It is solution_bank, which resolves the
+default boundary weights, solves and audits the bank, followed by the DtN
+read. A caller that reads only the bank (the derivative probes of
+calibration) calls solution_bank and skips the read. dtn_for_field and
+derivative.bank_for_field are named entries onto assemble_dtn.
 
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
@@ -122,6 +124,7 @@ __all__ = [
     "assemble_dtn",
     "dtn_data_norm",
     "dtn_for_field",
+    "solution_bank",
 ]
 
 _PIVOT_RTOL = 1e-13
@@ -620,27 +623,59 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
         size, per_side = 2 * s, grid.cells_per_side // (2 * s)
         owner[:n_x] = np.where((i % size != 0) & (j % size != 0),
                                i // size * per_side + j // size, -1)
-    all_rows, all_cols, lap = _term_positions(sk)
-    in_x = np.flatnonzero(all_rows < n_x)  # the terms on a loop row land past the blocks
-    rows, cols = all_rows[in_x], all_cols[in_x]
     crosses = np.stack([np.flatnonzero(owner == c) for c in range(owner.max() + 1)])
-    rings = [np.unique(cols[(owner[rows] == c) & (owner[cols] != c)]) for c in range(len(crosses))]
     coarse = np.flatnonzero(owner[:n_x] < 0)
-    # the dense blocks as (row, column) skeleton positions, in buffer order
-    blocks = [pair for cross, ring in zip(crosses, rings)
-              for pair in ((cross, cross), (cross, ring), (ring[ring < n_x], cross))]
-    blocks += [(coarse, coarse), (coarse, np.arange(n_x, n_sigma))]
-    offsets = np.cumsum([0] + [r.size * c.size for r, c in blocks])
-    slots = np.full(all_rows.size, offsets[-1])
-    for (r, c), offset in zip(blocks, offsets):
-        at_row, at_col = np.full(n_sigma, -1), np.full(n_sigma, -1)
-        at_row[r], at_col[c] = np.arange(r.size), np.arange(c.size)
-        i, j = at_row[rows], at_col[cols]
-        mine = (i >= 0) & (j >= 0)
-        slots[in_x[mine]] = offset + i[mine] + j[mine] * r.size  # column-major
+    (n_cross, n_c), n_t, nb = crosses.shape, coarse.size, grid.n_boundary
+    # a node's class: its cross, n_cross on T, n_cross + 1 on the loop. A term's
+    # dense block, and the context whose index table places it there, follow
+    # from the classes of its row and column (a pair of classes that no term
+    # has, such as two crosses, is left wherever its row puts it). The tables
+    # and positions are int32, which halves the term-sized temporaries.
+    cls = owner.astype(np.int32)
+    cls[coarse], cls[n_x:] = n_cross, n_cross + 1
+    # a loop row's term: past the blocks (block 3 n_cross + 2), in context n_cross + 1
+    block = np.full((n_cross + 2, n_cross + 2), 3 * n_cross + 2, dtype=np.int32)
+    context = np.full((n_cross + 2, n_cross + 2), n_cross + 1, dtype=np.int32)
+    k = np.arange(n_cross)
+    block[k], context[k] = 3 * k[:, None] + 1, k[:, None]  # B_c: cross row, column off it
+    block[k, k] = 3 * k                                     # A_c
+    block[n_cross, k], context[n_cross, k] = 3 * k + 2, k   # E_c: T row, cross column
+    block[n_cross, n_cross:], context[n_cross, n_cross:] = 3 * n_cross + np.arange(2), n_cross
+    block, context = block.ravel(), context.ravel()
+    rows, cols, lap = _term_positions(sk)
+    # the one term-sized array kept, allocated before the temporaries: freeing
+    # them then leaves no hole below a live array in the heap (1.2 MiB of peak
+    # RSS in a descent at m = 129)
+    slots = np.empty(rows.size, dtype=np.intp)
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    pair = cls[rows] * np.int32(n_cross + 2) + cls[cols]
+    # a cross's ring: the columns of its B_c terms (blocks 3c + 1), T nodes first
+    in_ring = np.zeros((n_cross, n_sigma), dtype=bool)
+    on_b = ((block < 3 * n_cross) & (block % 3 == 1))[pair]
+    in_ring[context[pair[on_b]], cols[on_b]] = True
+    rings = [np.flatnonzero(r) for r in in_ring]
     ring_t = tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings)
     ring_loop = tuple(r[r >= n_x] - n_x for r in rings)
-    n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
+    # index[context, node]: the row or column of a node in a block of that
+    # context: its index in its cross, in T or on the loop, or in the ring of
+    # the context's cross; 0 in a loop row's context
+    index = np.zeros((n_cross + 2, n_sigma), dtype=np.int32)
+    index[:-1, crosses] = np.arange(n_c)
+    index[:-1, coarse], index[:-1, n_x:] = np.arange(n_t), np.arange(nb)
+    index[:n_cross][in_ring] = (np.cumsum(in_ring, axis=1) - 1)[in_ring]
+    # the dense blocks in buffer order: A_c, B_c, E_c per cross, then K~_TT and
+    # K~_TB; a loop row's term lands at the end
+    heights = [h for rt in ring_t for h in (n_c, n_c, rt.size)] + [n_t, n_t]
+    widths = [w for r, rt in zip(rings, ring_t) for w in (n_c, r.size, n_c)] + [n_t, nb]
+    offsets = np.cumsum([0] + [h * w for h, w in zip(heights, widths)])
+    flat, at = index.ravel(), context[pair]
+    at *= np.int32(n_sigma)
+    slots[:] = flat[at + cols]
+    slots *= np.append(heights, 0)[block][pair]  # column-major
+    at += rows
+    slots += flat[at]
+    slots += offsets[block][pair]
+    schur = offsets[3 * n_cross]
     dissection = _Dissection(
         crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
         offsets=offsets, slots=slots[lap.size:], lap_slots=slots[:lap.size], lap_values=lap,
@@ -819,7 +854,7 @@ class HelmholtzOperator:
     per (grid, omega^2, box) and again after every refusal (_certify), then
     condenses the block interiors out of K_ii in closed form and factors the
     skeleton once; every Dirichlet solve (``solve``, and the indicator bank in
-    ``assemble_dtn``) reuses that factor.
+    ``solution_bank``) reuses that factor.
 
     The field is constant on the s x s cell blocks (``block_size``, see
     _block_size), so a block interior carries the lumped mass h^2 c_b and the
@@ -1157,12 +1192,28 @@ class SolutionBank:
         return out
 
 
+def solution_bank(op: HelmholtzOperator, weights: BoundaryWeights | None = None) -> SolutionBank:
+    """The solution bank of one forward evaluation, without its DtN matrix.
+
+    The skeleton solve gives the bank's V_X, and a sketched five-point
+    residual audits it (HelmholtzOperator._audit_bank). weights default to
+    build_boundary_weights(op.grid); weights built for another grid raise
+    DiscretizationMismatchError. For callers that read only the bank (the
+    derivative probes); assemble_dtn reads the DtN from it.
+    """
+    weights = build_boundary_weights(op.grid) if weights is None else weights
+    if weights.grid.m != op.grid.m:
+        raise DiscretizationMismatchError("weights were built for a different grid")
+    bank = SolutionBank(op._solve_skeleton(None), weights, op.omega2, op.block_size, op._symbols)
+    op._audit_bank(bank)
+    return bank
+
+
 def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
                  variant: str = "variational") -> tuple[DtnMatrix, SolutionBank]:
     """One forward evaluation: the DtN matrix and its solution bank.
 
-    The skeleton solve gives the bank's V_X, a sketched five-point residual
-    audits it (HelmholtzOperator._audit_bank), and the variational DtN is
+    The audited bank comes from solution_bank, and the variational DtN is
     read from the loop rows of the condensed operator on [V_X; I] alone:
     -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
     (HelmholtzOperator._dtn). The solve runs whole before the audit's and
@@ -1173,22 +1224,17 @@ def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
     materialised once and kept by the bank). weights default to
     build_boundary_weights(op.grid).
     """
-    grid = op.grid
-    weights = build_boundary_weights(grid) if weights is None else weights
-    if weights.grid.m != grid.m:
-        raise DiscretizationMismatchError("weights were built for a different grid")
     if variant not in ("variational", "one_sided"):
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
-    bank = SolutionBank(op._solve_skeleton(None), weights, op.omega2, op.block_size, op._symbols)
-    op._audit_bank(bank)
+    bank = solution_bank(op, weights)
     if variant == "one_sided":
-        sk, nb = op._sk, grid.n_boundary
+        sk, nb = op._sk, op.grid.n_boundary
         factor = np.full(nb, 1.0 / np.sqrt(2.0))
         factor[sk.edge] = 1.0
         lam = (bank.solutions[sk.inward] - np.eye(nb)) * factor[:, None]
     else:
         lam = op._dtn(bank)
-    return (DtnMatrix(lam=lam, weights=weights, omega2=op.omega2), bank)
+    return (DtnMatrix(lam=lam, weights=bank.weights, omega2=op.omega2), bank)
 
 
 def pulled_back(mat: np.ndarray, weights: BoundaryWeights) -> tuple[np.ndarray, float]:

@@ -377,15 +377,29 @@ def test_calibrate_matches_the_benchmark_reference_at_smoke_size():
         assert getattr(b, name) == pytest.approx(ref[name], rel=1e-9), name
 
 
+@pytest.mark.parametrize("seed", [0, 17, 99])
+def test_calibrate_matches_the_benchmark_reference_at_full_size(seed):
+    # calibrate-m33 as the benchmark runs it, within the rel 1e-6 of its gate
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["calibrate-m33"][str(seed)]
+    b = calibrate(Grid(33), 5.0, 1.0, 2.0, **dict(SMOKE, samples=40, seed=seed))
+    for name in ("df_bound0", "df_lip0", "stab_k"):
+        assert getattr(b, name) == pytest.approx(ref[name], rel=1e-6), name
+
+
 def test_calibrate_work_count_and_stability_fit(monkeypatch):
-    evals, kinds = [], []
-    init = forward.HelmholtzOperator.__init__
+    evals, reads, kinds = [], [], []
+    init, dtn = forward.HelmholtzOperator.__init__, forward.HelmholtzOperator._dtn
 
     def counted_init(self, *args, **kwargs):
         evals.append(1)
         init(self, *args, **kwargs)
 
+    def counted_dtn(self, bank):
+        reads.append(1)
+        return dtn(self, bank)
+
     monkeypatch.setattr(forward.HelmholtzOperator, "__init__", counted_init)
+    monkeypatch.setattr(forward.HelmholtzOperator, "_dtn", counted_dtn)
     for module in (forward, derivative, verify):
         def norm(mat, weights, kind="hs", real=module.dtn_data_norm):
             kinds.append(kind)
@@ -398,6 +412,9 @@ def test_calibrate_work_count_and_stability_fit(monkeypatch):
     # evaluations less the 4 of the sweep's mid-box base field, which is the
     # last bound field
     assert len(evals) == 44
+    # the derivative fits read banks only: a DtN is read for the mid-box bound
+    # field and the 20 sweep evaluations alone
+    assert len(reads) == 21
     report = verify.estimate_lipschitz_constant(grid, 5.0, 1.0, 2.0, big_ns=(1, 4, 16),
                                                 samples_per_n=4, seed=0)
     assert b.stab_k == report.khat_bound

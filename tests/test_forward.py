@@ -404,6 +404,65 @@ def test_dense_layout_holds_no_condensed_pattern(monkeypatch):
     assert calls == [(Grid(33), 2)]
 
 
+def _dissection_by_masks(grid, s, grouped):
+    """The _Dissection built one dense block at a time: a masked pass over
+    every term with a row in X per block: the oracle of forward._dissection."""
+    sk = forward._skeleton(grid, s)
+    n_x, n_sigma = sk.n_x, sk.nodes.size
+    owner = np.full(n_sigma, -1)
+    owner[:n_x] = 0
+    if grouped:
+        i, j = np.divmod(sk.nodes[:n_x], grid.m)
+        size, per_side = 2 * s, grid.cells_per_side // (2 * s)
+        owner[:n_x] = np.where((i % size != 0) & (j % size != 0),
+                               i // size * per_side + j // size, -1)
+    all_rows, all_cols, lap = forward._term_positions(sk)
+    in_x = np.flatnonzero(all_rows < n_x)
+    rows, cols = all_rows[in_x], all_cols[in_x]
+    crosses = np.stack([np.flatnonzero(owner == c) for c in range(owner.max() + 1)])
+    rings = [np.unique(cols[(owner[rows] == c) & (owner[cols] != c)]) for c in range(len(crosses))]
+    coarse = np.flatnonzero(owner[:n_x] < 0)
+    blocks = [pair for cross, ring in zip(crosses, rings)
+              for pair in ((cross, cross), (cross, ring), (ring[ring < n_x], cross))]
+    blocks += [(coarse, coarse), (coarse, np.arange(n_x, n_sigma))]
+    offsets = np.cumsum([0] + [r.size * c.size for r, c in blocks])
+    slots = np.full(all_rows.size, offsets[-1])
+    for (r, c), offset in zip(blocks, offsets):
+        at_row, at_col = np.full(n_sigma, -1), np.full(n_sigma, -1)
+        at_row[r], at_col[c] = np.arange(r.size), np.arange(c.size)
+        i, j = at_row[rows], at_col[cols]
+        mine = (i >= 0) & (j >= 0)
+        slots[in_x[mine]] = offset + i[mine] + j[mine] * r.size
+    ring_t = tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings)
+    ring_loop = tuple(r[r >= n_x] - n_x for r in rings)
+    n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
+    return forward._Dissection(
+        crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
+        offsets=offsets, slots=slots[lap.size:], lap_slots=slots[:lap.size], lap_values=lap,
+        nb=nb,
+        schur_at=tuple(schur + rt[:, None] + rt[None, :] * n_t for rt in ring_t),
+        coarse_at=tuple(rt[:, None] + rl[None, :] * n_t for rt, rl in zip(ring_t, ring_loop)),
+        bank_at=tuple(c[:, None] * nb + rl[None, :] for c, rl in zip(crosses, ring_loop)))
+
+
+# (m, block size, grouped): ungrouped at 2, 4 and 8 blocks per side, grouped at
+# 4 and 8, from m = 17 to the m = 129 layout of 4 regions per side
+@pytest.mark.parametrize("m, s, grouped", [(17, 8, False), (33, 8, False), (65, 8, False),
+                                           (17, 4, True), (33, 8, True), (17, 2, True),
+                                           (65, 8, True), (129, 16, True), (129, 32, True)])
+def test_one_pass_dissection_matches_the_per_block_build(m, s, grouped):
+    grid = Grid(m)
+    got, want = forward._dissection(grid, s, grouped), _dissection_by_masks(grid, s, grouped)
+    for name in forward._Dissection.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, tuple):
+            assert len(a) == len(b), name
+        else:
+            a, b = [a], [b]
+        for x, y in zip(a, b):
+            assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), name
+
+
 # (m, regions per side, block size, factor): s = 1, dense ungrouped, dense
 # grouped, SuperLU at s = 4 and at s = 2
 @pytest.mark.parametrize("m, k, s, factor", [(9, 8, 1, "dense"), (17, 2, 8, "dense"),
@@ -543,11 +602,7 @@ def _audit_case(per_side=2):
     return PwcField(part, np.resize([1.2, 1.9, 1.5, 1.1], part.n_regions), (1.0, 2.0))
 
 
-def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
-    # D_b enters the condensation and the block interiors alike, so the
-    # condensed residual stays exact; only the five-point sketch can see it
-    c = _audit_case()
-    assemble_dtn(HelmholtzOperator(c, 5.0))  # passes unperturbed
+def _perturb_first_block_symbol(monkeypatch):
     exact = forward._block_symbols
 
     def perturbed(sk, sigma):
@@ -556,8 +611,42 @@ def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
         return symbols
 
     monkeypatch.setattr(forward, "_block_symbols", perturbed)
+
+
+def test_sketched_audit_catches_a_perturbed_block_symbol(monkeypatch):
+    # D_b enters the condensation and the block interiors alike, so the
+    # condensed residual stays exact; only the five-point sketch can see it
+    c = _audit_case()
+    assemble_dtn(HelmholtzOperator(c, 5.0))  # passes unperturbed
+    _perturb_first_block_symbol(monkeypatch)
     with pytest.raises(NearEigenfrequencyError, match="sketched"):
         assemble_dtn(HelmholtzOperator(c, 5.0))
+
+
+def test_solution_bank_is_the_bank_of_assemble_dtn_alone(weights17):
+    # dense one-level (s = 8), dense two-level (s = 4, grouped) and SuperLU (s = 2)
+    for per_side, factor in ((2, "dense"), (4, "dense"), (8, "superlu")):
+        c = _audit_case(per_side)
+        op = HelmholtzOperator(c, 5.0)
+        assert op.factor == factor
+        bank = forward.solution_bank(op, weights17)
+        _, ref = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+        assert bank.weights is weights17 and bank.block_size == ref.block_size
+        assert np.array_equal(bank.skeleton, ref.skeleton)
+        assert np.array_equal(bank.symbols, ref.symbols)
+    assert forward.solution_bank(op).weights.compatible(weights17)
+
+
+def test_solution_bank_audits_the_bank(monkeypatch):
+    _perturb_first_block_symbol(monkeypatch)
+    with pytest.raises(NearEigenfrequencyError, match="sketched"):
+        forward.solution_bank(HelmholtzOperator(_audit_case(), 5.0))
+
+
+def test_solution_bank_rejects_weights_of_another_grid():
+    with pytest.raises(DiscretizationMismatchError, match="different grid"):
+        forward.solution_bank(HelmholtzOperator(_audit_case(), 5.0),
+                              build_boundary_weights(Grid(33)))
 
 
 # 2 regions per side: s = 8, n_x = 29 <= 2 nb; 4 per side: s = 4, n_x = 81, the
