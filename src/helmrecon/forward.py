@@ -39,13 +39,13 @@ products land in the Schur complement, the coarse right-hand side and the
 bank). The dense factor is assembled from the ring forms straight into its
 blocks (multifrontal assembly, Duff & Reid, ACM TOMS 9, 1983); only SuperLU
 reads a compressed-column pattern of K~, built for its layouts alone.
-A single solve takes K~_XB g from the condensed operator on [0; g]
-(_condensed), so the dense path keeps no copy of K~_X beside its factor. An
-evaluation then does arithmetic and precomputed gathers and scatters only. The
-block forms G_b = (S x S) D_b F of the adjoint and the derivative come in
-closed form from F's rank-one sides (SolutionBank._block_forms), and the
-frequency certificate of a (grid, omega^2, box) runs once, not once per field
-(_certify).
+A single solve lifts its Dirichlet data into the source (K_ii u_i = M f -
+K_ib g), so K~ is applied only in the factor's assembly and the DtN's loop
+rows. An evaluation then does arithmetic and precomputed gathers and scatters
+only. The block forms G_b = (S x S) D_b F of the adjoint and the derivative
+come in closed form from F's rank-one sides (SolutionBank._block_forms), and
+the frequency certificate of a (grid, omega^2, box) runs once, not once per
+field (_certify).
 
 The DtN matrix maps boundary Dirichlet coefficients to variational Neumann
 coefficients: column p is (minus) the residual of the full system applied to
@@ -56,15 +56,16 @@ interior-boundary product identity
     omega^2 * sum_cells (c1 - c2) * avg(u1 u2) * h^2  =  h^T (Lam1 - Lam2) g
 
 hold to solver precision for any two coefficient fields, which the derivative
-and stability layers rely on.
+and stability layers rely on. It is the one flux the library evaluates (the
+one-sided flux of verify.audit_alessandrini shows what breaks without it).
 
 One forward evaluation is assemble_dtn: it returns the DtN matrix and the
 SolutionBank behind it (the indicator solutions in condensed form, which also
 give the derivative and its adjoint). It is solution_bank, which resolves the
 default boundary weights, solves and audits the bank, followed by the DtN
 read. A caller that reads only the bank (the derivative probes of
-calibration) calls solution_bank and skips the read. dtn_for_field and
-derivative.bank_for_field are named entries onto assemble_dtn.
+calibration) calls solution_bank and skips the read. dtn_for_field (the DtN
+alone) and derivative.bank_for_field run assemble_dtn on a field's operator.
 
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
@@ -360,8 +361,6 @@ class _Skeleton:
     l_sigma: sp.csr_matrix  # skeleton block of the grid Laplacian
     grid_interior: np.ndarray  # interior node ids of the grid, natural order
     l_rows: sp.csr_matrix      # their rows of the grid Laplacian, all columns
-    inward: np.ndarray         # per loop node: its interior neighbour (diagonal at a corner)
-    edge: np.ndarray           # loop positions of the non-corner nodes
     sides: np.ndarray          # (2(s-1), s-1): S diag(S[0]) over S diag(S[s-2])
     side_basis: np.ndarray     # (s-1, (s-1)^2): K[q, (c, y)] = S[c, q] S[q, y]
 
@@ -432,7 +431,6 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         e[p - 1, n - 1, 3 * n + p - 1] = 1.0  # right
 
     lap = grid_laplacian(grid)
-    li, lj = np.divmod(loop, m)
     interior = interior_nodes(grid)
     skeleton = _Skeleton(
         s=s, nodes=nodes, n_x=n_x, ring=ring,
@@ -443,13 +441,11 @@ def _skeleton(grid: Grid, s: int) -> _Skeleton:
         l_sigma=lap[nodes][:, nodes].tocsr(),
         grid_interior=interior,
         l_rows=lap[interior].tocsr(),
-        inward=(li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1),
-        edge=np.flatnonzero((li % (m - 1) != 0) | (lj % (m - 1) != 0)),
         sides=np.concatenate([basis * basis[:1], basis * basis[n - 1:n]]),
         side_basis=(basis.T[:, :, None] * basis[:, None, :]).reshape(n, n * n),
     )
     for arr in (skeleton.nodes, skeleton.ring, skeleton.interior, skeleton.basis,
-                skeleton.coupling, skeleton.inward, skeleton.sides, skeleton.side_basis):
+                skeleton.coupling, skeleton.sides, skeleton.side_basis):
         arr.setflags(write=False)
     return skeleton
 
@@ -925,15 +921,6 @@ class HelmholtzOperator:
             return self._lu.solve(None)
         return self._lu.solve(rhs.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
 
-    def _condensed(self, v: np.ndarray) -> np.ndarray:
-        """K~ v = L_SS v - omega^2 diag(d_S) v - sum_b (F^T D_b F v_ring) on the
-        ring of b, for skeleton values v (n_skeleton, k)."""
-        sk = self._sk
-        out = sk.l_sigma @ v
-        out -= self._mass[:, None] * v
-        np.subtract.at(out, sk.ring.ravel(), (self._forms @ v[sk.ring]).reshape(-1, v.shape[1]))
-        return out
-
     def _five_point_residual(self, u: np.ndarray, source=None) -> float:
         """||K_ii u_i + K_ib u_b - source||_F for full nodal columns u (n_nodes, k)."""
         sk = self._sk
@@ -952,34 +939,34 @@ class HelmholtzOperator:
             )
 
     def solve(self, g: np.ndarray | None = None, f: NodalField | np.ndarray | None = None) -> NodalField:
-        """Solve with Dirichlet data g (boundary-loop order) and volume source f.
-
-        The block sources enter the skeleton system through their DST, and
-        the whole five-point residual is audited."""
+        """Solve with Dirichlet data g (boundary-loop order) and volume source f,
+        both finite (ConfigurationError otherwise). The data is lifted into the
+        source, K_ii u_i = M f - K_ib g, whose block parts enter the skeleton
+        system through their DST; the whole five-point residual is audited."""
         sk = self._sk
         n_x, nb, n_nodes = sk.n_x, self.grid.n_boundary, self.grid.n_nodes
         g = np.zeros(nb) if g is None else np.asarray(g, dtype=float)
         if g.shape != (nb,):
             raise DiscretizationMismatchError(f"expected {nb} boundary values, got {g.shape}")
-        source = np.zeros(n_nodes)
-        if f is not None:
-            fv = f.values if isinstance(f, NodalField) else np.asarray(f, dtype=float)
-            if fv.shape != (n_nodes,):
-                raise DiscretizationMismatchError(
-                    f"expected {n_nodes} source values, got {fv.shape}")
-            source = node_quad_weights(self.grid) * fv
-        hat = _to_nodes(sk.basis, source[sk.interior][:, :, None])
+        fv = np.zeros(n_nodes) if f is None else (
+            f.values if isinstance(f, NodalField) else np.asarray(f, dtype=float))
+        if fv.shape != (n_nodes,):
+            raise DiscretizationMismatchError(f"expected {n_nodes} source values, got {fv.shape}")
+        if not (np.isfinite(g).all() and np.isfinite(fv).all()):
+            raise ConfigurationError("Dirichlet data and source must be finite")
+        source = (node_quad_weights(self.grid) * fv)[sk.grid_interior]
+        data = np.zeros(n_nodes)
+        data[sk.nodes[n_x:]] = g
+        lifted = np.zeros(n_nodes)
+        lifted[sk.grid_interior] = source - sk.l_rows @ data  # M f - K_ib g
+        hat = _to_nodes(sk.basis, lifted[sk.interior][:, :, None])
         folded = sk.coupling.T @ (self._symbols[:, :, None] * hat)
-        data = np.zeros((sk.nodes.size, 1))
-        data[n_x:, 0] = g
-        rhs = (source[sk.nodes[:n_x]] + np.bincount(sk.ring.ravel(), folded.ravel(), n_x)[:n_x]
-               - self._condensed(data)[:n_x, 0])  # K~_XB g = (K~ [0; g])_X
+        rhs = lifted[sk.nodes[:n_x]] + np.bincount(sk.ring.ravel(), folded.ravel(), n_x)[:n_x]
         u = np.zeros((n_nodes, 1))
-        u[sk.nodes[n_x:], 0] = g
-        rhs_norm = self._five_point_residual(u, source[sk.grid_interior, None])
         u[sk.nodes[:n_x], 0] = self._solve_skeleton(rhs)
-        _fill_blocks(sk, self._symbols, u, hat)
-        self._check(self._five_point_residual(u, source[sk.grid_interior, None]), rhs_norm,
+        _fill_blocks(sk, self._symbols, u, hat)  # with zero boundary values, as lifted
+        u[sk.nodes[n_x:], 0] = g
+        self._check(self._five_point_residual(u, source[:, None]), float(np.linalg.norm(lifted)),
                     "linear solve")
         return NodalField(self.grid, u[:, 0])
 
@@ -992,7 +979,7 @@ class HelmholtzOperator:
         condensed residual of [V_X G; G]: the skeleton solve and the block
         symbols are audited together (Freivalds' check of a product)."""
         res = self._five_point_residual(bank.apply(_sketch(self.grid.n_boundary)))
-        self._check(res / np.sqrt(_SKETCH_COLUMNS), float(np.sqrt(self._sk.edge.size)),
+        self._check(res / np.sqrt(_SKETCH_COLUMNS), float(np.sqrt(self.grid.n_boundary - 4)),
                     "sketched skeleton and bank")
 
     def _dtn(self, bank: "SolutionBank") -> np.ndarray:
@@ -1000,7 +987,7 @@ class HelmholtzOperator:
         L_BX V_X + L_BB - omega^2 diag(d_B), minus the loop rows of the ring
         forms of the blocks beside the loop, gathered through the bank's ring
         rows a group of blocks at a time. A loop node lies on at most one
-        ring, so every entry is summed in the order _condensed sums it."""
+        ring, so every entry is summed in the order of the whole product."""
         sk = self._sk
         l_bx, l_bb = sk.loop_laplacian
         out = l_bx @ bank.skeleton
@@ -1209,32 +1196,20 @@ def solution_bank(op: HelmholtzOperator, weights: BoundaryWeights | None = None)
     return bank
 
 
-def assemble_dtn(op: HelmholtzOperator, weights: BoundaryWeights | None = None,
-                 variant: str = "variational") -> tuple[DtnMatrix, SolutionBank]:
+def assemble_dtn(op: HelmholtzOperator,
+                 weights: BoundaryWeights | None = None) -> tuple[DtnMatrix, SolutionBank]:
     """One forward evaluation: the DtN matrix and its solution bank.
 
-    The audited bank comes from solution_bank, and the variational DtN is
-    read from the loop rows of the condensed operator on [V_X; I] alone:
-    -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
+    The audited bank comes from solution_bank, and the variational DtN, the
+    one flux, is read from the loop rows of the condensed operator on
+    [V_X; I] alone: -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
     (HelmholtzOperator._dtn). The solve runs whole before the audit's and
     the DtN's products: it calls scipy's BLAS and they call numpy's, and with
     unpinned threads the two pools contend at every switch between them.
-    variant='one_sided' replaces the variational flux with an inward finite
-    difference (for degradation experiments only; it reads the dense bank,
-    materialised once and kept by the bank). weights default to
-    build_boundary_weights(op.grid).
+    weights default to build_boundary_weights(op.grid).
     """
-    if variant not in ("variational", "one_sided"):
-        raise ConfigurationError(f"unknown DtN variant {variant!r}")
     bank = solution_bank(op, weights)
-    if variant == "one_sided":
-        sk, nb = op._sk, op.grid.n_boundary
-        factor = np.full(nb, 1.0 / np.sqrt(2.0))
-        factor[sk.edge] = 1.0
-        lam = (bank.solutions[sk.inward] - np.eye(nb)) * factor[:, None]
-    else:
-        lam = op._dtn(bank)
-    return (DtnMatrix(lam=lam, weights=bank.weights, omega2=op.omega2), bank)
+    return (DtnMatrix(lam=op._dtn(bank), weights=bank.weights, omega2=op.omega2), bank)
 
 
 def pulled_back(mat: np.ndarray, weights: BoundaryWeights) -> tuple[np.ndarray, float]:
@@ -1261,9 +1236,7 @@ def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
-def dtn_for_field(c2inv: PwcField, omega2: float, weights: BoundaryWeights | None = None,
-                  return_solutions: bool = False, variant: str = "variational"):
-    """Forward map of one field: the DtnMatrix, or (DtnMatrix, SolutionBank)
-    with return_solutions (see assemble_dtn)."""
-    dtn, bank = assemble_dtn(HelmholtzOperator(c2inv, omega2), weights=weights, variant=variant)
-    return (dtn, bank) if return_solutions else dtn
+def dtn_for_field(c2inv: PwcField, omega2: float,
+                  weights: BoundaryWeights | None = None) -> DtnMatrix:
+    """Forward map of one field: the DtnMatrix of assemble_dtn, without its bank."""
+    return assemble_dtn(HelmholtzOperator(c2inv, omega2), weights)[0]

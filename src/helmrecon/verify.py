@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, PwcField, l2_dist, mass_scatter_matrix, uniform_partition
+from .domain import Grid, PwcField, boundary_loop, l2_dist, mass_scatter_matrix, uniform_partition
 from .derivative import apply_df, bank_for_field
 from .errors import AdmissibilityError, ConfigurationError
-from .forward import build_boundary_weights, dtn_data_norm, dtn_for_field
+from .forward import (DtnMatrix, HelmholtzOperator, build_boundary_weights, dtn_data_norm,
+                      dtn_for_field, solution_bank)
 
 __all__ = [
     "StabilitySample",
@@ -30,6 +31,20 @@ SLOPE_MIN = 1.8  # the pass thresholds of gradient_check
 REL_TOL = 1e-5
 
 
+def _one_sided_evaluation(c: PwcField, omega2: float):
+    """bank_for_field with a one-sided difference flux in place of the
+    variational one, its bank from solution_bank (no variational DtN is read):
+    row q is U at the inward neighbour of loop node q (its diagonal neighbour
+    at a corner) minus the indicator of q, corner rows scaled by 1/sqrt(2)."""
+    bank = solution_bank(HelmholtzOperator(c, omega2))
+    m = c.grid.m
+    li, lj = np.divmod(boundary_loop(c.grid), m)
+    inward = (li + (li == 0) - (li == m - 1)) * m + lj + (lj == 0) - (lj == m - 1)
+    factor = np.where((li % (m - 1) == 0) & (lj % (m - 1) == 0), 1.0 / np.sqrt(2.0), 1.0)
+    lam = (bank.solutions[inward] - np.eye(c.grid.n_boundary)) * factor[:, None]
+    return DtnMatrix(lam=lam, weights=bank.weights, omega2=omega2), bank
+
+
 def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 50,
                        seed: int = 0, variant: str = "variational") -> float:
     """Max relative defect of the interior-boundary product identity.
@@ -40,12 +55,18 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     c2 with data h. Exactly zero for identical fields. trials < 1 raises
     ConfigurationError: no trial would read as a defect of zero.
 
+    variant 'one_sided' swaps in a one-sided flux (_one_sided_evaluation);
+    another variant raises ConfigurationError.
+
     Each defect |lhs - rhs| is relative to the magnitude of the summed terms,
     omega^2 * sum_nodes |s u1 u2| with s the lumped mass of c1 - c2, which
     sets the size of the rounding both sides carry. Relative to
     max(|lhs|, |rhs|) instead, a pair whose terms nearly cancel would read
     rounding as a defect.
     """
+    evaluate = {"variational": bank_for_field, "one_sided": _one_sided_evaluation}.get(variant)
+    if evaluate is None:
+        raise ConfigurationError(f"unknown DtN variant {variant!r}")
     if trials < 1:
         raise ConfigurationError(f"the identity audit needs at least one trial, got {trials}")
     if c1.grid.m != c2.grid.m:
@@ -54,8 +75,7 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     dcells = c1.cell_values() - c2.cell_values()
     if np.all(dcells == 0):
         return 0.0
-    dtn1, bank1 = dtn_for_field(c1, omega2, return_solutions=True, variant=variant)
-    dtn2, bank2 = dtn_for_field(c2, omega2, return_solutions=True, variant=variant)
+    (dtn1, bank1), (dtn2, bank2) = evaluate(c1, omega2), evaluate(c2, omega2)
     s = np.asarray(mass_scatter_matrix(grid) @ dcells)
     rng = np.random.default_rng(seed)
     nb = grid.n_boundary
@@ -94,9 +114,12 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
     least SLOPE_MIN and a relative error of at most REL_TOL. Perturbed solves
     run the frequency guard at bounds widened to cover the perturbed
     coefficients; t shrinks automatically if a perturbation lands in a
-    forbidden band. Every direction must be a PwcField on c's partition
-    (ConfigurationError otherwise).
+    forbidden band. Every direction must be a PwcField on c's partition, and
+    t_values one or more finite values > 0 (ConfigurationError otherwise).
     """
+    t_values = sorted((float(t) for t in t_values), reverse=True)
+    if not t_values or not all(np.isfinite(t) and t > 0 for t in t_values):
+        raise ConfigurationError(f"t values must be one or more finite values > 0, got {t_values}")
     for delta in deltas:
         if not (isinstance(delta, PwcField) and delta.partition.same_as(c.partition)):
             raise ConfigurationError("gradient_check needs PwcField directions on c's partition")
@@ -108,8 +131,7 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
         exact = apply_df(bank, delta)
         scale = dtn_data_norm(exact, weights)
         ts, errs = [], []
-        for t in sorted(t_values, reverse=True):
-            t_use = float(t)
+        for t_use in t_values:
             for _ in range(60):
                 try:
                     coeffs_p = c.coeffs + t_use * delta.coeffs
@@ -249,8 +271,11 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     Deterministic under the seed; degenerate pairs are skipped. The mid-box
     base field that every adversarial pair starts from is evaluated once for
     the whole sweep (_stability_sweep); each pair's operator-norm ratio is
-    taken from its DtN difference as the sweep yields it.
+    taken from its DtN difference as the sweep yields it. An empty big_ns
+    raises ConfigurationError.
     """
+    if len(big_ns) == 0:
+        raise ConfigurationError("the stability sweep needs at least one region count")
     weights = build_boundary_weights(grid)
     all_samples: list[StabilitySample] = []
     max_ratios, max_ratios_op = [0.0] * len(big_ns), [0.0] * len(big_ns)

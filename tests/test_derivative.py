@@ -6,9 +6,11 @@ from helmrecon import (
     DiscretizationMismatchError,
     DtnMatrix,
     Grid,
+    HelmholtzOperator,
     PwcField,
     apply_df,
     apply_df_adjoint,
+    assemble_dtn,
     bank_for_field,
     dtn_data_norm,
     dtn_for_field,
@@ -189,9 +191,10 @@ def test_weighted_probe_norms_match_the_data_norm_of_apply_df(m):
 def test_bank_for_field_matches_dtn_for_field(setup17):
     _, _, c, weights, dtn, bank = setup17
     assert bank.grid == c.grid
-    ref_dtn, ref_bank = dtn_for_field(c, 5.0, weights=weights, return_solutions=True)
+    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights)
     assert np.array_equal(ref_dtn.lam, dtn.lam)
     assert np.array_equal(ref_bank.solutions, bank.solutions)
+    assert np.array_equal(dtn_for_field(c, 5.0, weights=weights).lam, dtn.lam)
     assert bank_for_field(c, 5.0)[1].grid == c.grid
 
 

@@ -22,6 +22,7 @@ from helmrecon import (
     SolutionBank,
     apply_df,
     apply_df_adjoint,
+    bank_for_field,
     build_boundary_weights,
     dtn_data_norm,
     dtn_for_field,
@@ -212,6 +213,24 @@ def test_solve_rejects_wrong_size_source(source):
     op = HelmholtzOperator(const_field(9), 1.0)
     with pytest.raises(DiscretizationMismatchError):
         op.solve(f=source)
+
+
+@pytest.mark.parametrize("where", ["g", "f"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_refuses_non_finite_data(where, bad, monkeypatch):
+    # a NaN in g gave a field NaN at every interior node with no error (the
+    # residual check's reference norm was NaN); an inf in f ended as
+    # NearEigenfrequencyError after a RuntimeWarning
+    op = HelmholtzOperator(const_field(17), 1.0)
+    data = {"g": np.ones(Grid(17).n_boundary), "f": np.ones(17 * 17)}
+    data[where][5] = bad
+
+    def no_solve(self, rhs):
+        raise AssertionError("solved before checking the data")
+
+    monkeypatch.setattr(HelmholtzOperator, "_solve_skeleton", no_solve)
+    with pytest.raises(ConfigurationError, match="finite"):
+        op.solve(**data)
 
 
 def _spy_dgetrf(monkeypatch, info=None, at=None):
@@ -463,6 +482,16 @@ def test_one_pass_dissection_matches_the_per_block_build(m, s, grouped):
             assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y), name
 
 
+def _condensed(op, v):
+    """K~ v = L_SS v - omega^2 diag(d_S) v - sum_b (F^T D_b F v_ring) on the
+    ring of b, for skeleton values v (n_skeleton, k)."""
+    sk = op._sk
+    out = sk.l_sigma @ v
+    out -= op._mass[:, None] * v
+    np.subtract.at(out, sk.ring.ravel(), (op._forms @ v[sk.ring]).reshape(-1, v.shape[1]))
+    return out
+
+
 # (m, regions per side, block size, factor): s = 1, dense ungrouped, dense
 # grouped, SuperLU at s = 4 and at s = 2
 @pytest.mark.parametrize("m, k, s, factor", [(9, 8, 1, "dense"), (17, 2, 8, "dense"),
@@ -483,7 +512,7 @@ def test_dtn_is_the_loop_rows_of_the_condensed_operator(m, k, s, factor, rng):
     v = np.zeros((sk.nodes.size, nb))
     v[:sk.n_x] = bank.skeleton
     v[sk.n_x:] = np.eye(nb)
-    oracle = -op._condensed(v)[sk.n_x:]
+    oracle = -_condensed(op, v)[sk.n_x:]
     if s == 2:
         assert _rel(dtn.lam, oracle) <= 1e-15
     else:
@@ -856,11 +885,13 @@ def test_assemble_dtn_returns_dtn_and_bank(grid17, weights17):
 
 def test_dtn_for_field_returns_the_evaluation(grid17, weights17):
     c = const_field(17)
-    dtn, bank = dtn_for_field(c, 5.0, weights=weights17, return_solutions=True)
+    dtn = dtn_for_field(c, 5.0, weights=weights17)
     ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+    assert isinstance(dtn, DtnMatrix) and dtn.weights is weights17
     assert np.array_equal(dtn.lam, ref_dtn.lam)
+    bank_dtn, bank = bank_for_field(c, 5.0, weights=weights17)
+    assert np.array_equal(bank_dtn.lam, dtn.lam)
     assert np.array_equal(bank.solutions, ref_bank.solutions)
-    assert np.array_equal(dtn_for_field(c, 5.0, weights=weights17).lam, dtn.lam)
 
 
 @pytest.mark.parametrize("shape", [(81, 63), (80, 64), (81 * 64,)])

@@ -33,6 +33,14 @@ def test_identity_audit_needs_a_trial(fields17, trials):
             audit_alessandrini(c1, other, 5.0, trials=trials, seed=0)
 
 
+def test_identity_audit_refuses_an_unknown_variant(fields17):
+    # equal fields return before any evaluation, so the check comes first
+    _, _, c1, c2 = fields17
+    for other in (c1, c2):
+        with pytest.raises(ConfigurationError, match="variant"):
+            audit_alessandrini(c1, other, 5.0, trials=3, seed=0, variant="upwind")
+
+
 def test_identity_audit_zero_for_equal_fields(fields17):
     _, _, c1, _ = fields17
     assert audit_alessandrini(c1, c1, 5.0, trials=3, seed=0) == 0.0
@@ -98,6 +106,21 @@ def test_gradient_check_rejects_bad_direction_before_solving(fields17, monkeypat
             gradient_check(c1, 5.0, [indicator_probes(part)[0], delta])
 
 
+@pytest.mark.parametrize("t_values", [(1e-1, 0.0), (1e-1, -1e-2), (1e-1, np.nan),
+                                      (np.inf, 1e-2), ()])
+def test_gradient_check_refuses_degenerate_t(fields17, t_values, monkeypatch):
+    # t = 0 gave slope inf after divide-by-zero warnings, t < 0 a bare
+    # LinAlgError from np.polyfit, no t at all an IndexError
+    _, part, c1, _ = fields17
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the t values")
+
+    monkeypatch.setattr(verify, "bank_for_field", no_solve)
+    with pytest.raises(ConfigurationError, match="t values"):
+        gradient_check(c1, 5.0, indicator_probes(part)[:1], t_values=t_values)
+
+
 def test_gradient_check_shrinks_t_when_guard_fails(fields17):
     # a huge direction pushes c +- t*d out of positivity at t = 0.1; the check
     # must shrink t rather than fail
@@ -113,6 +136,12 @@ def test_stability_sampling_n1_ratio_finite_and_stable(grid17):
     assert rep.max_ratios[0] > 0
     ratios = [s.ratio for s in rep.samples]
     assert max(ratios) / min(ratios) < 50  # same-N ratios live on one scale
+
+
+def test_stability_sampling_refuses_no_region_count(grid17):
+    # an empty sweep ended in a bare IndexError
+    with pytest.raises(ConfigurationError, match="region count"):
+        estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=())
 
 
 def test_stability_growth_and_determinism(grid17):
