@@ -13,10 +13,11 @@ the block interiors exactly (static condensation, the capacitance-matrix idea
 of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) and factors only
 the condensed operator on the skeleton, the grid lines between blocks, with
 partial pivoting: by dense LAPACK getrf when the skeleton has at most twice
-as many unknowns as the boundary loop (coarse blocks, where getrs solves the
-nb right-hand sides as BLAS-3 products), by SuperLU otherwise (fine blocks,
-where a dense factor would not fit in memory: 2 GB at s = 1, m = 129). The
-dense factor eliminates one level further where the blocks group into
+as many unknowns as the boundary loop (coarse blocks, where getri turns each
+factor into its inverse, so that one GEMM, several times faster than getrs's
+triangular solves, solves the nb right-hand sides), by SuperLU otherwise
+(fine blocks, where a dense factor would not fit: 2 GB at s = 1, m = 129).
+The dense factor eliminates one level further where the blocks group into
 2 x 2 super-blocks (nested dissection, George, SIAM J. Numer. Anal. 10,
 1973): each super-block's inner cross of skeleton lines is factored on its
 own, and only the Schur complement on the coarse skeleton between them is
@@ -74,14 +75,14 @@ closed-form DFT symbol determines them all, with no eigensolve.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
 ``lapack``: an operator's skeleton factor is a _SparseLU, which calls
-``spla.splu`` once, or a _TwoLevelLU, which calls ``lapack.dgetrf`` once per
-dense factor (once ungrouped; once per cross plus once for the coarse
-skeleton grouped, five times at four blocks per side). The benchmark's layer
-trace wraps ``spla.splu`` there; it does not see the dense factors, whose
-time, with the cross solves that form the coarse Schur complement, counts as
-operator assembly (``forward.operator_assembly.self_s``), while the coarse
-solve and the back-substitution of the crosses count in
-``forward.assemble_dtn.self_s``.
+``spla.splu`` once, or a _TwoLevelLU, which calls ``lapack.dgetrf`` and
+``lapack.dgetri`` once per dense factor (once ungrouped; once per cross plus
+once for the coarse skeleton grouped, five times at four blocks per side).
+The benchmark's layer trace wraps ``spla.splu`` there; it does not see the
+dense factors, whose time, with getri's inverses, the cross solves that form
+the coarse Schur complement and the bank's cross solves, counts as operator
+assembly (``forward.operator_assembly.self_s``), while the coarse product and
+the back-substitution of the crosses count in ``forward.assemble_dtn.self_s``.
 """
 
 from __future__ import annotations
@@ -694,15 +695,35 @@ def _getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+def _getri(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """The inverse from a getrf factor with no zero pivot, by LAPACK getri in
+    place, with its optimal (blocked) workspace."""
+    return lapack.dgetri(lu, piv, lwork=int(lapack.dgetri_lwork(lu.shape[0])[0]),
+                         overwrite_lu=True)[0]
+
+
 class _TwoLevelLU:
     """Dense LU of K~_XX in the order of a _Dissection (nested dissection,
-    George, SIAM J. Numer. Anal. 10, 1973). getrf factors each cross block
-    A_i; W_i = A_i^{-1} K~_{C_i T_i}, on the T nodes of its ring only, gives
-    the Schur complement S_TT = K~_TT - sum_i K~_{T_i C_i} W_i, which getrf
-    factors in turn. pivots pools the pivot moduli of every factor. With one
-    cross and no T this is one getrf of K~_XX. The products run in scipy's
-    BLAS (dgemm) like the factors and solves, so that with unpinned threads
-    the whole skeleton solve stays in one thread pool (see assemble_dtn).
+    George, SIAM J. Numer. Anal. 10, 1973), kept as explicit inverses, so that
+    every solve against the bank or a single right-hand side is one GEMM:
+    with one BLAS thread, dgemm runs 4 to 10 times faster than the triangular
+    solves of getrs (dtrsm) at these sizes.
+
+    getrf factors each cross block A_i; W_i = A_i^{-1} K~_{C_i T_i}, on the
+    T nodes of its ring only, gives the Schur complement S_TT = K~_TT -
+    sum_i K~_{T_i C_i} W_i, which getrf factors in turn. W_i comes from
+    getrs, so S_TT and its pivots do not depend on the inverses. pivots
+    pools the pivot moduli of every getrf, read before getri turns the
+    factor into the inverse in place. With the factor come the indicator
+    bank's cross solves Z_i = A_i^{-1} K~_{C_i, ring loop}, in B_i's place
+    like W_i, and its coarse right-hand side R = K~_TB - sum_i K~_{T_i C_i}
+    Z_i, in K~_TB's place, so that the bank solve allocates only its
+    result and S_TT^{-1} R. With one cross and no T this is one inverse of
+    K~_XX. The products run in scipy's BLAS (dgemm) like the factors, so
+    that with unpinned threads the whole skeleton solve stays in one thread
+    pool (see assemble_dtn). A solve by an explicit inverse is not backward
+    stable in general (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992); the
+    residual audits check every solve.
     """
 
     def __init__(self, dis: _Dissection, terms: np.ndarray):
@@ -712,50 +733,54 @@ class _TwoLevelLU:
         buf = np.bincount(dis.slots, weights=terms, minlength=dis.offsets[-1] + 1)
         np.subtract(0.0, buf, out=buf)
         buf[dis.lap_slots] += dis.lap_values
-        blocks, schur, self._k_tb = dis.split(buf)
+        blocks, schur, self._r = dis.split(buf)
+        r = self._r.reshape(-1, order="F")  # a view: the block is Fortran-ordered
         self._dis = dis
-        self._cross, self._w, self._e, self._b_loop = [], [], [], []
-        for (a, b, e), rt, at in zip(blocks, dis.ring_t, dis.schur_at):
-            self._cross.append(_getrf(a))
-            w = lapack.dgetrs(*self._cross[-1], b[:, :rt.size], overwrite_b=True)[0]
-            buf[at] -= blas.dgemm(1.0, e, w)  # S_TT -= K~_{T_i C_i} W_i, in place
-            self._w.append(w)
-            self._e.append(e)
-            self._b_loop.append(b[:, rt.size:])
-        self._schur = _getrf(schur) if dis.coarse.size else None
-        factors = self._cross + ([self._schur] if self._schur is not None else [])
-        self.pivots = np.concatenate([np.abs(np.diagonal(lu)) for lu, _ in factors])
+        self._cross, pivots = [], []
+        for (a, b, e), rt, schur_at, coarse_at in zip(blocks, dis.ring_t, dis.schur_at,
+                                                      dis.coarse_at):
+            lu, piv = _getrf(a)
+            pivots.append(np.abs(np.diagonal(lu)))
+            w = lapack.dgetrs(lu, piv, b[:, :rt.size], overwrite_b=True)[0]
+            buf[schur_at] -= blas.dgemm(1.0, e, w)  # S_TT -= K~_{T_i C_i} W_i, in place
+            inv, z = _getri(lu, piv), b[:, rt.size:]
+            z[:] = blas.dgemm(1.0, inv, z)
+            r[coarse_at] -= blas.dgemm(1.0, e, z)
+            self._cross.append((inv, w, z, e))
+        self._schur = None
+        if dis.coarse.size:
+            lu, piv = _getrf(schur)
+            pivots.append(np.abs(np.diagonal(lu)))
+            self._schur = _getri(lu, piv)
+        self.pivots = np.concatenate(pivots)
 
     def solve(self, rhs: np.ndarray | None) -> np.ndarray:
         """K~_XX^{-1} rhs for rhs (n_x, k). rhs None stands for -K~_XB, the
-        indicator bank's right-hand side, whose rows on a cross are nonzero
-        only in the columns of its ring's loop nodes: each cross is solved
-        against those columns alone (placed by the _Dissection's flat plans),
-        and S_TT against all nb in one call."""
+        indicator bank's right-hand side, whose cross solves -Z_i and coarse
+        right-hand side -R came with the factor: the coarse values are
+        -S_TT^{-1} R, and each cross's -W_i times its ring's part of them,
+        minus Z_i in the columns of its ring's loop nodes (placed by the
+        _Dissection's flat plans)."""
         dis = self._dis
         bank = rhs is None
-        r_t = (np.negative(self._k_tb, order="F") if bank
-               else np.asfortranarray(rhs[dis.coarse]))
-        flat_t = r_t.reshape(-1, order="F")  # a view: r_t is Fortran-ordered
-        solved = []
-        for c, (lu, e) in enumerate(zip(self._cross, self._e)):
-            y = lapack.dgetrs(*lu, -self._b_loop[c] if bank else rhs[dis.crosses[c]],
-                              overwrite_b=True)[0]
-            if bank:
-                flat_t[dis.coarse_at[c]] -= blas.dgemm(1.0, e, y)
-            else:
-                r_t[dis.ring_t[c]] -= blas.dgemm(1.0, e, y)
-            solved.append(y)
-        x_t = r_t if self._schur is None else lapack.dgetrs(*self._schur, r_t, overwrite_b=True)[0]
-        x = np.empty((dis.crosses.size + dis.coarse.size, r_t.shape[1]))
+        if bank:
+            r_t, sign = self._r, -1.0
+        else:
+            r_t, sign = np.asfortranarray(rhs[dis.coarse]), 1.0
+            solved = []
+            for c, (inv, _, _, e) in enumerate(self._cross):
+                solved.append(blas.dgemm(1.0, inv, rhs[dis.crosses[c]]))
+                r_t[dis.ring_t[c]] -= blas.dgemm(1.0, e, solved[-1])
+        x_t = sign * r_t if self._schur is None else blas.dgemm(sign, self._schur, r_t)
+        x = np.empty((dis.crosses.size + dis.coarse.size, x_t.shape[1]))
         x[dis.coarse] = x_t
-        for c, y in enumerate(solved):
+        for c, (_, w, z, _) in enumerate(self._cross):
             rows = dis.crosses[c]
-            x[rows] = blas.dgemm(-1.0, self._w[c], x_t[dis.ring_t[c]])
+            x[rows] = blas.dgemm(-1.0, w, x_t[dis.ring_t[c]])
             if bank:
-                x.reshape(-1)[dis.bank_at[c]] += y
+                x.reshape(-1)[dis.bank_at[c]] -= z
             else:
-                x[rows] += y
+                x[rows] += solved[c]
         return x
 
 
@@ -859,17 +884,18 @@ class HelmholtzOperator:
     Eliminating the interiors leaves K~ = K_SS - sum_b F^T D_b F on the
     skeleton, each block's ring form taken on its ring. Its rows and columns
     X, K~_XX, are factored with partial pivoting (``factor``): 'dense'
-    (_TwoLevelLU, LAPACK getrf/getrs, fastest while n_x <= 2 nb) or
-    'superlu' (_SparseLU, whose factor stays sparse on the large skeletons of
-    fine blocks).
+    (_TwoLevelLU, LAPACK getrf, then getri: the factor keeps the inverse and
+    solves by GEMM; fastest while n_x <= 2 nb) or 'superlu' (_SparseLU,
+    whose factor stays sparse on the large skeletons of fine blocks).
 
     The dense factor is two-level when _block_size groups the blocks 2 x 2:
-    getrf of each super-block's inner cross C_i, then of the Schur complement
-    S_TT on the coarse skeleton T between the crosses, which getrs solves
-    for all nb indicator columns in one call; each cross is solved only
-    against the columns of its ring. The margin keeps every cross
+    the inverse of each super-block's inner cross C_i, then of the Schur
+    complement S_TT on the coarse skeleton T between the crosses, whose
+    inverse solves all nb indicator columns in one product; each cross is
+    solved only against the columns of its ring. The margin keeps every cross
     block positive definite, and det K~_XX = prod_i det A_{C_i C_i} det S_TT.
-    Otherwise it is one getrf of K~_XX (one cross, no T), the same code path.
+    Otherwise it is one inverse of K~_XX (one cross, no T), the same code
+    path.
 
     The pivots of every factor, pooled, decide NearEigenfrequencyError, on an
     exactly zero pivot (smallest_pivot 0.0) or one below _PIVOT_RTOL of the

@@ -52,8 +52,9 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     For random boundary pairs (g, h), compares
         omega^2 * sum_cells (c1 - c2) * avg(u1 u2) * h^2
     against h^T (Lam1 - Lam2) g, where u1 solves at c1 with data g and u2 at
-    c2 with data h. Exactly zero for identical fields. trials < 1 raises
-    ConfigurationError: no trial would read as a defect of zero.
+    c2 with data h. Exactly zero for identical fields. trials that is not an
+    integer >= 1 raises ConfigurationError before any solve: no trial would
+    read as a defect of zero.
 
     variant 'one_sided' swaps in a one-sided flux (_one_sided_evaluation);
     another variant raises ConfigurationError.
@@ -67,7 +68,7 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     evaluate = {"variational": bank_for_field, "one_sided": _one_sided_evaluation}.get(variant)
     if evaluate is None:
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
-    if trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ConfigurationError(f"the identity audit needs at least one trial, got {trials}")
     if c1.grid.m != c2.grid.m:
         raise ConfigurationError("fields live on different grids")

@@ -234,14 +234,15 @@ def test_solve_refuses_non_finite_data(where, bad, monkeypatch):
 
 
 def _spy_dgetrf(monkeypatch, info=None, at=None):
-    """Record each dense skeleton factor; with info, report it as LAPACK's
-    info, on every call or on call number at (from 0) only."""
+    """Record the pivot moduli of each dense skeleton factor as getrf returns
+    it; with info, report it as LAPACK's info, on every call or on call
+    number at (from 0) only."""
     calls = []
     dgetrf = forward.lapack.dgetrf
 
     def spy(*args, **kwargs):
         lu, piv, code = dgetrf(*args, **kwargs)
-        calls.append(code)
+        calls.append(np.abs(np.diagonal(lu)))
         return lu, piv, code if info is None or at not in (None, len(calls) - 1) else info
 
     monkeypatch.setattr(forward.lapack, "dgetrf", spy)
@@ -271,6 +272,37 @@ def test_exactly_zero_dense_pivot_reports_zero(monkeypatch):
     with pytest.raises(NearEigenfrequencyError, match="exactly zero") as exc:
         HelmholtzOperator(const_field(9), 5.0)
     assert exc.value.smallest_pivot == 0.0
+
+
+@pytest.mark.parametrize("k, getrf", [(2, 1), (4, 5)], ids=["one-level", "two-level"])
+def test_pivots_are_the_getrf_diagonal(monkeypatch, k, getrf):
+    # getri overwrites each factor with its inverse in place, so the pooled
+    # pivots must be read from the getrf diagonal before it; m = 33 with 2
+    # regions per side is one factor, with 4 it is four crosses and S_TT
+    calls = _spy_dgetrf(monkeypatch)
+    part = make_uniform_partition(Grid(33), k)
+    c = PwcField(part, np.random.default_rng(k).uniform(1.0, 2.0, part.n_regions), (1.0, 2.0))
+    op = HelmholtzOperator(c, 5.0)
+    assert len(calls) == getrf
+    assert np.array_equal(op._lu.pivots, np.concatenate(calls))
+
+
+@pytest.mark.parametrize("m", [33, 129])
+def test_inverse_solve_near_the_edge_of_a_band_window(m):
+    # omega^2 at 1 - 1e-2 of the upper edge of the box (1, 1.05)'s first band
+    # window (at 1 - 1e-4 the discrete guard refuses it): the bank solved
+    # through explicit inverses keeps its exact five-point residual within
+    # 1e-12 of ||K_ib||_F (3.6e-14 at m = 129, 1.4e-14 through getrs)
+    box = (1.0, 1.05)
+    window = spectrum_guard(3 * np.pi ** 2, *box)
+    assert window.band_index == 1
+    part = make_uniform_partition(Grid(m), 4)
+    c = PwcField(part, np.random.default_rng(0).uniform(*box, part.n_regions), box)
+    op = HelmholtzOperator(c, (1 - 1e-2) * window.window[1])
+    assert op.factor == "dense"
+    bank = forward.solution_bank(op)
+    res = op._five_point_residual(bank.solutions)
+    assert res <= 1e-12 * np.sqrt(op.grid.n_boundary - 4)
 
 
 # ------------------------------------------------- SuperLU oracle for the solver

@@ -24,12 +24,18 @@ def fields17():
     return g, part, c1, c2
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_identity_audit_needs_a_trial(fields17, trials):
-    # with no trial the audit would return a defect of 0.0 and pass
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3"])
+def test_identity_audit_needs_a_trial(fields17, trials, monkeypatch):
+    # with no trial the audit would return a defect of 0.0 and pass; a
+    # fractional or string count is refused too, before any solve, not by range()
     _, _, c1, c2 = fields17
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking trials")
+
+    monkeypatch.setattr(verify, "bank_for_field", no_solve)
     for other in (c1, c2):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="trial"):
             audit_alessandrini(c1, other, 5.0, trials=trials, seed=0)
 
 
