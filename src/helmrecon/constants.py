@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError
+from .errors import (AdmissibilityError, CalibrationError, ConfigurationError, LevelConditionError,
+                     is_count)
 from .forward import spectrum_guard
 
 __all__ = [
@@ -441,8 +442,8 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     """
     if mode != "empirical":
         raise CalibrationError(f"unknown calibration mode {mode!r}")
-    if samples < 10:
-        raise CalibrationError(f"empirical calibration needs at least 10 sample pairs, got {samples}")
+    if not is_count(samples, 10):
+        raise CalibrationError(f"samples must be an integer >= 10 (sample pairs), got {samples!r}")
 
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe

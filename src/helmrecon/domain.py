@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, DiscretizationMismatchError
+from .errors import ConfigurationError, DiscretizationMismatchError, is_count
 
 __all__ = [
     "Grid",
@@ -55,8 +55,8 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ConfigurationError(f"grid needs at least 3 nodes per side, got m={self.m}")
+        if not is_count(self.m, 3):
+            raise ConfigurationError(f"grid needs an integer m >= 3, got m={self.m!r}")
 
     @property
     def h(self) -> float:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the test of a count argument."""
+
+from numbers import Integral
+
+
+def is_count(value, minimum: int) -> bool:
+    """True for an int or numpy integer (not a bool, a float or a string) >= minimum."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
 
 
 class HelmreconError(Exception):

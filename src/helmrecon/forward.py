@@ -73,6 +73,12 @@ weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
 which is circulant (the loop is closed and uniformly spaced), so one
 closed-form DFT symbol determines them all, with no eigensolve.
 
+BLAS threads. Importing this module sets numpy's and scipy's OpenBLAS pools
+(each wheel loads its own) to one thread unless the user set
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, and changes no environment variable.
+The thread count decides how BLAS splits its sums, which recon's finest level
+amplifies about 1e12-fold, and on two cores the pools' threads contend.
+
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
 ``lapack``: an operator's skeleton factor is a _SparseLU, which calls
 ``spla.splu`` once, or a _TwoLevelLU, which calls ``lapack.dgetrf`` and
@@ -87,6 +93,9 @@ the back-substitution of the crosses count in ``forward.assemble_dtn.self_s``.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
@@ -140,6 +149,24 @@ _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior pas
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
 _SKETCH_SEED = 20240817
 _SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and file blocks against the rebuilt pair
+
+
+def _one_blas_thread() -> None:
+    """One thread for each OpenBLAS, set on the extension module that links it;
+    other builds (MKL, a system OpenBLAS, numpy 1.x) are left as they are."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    for module, setter in (("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+                           ("scipy.linalg._fblas", "scipy_openblas_set_num_threads")):
+        try:
+            fn = getattr(ctypes.CDLL(importlib.import_module(module).__file__), setter)
+        except (ImportError, OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        fn(1)
+
+
+_one_blas_thread()
 
 
 def unit_square_eigenvalues(upto: float) -> np.ndarray:
@@ -720,8 +747,8 @@ class _TwoLevelLU:
     Z_i, in K~_TB's place, so that the bank solve allocates only its
     result and S_TT^{-1} R. With one cross and no T this is one inverse of
     K~_XX. The products run in scipy's BLAS (dgemm) like the factors, so
-    that with unpinned threads the whole skeleton solve stays in one thread
-    pool (see assemble_dtn). A solve by an explicit inverse is not backward
+    that the whole skeleton solve stays in one thread pool (see
+    assemble_dtn). A solve by an explicit inverse is not backward
     stable in general (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992); the
     residual audits check every solve.
     """
@@ -1230,8 +1257,8 @@ def assemble_dtn(op: HelmholtzOperator,
     one flux, is read from the loop rows of the condensed operator on
     [V_X; I] alone: -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
     (HelmholtzOperator._dtn). The solve runs whole before the audit's and
-    the DtN's products: it calls scipy's BLAS and they call numpy's, and with
-    unpinned threads the two pools contend at every switch between them.
+    the DtN's products: it calls scipy's BLAS and they call numpy's, and on
+    more than one thread the two pools contend at every switch between them.
     weights default to build_boundary_weights(op.grid).
     """
     bank = solution_bank(op, weights)

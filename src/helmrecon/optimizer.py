@@ -32,7 +32,7 @@ from .constants import ConstantsBundle, LevelConstants, check_omega_conditions, 
 from .derivative import apply_df_adjoint, bank_for_field, residual_from
 from .domain import NodalField, Partition, PwcField, bregman, clamp_to_bounds, embed, \
     l2_norm, project
-from .errors import ConfigurationError, LevelConditionError
+from .errors import ConfigurationError, LevelConditionError, is_count
 from .forward import DtnMatrix
 
 __all__ = [
@@ -140,8 +140,8 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     reused instead of evaluating start again, and u and mu are recomputed
     with this level's constants and eta.
     """
-    if max_iter < 0:
-        raise ConfigurationError(f"max_iter must be >= 0, got {max_iter}")
+    if not is_count(max_iter, 0):  # k >= nan never holds, and a cap of 2.5 ran 3 steps
+        raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if eta_override is not None and not (np.isfinite(eta_override) and eta_override >= 0):
         raise ConfigurationError(f"eta_override must be finite and >= 0, got {eta_override}")
     if discrepancy_threshold is not None and not (np.isfinite(discrepancy_threshold)
@@ -230,11 +230,13 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
             start.partition.same_as(schedule[0]):
         raise ConfigurationError("start field must live on the first schedule partition")
     n_levels = len(schedule)
-    iters = [max_iter] * n_levels if isinstance(max_iter, int) else list(max_iter)
+    iters = [max_iter] * n_levels if np.ndim(max_iter) == 0 else list(max_iter)
     etas = [None] * n_levels if eta_overrides is None else list(eta_overrides)
     taus = [None] * n_levels if discrepancy_thresholds is None else list(discrepancy_thresholds)
     if not (len(iters) == len(etas) == len(taus) == n_levels):
         raise ConfigurationError("per-level settings must match the schedule length")
+    if not all(is_count(cap, 0) for cap in iters):  # refused before the first level runs
+        raise ConfigurationError(f"max_iter must be integers >= 0, got {max_iter!r}")
 
     constants = [derive_level(bundle, p.n_regions) for p in schedule]
     warnings: list[str] = []

@@ -14,7 +14,7 @@ import numpy as np
 
 from .domain import Grid, PwcField, boundary_loop, l2_dist, mass_scatter_matrix, uniform_partition
 from .derivative import apply_df, bank_for_field
-from .errors import AdmissibilityError, ConfigurationError
+from .errors import AdmissibilityError, ConfigurationError, is_count
 from .forward import (DtnMatrix, HelmholtzOperator, build_boundary_weights, dtn_data_norm,
                       dtn_for_field, solution_bank)
 
@@ -68,8 +68,8 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
     evaluate = {"variational": bank_for_field, "one_sided": _one_sided_evaluation}.get(variant)
     if evaluate is None:
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ConfigurationError(f"the identity audit needs at least one trial, got {trials}")
+    if not is_count(trials, 1):
+        raise ConfigurationError(f"the identity audit needs at least one trial, got {trials!r}")
     if c1.grid.m != c2.grid.m:
         raise ConfigurationError("fields live on different grids")
     grid = c1.grid
@@ -277,6 +277,8 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     """
     if len(big_ns) == 0:
         raise ConfigurationError("the stability sweep needs at least one region count")
+    if not is_count(samples_per_n, 1):
+        raise ConfigurationError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
     weights = build_boundary_weights(grid)
     all_samples: list[StabilitySample] = []
     max_ratios, max_ratios_op = [0.0] * len(big_ns), [0.0] * len(big_ns)

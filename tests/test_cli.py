@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -368,29 +364,3 @@ def test_verify_without_trials_exits_64(tmp_path, capsys, trials):
     cfg = write_config(tmp_path, BASE + f"trials = {trials}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 64
     assert "alessandrini_identity" not in capsys.readouterr().out
-
-
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@pytest.mark.parametrize("module, preset, expected", [
-    ("helmrecon", {}, "False None None"),
-    ("helmrecon.cli", {}, "True 1 1"),
-    ("helmrecon.cli", {"OMP_NUM_THREADS": "2"}, "True None 2"),
-    ("helmrecon.cli", {"OPENBLAS_NUM_THREADS": "3"}, "True 3 None"),
-], ids=["package", "cli", "cli_omp_set", "cli_openblas_set"])
-def test_cli_pins_blas_threads_only_when_the_user_did_not(module, preset, expected):
-    # the console script and python -m helmrecon import the (lazy) package and
-    # then cli, which sets one BLAS thread before numpy loads unless either
-    # variable is set; importing the package alone loads no numpy and sets nothing
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env.update(preset)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                                                 else []))
-    probe = (f"import os, sys, {module}; "
-             "print('numpy' in sys.modules, *(os.environ.get(v) for v in "
-             f"{_THREAD_VARS!r}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == expected

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmrecon import (
+    CalibrationError,
     CompressionModel,
     ConfigurationError,
     ConstantsBundle,
@@ -362,6 +363,18 @@ def test_calibrate_empirical_deterministic_and_positive():
     assert b1.df_bound0 > 0 and b1.df_lip0 > 0 and b1.stab_k > 0
     assert (b1.df_bound0, b1.df_lip0, b1.stab_k) == (b2.df_bound0, b2.df_lip0, b2.stab_k)
     assert b1.calibration == "empirical"
+
+
+@pytest.mark.parametrize("samples", [9, 10.5, "12", np.nan])
+def test_calibrate_refuses_fewer_than_ten_or_fractional_samples(monkeypatch, samples):
+    # 10.5 ended in a bare TypeError; every bad count is refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking samples")
+
+    monkeypatch.setattr(forward, "build_boundary_weights", no_solve)
+    with pytest.raises(CalibrationError, match="sample pairs"):
+        calibrate(Grid(17), 1.0, 1.0, 2.0, phi=CompressionModel.zero(), eps=0.1,
+                  samples=samples)
 
 
 # the benchmark's smoke size of calibrate-m33 (bench/run.py, TINY)

@@ -53,6 +53,18 @@ def test_grid_too_small_rejected():
         Grid(2)
 
 
+@pytest.mark.parametrize("m", [9.5, 9.0, "9", True, np.nan])
+def test_grid_refuses_a_non_integer_size(m):
+    # Grid(9.5) had 90.25 nodes, and its boundary weights ended in a bare ValueError
+    with pytest.raises(ConfigurationError, match="m="):
+        Grid(m)
+
+
+def test_grid_accepts_numpy_integers():
+    assert Grid(np.int64(9)) == Grid(9)
+    assert Grid(np.int32(9)).n_nodes == 81
+
+
 # ---------------------------------------------------------------- partitions
 
 

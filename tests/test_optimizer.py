@@ -27,6 +27,7 @@ from helmrecon import (
     run_level,
     run_multilevel,
 )
+from helmrecon import optimizer
 from helmrecon.optimizer import _step_quantities
 from helmrecon.textio import write_run_log, write_run_metadata
 
@@ -89,6 +90,25 @@ def test_run_level_rejects_non_finite_or_negative_eta_and_threshold(problem17, s
     _, _, p2, _, truth, data, bundle = problem17
     with pytest.raises(ConfigurationError):
         run_level(truth, derive_level(bundle, 4), data, max_iter=10, **settings)
+
+
+@pytest.mark.parametrize("cap", [np.nan, 2.5, -1, "3", True],
+                         ids=["nan", "fraction", "negative", "string", "bool"])
+def test_iteration_cap_must_be_a_count(problem17, monkeypatch, cap):
+    # a NaN cap turned the cap off and 2.5 ran 3 iterates; both loops refuse
+    # a cap that is not an integer >= 0 before any evaluation, on any level
+    _, p1, p2, _, truth, data, bundle = problem17
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated before checking max_iter")
+
+    monkeypatch.setattr(optimizer, "bank_for_field", no_evaluation)
+    start = PwcField(p1, np.array([1.5]), (B1, B2))
+    with pytest.raises(ConfigurationError, match="max_iter"):
+        run_level(truth, derive_level(bundle, 4), data, max_iter=cap, eta_override=0.0)
+    for max_iter in (cap, [3, cap]):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            run_multilevel([p1, p2], bundle, data, start, max_iter=max_iter)
 
 
 def test_run_level_max_iter_zero(problem17):

@@ -150,6 +150,20 @@ def test_stability_sampling_refuses_no_region_count(grid17):
         estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=())
 
 
+@pytest.mark.parametrize("samples_per_n", [0, -1, 2.5, "6"])
+def test_stability_sampling_refuses_a_sample_count_below_one(grid17, monkeypatch,
+                                                             samples_per_n):
+    # with 0 the sweep returned only its adversarial pairs; the count is
+    # refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking samples_per_n")
+
+    monkeypatch.setattr(verify, "build_boundary_weights", no_solve)
+    with pytest.raises(ConfigurationError, match="sample"):
+        estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=(1, 4),
+                                    samples_per_n=samples_per_n)
+
+
 def test_stability_growth_and_determinism(grid17):
     kwargs = dict(big_ns=(1, 4, 16), samples_per_n=4, seed=5)
     rep1 = estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, **kwargs)
