@@ -180,9 +180,9 @@ def compute_rho(curvature: float, df_bound: float, eta: float) -> float:
 
 
 def derive_level(bundle: ConstantsBundle, big_n: int) -> LevelConstants:
-    """Evaluate every level constant at N = big_n regions."""
-    if big_n < 1:
-        raise ConfigurationError(f"N must be >= 1, got {big_n}")
+    """Evaluate every level constant at N = big_n regions, an integer >= 1."""
+    if not is_count(big_n, 1):
+        raise ConfigurationError(f"N must be an integer >= 1, got {big_n!r}")
     expo = bundle.stability_exponent(big_n)
     if 2.0 * expo > _EXP_CAP:
         raise ConfigurationError(

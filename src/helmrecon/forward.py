@@ -73,11 +73,28 @@ weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
 which is circulant (the loop is closed and uniformly spaced), so one
 closed-form DFT symbol determines them all, with no eigensolve.
 
-BLAS threads. Importing this module sets numpy's and scipy's OpenBLAS pools
-(each wheel loads its own) to one thread unless the user set
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, and changes no environment variable.
-The thread count decides how BLAS splits its sums, which recon's finest level
-amplifies about 1e12-fold, and on two cores the pools' threads contend.
+Threads. Importing this module sets numpy's and scipy's OpenBLAS pools (each
+wheel loads its own) to one thread unless the user set OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS, and changes no environment variable: the thread count decides
+how BLAS splits its sums, which recon's finest level amplifies about
+1e12-fold, and on two cores the pools' threads contend. A second core serves
+instead the independent halves of an iterate's largest passes: the row halves
+of each W product of W R W (pulled_back), the row halves of V_X P with their
+rowsums and then the two halves of the adjoint's block groups
+(SolutionBank.quadratic_diagonal), and the two halves of the DtN read's loop
+groups (HelmholtzOperator._dtn). A pass is split only where a half has at
+least _PAIR_WORK multiply-adds, so at nb = 128 (m = 33) every pass runs whole,
+as before. _pair runs the second half on one helper thread, started on first
+use and dropped in a forked child, while the caller runs the first; both run
+in order on the caller when BLAS may use more than one thread (a variable
+other than 1, or pools this module cannot set), when the process may use one
+CPU only, or on the helper itself. The split is fixed by the array shapes,
+never by where a half runs: each half makes the same BLAS calls with the same
+arguments wherever it runs, writes rows of its own, and no sum crosses the
+halves, so the bits do not depend on the placement (with the wheels' OpenBLAS
+they also equal the unsplit products', which sum each entry in the same order
+whatever rows they are given). The caller allocates both halves' workspaces,
+so that the helper allocates nothing large.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
 ``lapack``: an operator's skeleton factor is a _SparseLU, which calls
@@ -89,6 +106,7 @@ dense factors, whose time, with getri's inverses, the cross solves that form
 the coarse Schur complement and the bank's cross solves, counts as operator
 assembly (``forward.operator_assembly.self_s``), while the coarse product and
 the back-substitution of the crosses count in ``forward.assemble_dtn.self_s``.
+No function that the trace wraps runs on the helper thread.
 """
 
 from __future__ import annotations
@@ -96,6 +114,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
@@ -149,13 +168,20 @@ _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior pas
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
 _SKETCH_SEED = 20240817
 _SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and file blocks against the rebuilt pair
+# multiply-adds of a half below which a pass runs whole on the caller: at m = 65,
+# halves of 1.8 M lost to the handoff to the helper and halves of 8.4 M gained
+_PAIR_WORK = 1 << 22
 
 
-def _one_blas_thread() -> None:
+def _one_blas_thread() -> bool:
     """One thread for each OpenBLAS, set on the extension module that links it;
-    other builds (MKL, a system OpenBLAS, numpy 1.x) are left as they are."""
+    other builds (MKL, a system OpenBLAS, numpy 1.x) are left as they are.
+    True when BLAS runs on one thread: both pools were set here, or the user's
+    variable says 1 (OpenBLAS reads OPENBLAS_NUM_THREADS before
+    OMP_NUM_THREADS, and an empty one as unset)."""
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
+        return (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) == "1"
+    pinned = 0
     for module, setter in (("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
                            ("scipy.linalg._fblas", "scipy_openblas_set_num_threads")):
         try:
@@ -164,9 +190,93 @@ def _one_blas_thread() -> None:
             continue
         fn.argtypes, fn.restype = [ctypes.c_int], None
         fn(1)
+        pinned += 1
+    return pinned == 2
 
 
-_one_blas_thread()
+_ONE_BLAS_THREAD = _one_blas_thread()
+_helper = None  # the helper thread of _pair (an executor of one worker), started on first use
+_helper_lock = threading.Lock()  # held to start it
+_on_helper = threading.local()  # .active is set on the helper thread only
+
+
+def _drop_helper() -> None:
+    """A forked child has no helper thread: the parent's executor would take
+    the child's first half and wait for it forever, so the child starts its
+    own (under a new lock, which no other thread of the parent holds)."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _pair(half, parts: tuple, scratch: int = 0) -> None:
+    """The two independent halves of one pass, half(first, buf) and
+    half(second, buf) for parts = (first, second), each with a flat float64
+    workspace buf of scratch values: the second on the one helper thread
+    while the first runs on the caller, or both in order on the caller, in
+    one workspace, when BLAS may run on more than one thread, when the
+    process may use one CPU only, or when this call already runs on the
+    helper. A caller splits a pass by its shapes alone, and only where a half
+    has at least _PAIR_WORK multiply-adds. The caller allocates each half's
+    workspace before either half begins and frees both after both end, so
+    that no large allocation or free falls while the other half runs: the
+    helper's own malloc arena would keep the pages it touched, and frees
+    amid the caller's allocations would leave its heap in a layout that
+    depends on the timing (on recon-m129, a fifth of the runs peaked 1.7 MiB
+    higher). An exception of either half reaches the caller, after both
+    halves end."""
+    global _helper
+    first, second = parts
+    if not _ONE_BLAS_THREAD or getattr(_on_helper, "active", False) or _cpus() < 2:
+        buf = np.empty(scratch)
+        half(first, buf)
+        half(second, buf)
+        return
+    with _helper_lock:
+        if _helper is None:  # imported here: a process that never splits a pass skips it
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(1, "helmrecon-pair", initializer=setattr,
+                                         initargs=(_on_helper, "active", True))
+        helper = _helper
+    mine, theirs = np.empty(scratch), np.empty(scratch)
+    future = helper.submit(_run_half, [(half, second, theirs)])
+    try:
+        half(first, mine)
+    finally:
+        future.exception()  # waits for the helper's half, whatever the caller's did
+    future.result()
+
+
+def _run_half(job: list) -> None:
+    """Run the one (half, part, workspace) that job holds, taken out of it
+    first, so that the helper holds no reference to the caller's arrays once
+    the half has returned, and the caller frees them."""
+    half, part, buf = job.pop()
+    half(part, buf)
+
+
+def _buffer(flat: np.ndarray | None, shape: tuple, offset: int = 0) -> np.ndarray | None:
+    """The flat workspace from offset as an array of the shape; None without
+    one, so that an out= argument lets numpy allocate."""
+    return None if flat is None else flat[offset:offset + prod(shape)].reshape(shape)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in numpy's BLAS, by the row halves of a on _pair where a half
+    has at least _PAIR_WORK multiply-adds."""
+    h = a.shape[0] // 2
+    if (a.shape[0] - h) * a.shape[1] * b.shape[1] < _PAIR_WORK:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    _pair(lambda rows, _: np.matmul(a[rows], b, out=out[rows]), (slice(None, h), slice(h, None)))
+    return out
 
 
 def unit_square_eigenvalues(upto: float) -> np.ndarray:
@@ -355,7 +465,9 @@ def _to_nodes(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _RowPlan(NamedTuple):
     """Where the rows of U at some skeleton positions come from (_Skeleton.rows):
     out[x_slots] = V_X[x_pos] and out[loop_slots] = I[loop_pos] (flat identity,
-    the flat positions of the ones in out), or the same rows of U p."""
+    the flat positions of the ones in out), or the same rows of U p. runs, if
+    asked for, holds the same as (slots, rows, on the loop) for each run of
+    consecutive slots with one source."""
 
     shape: tuple
     x_slots: np.ndarray
@@ -363,6 +475,7 @@ class _RowPlan(NamedTuple):
     loop_slots: np.ndarray
     loop_pos: np.ndarray
     identity: np.ndarray
+    runs: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,13 +505,21 @@ class _Skeleton:
     sides: np.ndarray          # (2(s-1), s-1): S diag(S[0]) over S diag(S[s-2])
     side_basis: np.ndarray     # (s-1, (s-1)^2): K[q, (c, y)] = S[c, q] S[q, y]
 
-    def rows(self, pos: np.ndarray) -> _RowPlan:
-        """The _RowPlan of skeleton positions pos of any shape, such as ring[blocks]."""
+    def rows(self, pos: np.ndarray, runs: bool = False) -> _RowPlan:
+        """The _RowPlan of skeleton positions pos of any shape, such as
+        ring[blocks], with its runs if asked for (pos not empty)."""
         flat = pos.ravel()
         x_slots, loop_slots = np.flatnonzero(flat < self.n_x), np.flatnonzero(flat >= self.n_x)
         loop_pos = flat[loop_slots] - self.n_x
-        return _RowPlan(pos.shape, x_slots, flat[x_slots], loop_slots, loop_pos,
-                        loop_slots * (self.nodes.size - self.n_x) + loop_pos)
+        plan = _RowPlan(pos.shape, x_slots, flat[x_slots], loop_slots, loop_pos,
+                        loop_slots * (self.nodes.size - self.n_x) + loop_pos, ())
+        if not runs:
+            return plan
+        on_loop = flat >= self.n_x
+        local = np.where(on_loop, flat - self.n_x, flat)
+        cuts = [0, *(np.flatnonzero(np.diff(on_loop)) + 1), flat.size]
+        return plan._replace(runs=tuple((slice(a, b), local[a:b], bool(on_loop[a]))
+                                        for a, b in zip(cuts, cuts[1:])))
 
     @cached_property
     def ring_groups(self) -> tuple:
@@ -407,7 +528,7 @@ class _Skeleton:
         forms (n_int, n_ring), whichever is larger."""
         n_int, n_ring = self.coupling.shape
         per_block = max(n_ring * (self.nodes.size - self.n_x), n_int * n_ring)
-        return tuple((blk, self.rows(self.ring[blk]))
+        return tuple((blk, self.rows(self.ring[blk], runs=True))
                      for blk in _block_groups(self.ring.shape[0], per_block))
 
     @cached_property
@@ -421,7 +542,7 @@ class _Skeleton:
             beside = np.flatnonzero(self.ring[:, side * n] >= self.n_x)
             for blk in _block_groups(beside.size, n_ring * (self.nodes.size - self.n_x)):
                 groups.append((beside[blk], slice(side * n, side * n + n),
-                               self.rows(self.ring[beside[blk]])))
+                               self.rows(self.ring[beside[blk]], runs=True)))
         return tuple(groups)
 
     @cached_property
@@ -1039,15 +1160,27 @@ class HelmholtzOperator:
         """The variational DtN -(K~_BX V_X + K~_BB), the loop rows of K~ [V_X; I]:
         L_BX V_X + L_BB - omega^2 diag(d_B), minus the loop rows of the ring
         forms of the blocks beside the loop, gathered through the bank's ring
-        rows a group of blocks at a time. A loop node lies on at most one
-        ring, so every entry is summed in the order of the whole product."""
+        rows a group of blocks at a time, the two halves of the groups on
+        _pair. A loop node lies on at most one ring, so every entry is summed
+        in the order of the whole product, and the halves write apart."""
         sk = self._sk
         l_bx, l_bb = sk.loop_laplacian
         out = l_bx @ bank.skeleton
         out[l_bb.row, l_bb.col] += l_bb.data
         out.reshape(-1)[::out.shape[0] + 1] -= self._mass[sk.n_x:]
-        for blocks, rows, plan in sk.loop_groups:
-            out[sk.ring[blocks, rows] - sk.n_x] -= self._forms[blocks, rows] @ bank._rows(plan)
+
+        def beside(groups, buf=None):
+            for blocks, rows, plan in groups:
+                out[sk.ring[blocks, rows] - sk.n_x] -= self._forms[blocks, rows] @ bank._rows(
+                    plan, out=buf)
+
+        groups, (n, n_ring, nb) = sk.loop_groups, (sk.s - 1, sk.ring.shape[1], out.shape[1])
+        half = len(groups) // 2  # a half's work from the first group, the largest
+        if not half or half * groups[0][0].size * n * n_ring * nb < _PAIR_WORK:
+            beside(groups)
+        else:
+            _pair(beside, (groups[:half], groups[half:]),
+                  max(blocks.size for blocks, _, _ in groups) * n_ring * nb)
         return np.negative(out, out=out)
 
 
@@ -1147,37 +1280,57 @@ class SolutionBank:
         u.setflags(write=False)
         return u
 
-    def _rows(self, plan: _RowPlan, x_rows=None, loop_rows=None) -> np.ndarray:
+    def _rows(self, plan: _RowPlan, x_rows=None, loop_rows=None, out=None) -> np.ndarray:
         """Rows of U, or of U p given its rows on X and on the loop, where plan
-        (_Skeleton.rows) says: one gather per source."""
+        (_Skeleton.rows) says: one gather per source into a new array, or one
+        per run straight into the front of the flat workspace out, which
+        allocates nothing."""
         nb = self.grid.n_boundary
-        out = np.empty((prod(plan.shape), nb))
-        out[plan.x_slots] = (self.skeleton if x_rows is None else x_rows)[plan.x_pos]
-        if loop_rows is None:
-            out[plan.loop_slots] = 0.0
-            out.reshape(-1)[plan.identity] = 1.0
+        x_rows = self.skeleton if x_rows is None else x_rows
+        if out is None:
+            out = np.empty((prod(plan.shape), nb))
+            out[plan.x_slots] = x_rows[plan.x_pos]
+            out[plan.loop_slots] = 0.0 if loop_rows is None else loop_rows[plan.loop_pos]
         else:
-            out[plan.loop_slots] = loop_rows[plan.loop_pos]
+            out = _buffer(out, (prod(plan.shape), nb))
+            for slots, rows, on_loop in plan.runs:
+                if on_loop and loop_rows is None:
+                    out[slots] = 0.0
+                else:
+                    np.take(loop_rows if on_loop else x_rows, rows, axis=0, out=out[slots],
+                            mode="clip")
+        if loop_rows is None:
+            out.reshape(-1)[plan.identity] = 1.0
         return out.reshape(plan.shape + (nb,))
 
-    def _block_forms(self, blocks: slice) -> np.ndarray:
+    def _block_sides(self, blocks: slice, out=None) -> np.ndarray:
+        """B_a K and B_t K of _block_forms for the given blocks, (blocks, 2, x,
+        c, y), into the front of the flat out if given."""
+        sk = self._sk
+        n = sk.s - 1
+        d = self.symbols[blocks]
+        count = d.shape[0]
+        return np.matmul(sk.sides @ d.reshape(count, n, n), sk.side_basis,
+                         out=_buffer(out, (count, 2 * n, n * n))).reshape(count, 2, n, n, n)
+
+    def _block_forms(self, blocks: slice, sides=None, xs=slice(None), out=None) -> np.ndarray:
         """G_b = (S x S) D_b F for the given blocks, (blocks, (s-1)^2, 4(s-1)),
         in closed form from F's rank-one sides (see _ring_forms): the bottom
         side is G[(x, y), c] = (B_a K)[x, (c, y)] with B_a = S diag(S[0]) D_b
         and the static K[q, (c, y)] = S[c, q] S[q, y], the top side the same
         with B_t = S diag(S[s-2]) D_b, and left and right are their (x, y)
         transposes (D_b is symmetric in (p, q)). That is 2 n^4 multiply-adds
-        per block (n = s - 1), where the two DST products take 8 n^4."""
-        sk = self._sk
-        n = sk.s - 1
-        d = self.symbols[blocks]
-        count = d.shape[0]
-        # (blocks, 2, x, c, y): B_a K and B_t K
-        g = (sk.sides @ d.reshape(count, n, n) @ sk.side_basis).reshape(count, 2, n, n, n)
-        out = np.empty((count, n, n, 4, n))
-        out[:, :, :, :2] = g.transpose(0, 2, 4, 1, 3)  # bottom, top: [x, y, c]
-        out[:, :, :, 2:] = g.transpose(0, 4, 2, 1, 3)  # left, right: [x, y, a] = [y, x, a]
-        return out.reshape(count, n * n, 4 * n)
+        per block (n = s - 1), where the two DST products take 8 n^4. Given
+        the blocks' sides (_block_sides), only the rows (x, y) with x in xs,
+        into the front of the flat out if given."""
+        g = self._block_sides(blocks) if sides is None else sides
+        bottom_top, left_right = (g, g) if sides is None else (g[:, :, xs], g[..., xs])
+        count, rows, n = g.shape[0], bottom_top.shape[2], g.shape[3]
+        shape = (count, rows, n, 4, n)
+        out = np.empty(shape) if out is None else _buffer(out, shape)
+        out[:, :, :, :2] = bottom_top.transpose(0, 2, 4, 1, 3)  # bottom, top: [x, y, c]
+        out[:, :, :, 2:] = left_right.transpose(0, 4, 2, 1, 3)  # left, right: [x, y, a] = [y, x, a]
+        return out.reshape(count, rows * n, 4 * n)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """U^T diag(w) U for nodal weights w, from the rows where w is nonzero:
@@ -1215,20 +1368,59 @@ class SolutionBank:
     def quadratic_diagonal(self, p: np.ndarray) -> np.ndarray:
         """diag(U p U^T) at every node, with U p formed on the skeleton only:
         p_qq on the loop, rowsum(V_X o V_X p) on X, and rowsum((G_b C_b) o G_b)
-        on each block interior with C_b = V_ring p V_ring^T."""
+        on each block interior with C_b = V_ring p V_ring^T. The rows X and
+        then the block groups run by halves on _pair."""
         nb = self.grid.n_boundary
         if np.shape(p) != (nb, nb):
             raise DiscretizationMismatchError(f"expected a ({nb}, {nb}) matrix, got {np.shape(p)}")
-        sk = self._sk
+        p = np.asarray(p, dtype=float)
+        sk, v = self._sk, self.skeleton
+        n_x, h = sk.n_x, sk.n_x // 2
         out = np.empty(self.grid.n_nodes)
-        up = self.skeleton @ p  # rows X of U p; its loop rows are p
-        out[sk.nodes[:sk.n_x]] = np.einsum("ij,ij->i", self.skeleton, up)
-        out[sk.nodes[sk.n_x:]] = np.diagonal(p)
-        for blk, plan in sk.ring_groups:
-            ring = self._rows(plan)
-            c = self._rows(plan, up, p) @ ring.transpose(0, 2, 1)
-            g = self._block_forms(blk)
-            out[sk.interior[blk]] = np.einsum("bij,bij->bi", g @ c, g)
+        if (n_x - h) * nb * nb < _PAIR_WORK:
+            up = v @ p  # rows X of U p; its loop rows are p
+            out[sk.nodes[:n_x]] = np.einsum("ij,ij->i", v, up)
+        else:
+            up, rowsum = np.empty((n_x, nb)), np.empty(n_x)
+
+            def on_x(rows, _):
+                np.matmul(v[rows], p, out=up[rows])
+                np.einsum("ij,ij->i", v[rows], up[rows], out=rowsum[rows])
+
+            _pair(on_x, (slice(None, h), slice(h, None)))
+            out[sk.nodes[:n_x]] = rowsum
+        out[sk.nodes[n_x:]] = np.diagonal(p)
+
+        groups, (n_int, n_ring), side = sk.ring_groups, sk.coupling.shape, sk.s - 1
+        if sk.ring.shape[0] // 2 * n_ring * n_ring * (nb + n_int) < _PAIR_WORK:
+            for blk, plan in groups:
+                ring = self._rows(plan)
+                c = self._rows(plan, up, p) @ ring.transpose(0, 2, 1)
+                g = self._block_forms(blk)
+                out[sk.interior[blk]] = np.einsum("bij,bij->bi", g @ c, g)
+            return out
+
+        def blocks(groups, buf):
+            # buf: a holds the ring rows, then G_b and G_b C_b on a slab of xs
+            # x values at a time; b the ring rows of U p, then the blocks'
+            # sides; c holds C_b and the sums
+            a, b, c = np.split(buf, np.cumsum(sizes[:2]))
+            for blk, plan in groups:
+                k = plan.shape[0]
+                ring = self._rows(plan, out=a)
+                c_b = np.matmul(self._rows(plan, up, p, out=b), ring.transpose(0, 2, 1),
+                                out=_buffer(c, (k, n_ring, n_ring)))
+                sides, sums = self._block_sides(blk, out=b), _buffer(c, (k, n_int), c_b.size)
+                for x in range(0, side, xs):
+                    g = self._block_forms(blk, sides, slice(x, x + xs), out=a)
+                    np.einsum("bij,bij->bi", np.matmul(g, c_b, out=_buffer(a, g.shape, g.size)),
+                              g, out=sums[:, x * side:(x + xs) * side])
+                out[sk.interior[blk]] = sums
+
+        most, xs = groups[0][1].shape[0], max(1, nb // (2 * side))  # the first group is the largest
+        sizes = (most * n_ring * nb, most * max(n_ring * nb, 2 * side ** 3),
+                 most * (n_ring * n_ring + n_int))
+        _pair(blocks, (groups[:len(groups) // 2], groups[len(groups) // 2:]), sum(sizes))
         return out
 
 
@@ -1269,7 +1461,7 @@ def pulled_back(mat: np.ndarray, weights: BoundaryWeights) -> tuple[np.ndarray, 
     """P = W A W and the Hilbert-Schmidt data norm ||W^{1/2} A W^{1/2}||_F =
     sqrt(<A, P>) of a DtN difference A (nb, nb), W the order -1/2 weight.
     P is what the adjoint reads, so one pair of products gives both."""
-    pulled = weights.w_minus @ mat @ weights.w_minus
+    pulled = _product(_product(weights.w_minus, mat), weights.w_minus)
     return pulled, float(np.sqrt(np.vdot(mat, pulled)))
 
 

@@ -272,11 +272,14 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     Deterministic under the seed; degenerate pairs are skipped. The mid-box
     base field that every adversarial pair starts from is evaluated once for
     the whole sweep (_stability_sweep); each pair's operator-norm ratio is
-    taken from its DtN difference as the sweep yields it. An empty big_ns
-    raises ConfigurationError.
+    taken from its DtN difference as the sweep yields it. An empty big_ns, or
+    one with an entry that is not an integer >= 1, raises ConfigurationError
+    before any solve.
     """
     if len(big_ns) == 0:
         raise ConfigurationError("the stability sweep needs at least one region count")
+    if not all(is_count(n, 1) for n in big_ns):
+        raise ConfigurationError(f"region counts must be integers >= 1, got {list(big_ns)!r}")
     if not is_count(samples_per_n, 1):
         raise ConfigurationError(f"samples_per_n must be an integer >= 1, got {samples_per_n!r}")
     weights = build_boundary_weights(grid)

@@ -1,7 +1,8 @@
 """Importing helmrecon sets numpy's and scipy's OpenBLAS pools to one thread
 unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set. A pool's thread count
 is process-wide and OpenBLAS reads the variables when it loads, so each check
-runs in a fresh interpreter."""
+of the pools runs in a fresh interpreter. The last test checks, in process,
+the verdict that forward._pair's helper thread reads."""
 
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import helmrecon
+from helmrecon import forward
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _SRC = str(Path(helmrecon.__file__).resolve().parents[1])
@@ -84,3 +86,20 @@ def test_unpinned_evaluation_gives_the_pinned_bits():
     pinned = _run(_EVALUATIONS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert _run(_EVALUATIONS) == pinned
     assert len(pinned.splitlines()) == 2
+
+
+@pytest.mark.parametrize("preset, one_thread", [
+    ({}, True),  # the library sets both pools
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS reads its own first
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),  # and an empty one as unset
+])
+def test_the_helper_thread_needs_one_blas_thread(monkeypatch, preset, one_thread):
+    # forward._pair hands a half to its helper only when BLAS runs on one thread
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
+    assert forward._one_blas_thread() is one_thread

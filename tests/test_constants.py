@@ -110,6 +110,18 @@ def test_derive_level_overflow_guard():
         derive_level(bundle(stab_k=5.0), 10 ** 6)
 
 
+@pytest.mark.parametrize("big_n", [0, 2.5, np.nan, True, "4"])
+def test_derive_level_refuses_a_region_count_that_is_not_an_integer(big_n):
+    # 2.5 and True returned a level, NaN ended in a bare ValueError and "4" in
+    # a bare TypeError
+    with pytest.raises(ConfigurationError, match="N must be an integer"):
+        derive_level(bundle(), big_n)
+
+
+def test_derive_level_takes_a_numpy_integer():
+    assert derive_level(bundle(), np.int64(4)) == derive_level(bundle(), 4)
+
+
 # ---------------------------------------------------------------- rho
 
 

@@ -423,7 +423,8 @@ def _held_bytes(obj, seen) -> int:
         seen.add(id(obj))
         return obj.nbytes
     if sp.issparse(obj):
-        return sum(_held_bytes(a, seen) for a in (obj.data, obj.indices, obj.indptr))
+        return sum(_held_bytes(getattr(obj, name), seen)
+                   for name in ("data", "indices", "indptr", "row", "col") if hasattr(obj, name))
     if isinstance(obj, tuple):
         return sum(_held_bytes(x, seen) for x in obj)
     if hasattr(obj, "__dataclass_fields__"):

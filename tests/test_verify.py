@@ -164,6 +164,26 @@ def test_stability_sampling_refuses_a_sample_count_below_one(grid17, monkeypatch
                                     samples_per_n=samples_per_n)
 
 
+@pytest.mark.parametrize("big_ns", [(1, 2.5), (1, 0), (np.nan,), (1, "4"), (True, 4)])
+def test_stability_sampling_refuses_a_region_count_that_is_not_an_integer(grid17, monkeypatch,
+                                                                          big_ns):
+    # (1, 2.5) solved at N = 1 and then ended in a bare TypeError inside the
+    # sweep; every region count is refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking big_ns")
+
+    monkeypatch.setattr(verify, "dtn_for_field", no_solve)
+    with pytest.raises(ConfigurationError, match="region counts"):
+        estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=big_ns, samples_per_n=1)
+
+
+def test_stability_sampling_takes_numpy_integer_region_counts(grid17):
+    kwargs = dict(samples_per_n=1, seed=3)
+    rep = estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=(np.int64(1),), **kwargs)
+    assert rep.max_ratios == estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=(1,),
+                                                         **kwargs).max_ratios
+
+
 def test_stability_growth_and_determinism(grid17):
     kwargs = dict(big_ns=(1, 4, 16), samples_per_n=4, seed=5)
     rep1 = estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, **kwargs)
