@@ -444,6 +444,8 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
         raise CalibrationError(f"unknown calibration mode {mode!r}")
     if not is_count(samples, 10):
         raise CalibrationError(f"samples must be an integer >= 10 (sample pairs), got {samples!r}")
+    if not all(is_count(n, 1) for n in n_values):
+        raise CalibrationError(f"region counts must be integers >= 1, got {tuple(n_values)!r}")
 
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe

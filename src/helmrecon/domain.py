@@ -235,8 +235,8 @@ def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
 
     Requires k to divide the cells per side.
     """
-    if k < 1:
-        raise ConfigurationError(f"cells per side k must be >= 1, got {k}")
+    if not is_count(k, 1):
+        raise ConfigurationError(f"cells per side k must be an integer >= 1, got {k!r}")
     if grid.cells_per_side % k != 0:
         raise ConfigurationError(
             f"uniform partition needs k to divide the cell count per side: "
@@ -248,9 +248,12 @@ def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
 
 
 def tiles(grid: Grid, n: int) -> bool:
-    """Whether n = k^2 regions tile the grid uniformly: k divides the cells per side."""
-    k = math.isqrt(max(n, 0))
-    return n >= 1 and k * k == n and grid.cells_per_side % k == 0
+    """Whether n = k^2 regions tile the grid uniformly: n is an integer and k
+    divides the cells per side."""
+    if not is_count(n, 1):
+        return False
+    k = math.isqrt(n)
+    return k * k == n and grid.cells_per_side % k == 0
 
 
 def uniform_partition(grid: Grid, n: int, level: int = 0) -> Partition:
@@ -266,8 +269,8 @@ def refine_partition(p: Partition, factor: int = 2) -> Partition:
 
     Each child's cells lie in one region of p; no parent map is kept.
     """
-    if factor < 2:
-        raise ConfigurationError(f"refinement factor must be >= 2, got {factor}")
+    if not is_count(factor, 2):
+        raise ConfigurationError(f"refinement factor must be an integer >= 2, got {factor!r}")
     if p.blocks is None:
         raise ConfigurationError("can only refine partitions with square block regions")
     if any(side % factor for _, _, side in p.blocks):
@@ -288,8 +291,8 @@ def split_region(p: Partition, region: int) -> Partition:
     """Split one square region into its four quadrants, leaving the rest alone."""
     if p.blocks is None:
         raise ConfigurationError("can only split partitions with square block regions")
-    if not 0 <= region < p.n_regions:
-        raise ConfigurationError(f"region {region} out of range 0..{p.n_regions - 1}")
+    if not (is_count(region, 0) and region < p.n_regions):
+        raise ConfigurationError(f"region {region!r} is not an index in 0..{p.n_regions - 1}")
     i0, j0, side = p.blocks[region]
     if side % 2:
         raise ConfigurationError(f"region {region} has odd cell side {side}, cannot split")

@@ -82,19 +82,21 @@ instead the independent halves of an iterate's largest passes: the row halves
 of each W product of W R W (pulled_back), the row halves of V_X P with their
 rowsums and then the two halves of the adjoint's block groups
 (SolutionBank.quadratic_diagonal), and the two halves of the DtN read's loop
-groups (HelmholtzOperator._dtn). A pass is split only where a half has at
-least _PAIR_WORK multiply-adds, so at nb = 128 (m = 33) every pass runs whole,
-as before. _pair runs the second half on one helper thread, started on first
-use and dropped in a forked child, while the caller runs the first; both run
-in order on the caller when BLAS may use more than one thread (a variable
-other than 1, or pools this module cannot set), when the process may use one
-CPU only, or on the helper itself. The split is fixed by the array shapes,
-never by where a half runs: each half makes the same BLAS calls with the same
-arguments wherever it runs, writes rows of its own, and no sum crosses the
-halves, so the bits do not depend on the placement (with the wheels' OpenBLAS
-they also equal the unsplit products', which sum each entry in the same order
-whatever rows they are given). The caller allocates both halves' workspaces,
-so that the helper allocates nothing large.
+groups (HelmholtzOperator._dtn). Each pass has one body, which _pair runs
+whole on the caller where the larger half has fewer than _PAIR_WORK (2^22)
+multiply-adds, and by halves otherwise: at 16 regions, no pass at m = 33,
+W R W and the adjoint at m = 65, and all three at m = 129. _pair runs the
+second half on one helper thread, started on first use and dropped in a
+forked child, while the caller runs the first; both run in order on the
+caller when BLAS may use more than one thread (a variable other than 1, or
+pools this module cannot set), when the process may use one CPU only, or on
+the helper itself. The split is fixed by the array shapes, never by where a
+half runs: each half makes the same BLAS calls with the same arguments
+wherever it runs, writes rows of its own, and no sum crosses the halves, so
+the bits do not depend on the placement (with the wheels' OpenBLAS they also
+equal the whole pass's, which sums each entry in the same order whatever
+rows it is given). The caller allocates both halves' workspaces, so that the
+helper allocates nothing large.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
 ``lapack``: an operator's skeleton factor is a _SparseLU, which calls
@@ -216,24 +218,28 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _pair(half, parts: tuple, scratch: int = 0) -> None:
-    """The two independent halves of one pass, half(first, buf) and
-    half(second, buf) for parts = (first, second), each with a flat float64
-    workspace buf of scratch values: the second on the one helper thread
-    while the first runs on the caller, or both in order on the caller, in
-    one workspace, when BLAS may run on more than one thread, when the
-    process may use one CPU only, or when this call already runs on the
-    helper. A caller splits a pass by its shapes alone, and only where a half
-    has at least _PAIR_WORK multiply-adds. The caller allocates each half's
-    workspace before either half begins and frees both after both end, so
-    that no large allocation or free falls while the other half runs: the
-    helper's own malloc arena would keep the pages it touched, and frees
-    amid the caller's allocations would leave its heap in a layout that
-    depends on the timing (on recon-m129, a fifth of the runs peaked 1.7 MiB
-    higher). An exception of either half reaches the caller, after both
-    halves end."""
+def _pair(half, second_at: int, work: int, scratch: int = 0) -> None:
+    """One pass by its body half(part, buf), part a slice of what the pass
+    runs over. Where the larger half has fewer than _PAIR_WORK multiply-adds
+    (work), the pass runs whole: half(slice(None), None) on the caller, and
+    numpy allocates what the body needs. Otherwise its two halves,
+    half(slice(None, second_at), buf) and half(slice(second_at, None), buf),
+    each with a flat float64 workspace buf of scratch values: the second on
+    the one helper thread while the first runs on the caller, or both in
+    order on the caller, in one workspace, when BLAS may run on more than
+    one thread, when the process may use one CPU only, or when this call
+    already runs on the helper. The caller allocates each half's workspace
+    before either half begins and frees both after both end, so that no
+    large allocation or free falls while the other half runs: the helper's
+    own malloc arena would keep the pages it touched, and frees amid the
+    caller's allocations would leave its heap in a layout that depends on
+    the timing (on recon-m129, a fifth of the runs peaked 1.7 MiB higher).
+    An exception of either half reaches the caller, after both halves end."""
     global _helper
-    first, second = parts
+    if work < _PAIR_WORK:
+        half(slice(None), None)
+        return
+    first, second = slice(None, second_at), slice(second_at, None)
     if not _ONE_BLAS_THREAD or getattr(_on_helper, "active", False) or _cpus() < 2:
         buf = np.empty(scratch)
         half(first, buf)
@@ -269,13 +275,10 @@ def _buffer(flat: np.ndarray | None, shape: tuple, offset: int = 0) -> np.ndarra
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in numpy's BLAS, by the row halves of a on _pair where a half
-    has at least _PAIR_WORK multiply-adds."""
-    h = a.shape[0] // 2
-    if (a.shape[0] - h) * a.shape[1] * b.shape[1] < _PAIR_WORK:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    _pair(lambda rows, _: np.matmul(a[rows], b, out=out[rows]), (slice(None, h), slice(h, None)))
+    """a @ b in numpy's BLAS, by the row halves of a on _pair."""
+    h, out = a.shape[0] // 2, np.empty((a.shape[0], b.shape[1]))
+    _pair(lambda rows, _: np.matmul(a[rows], b, out=out[rows]), h,
+          (a.shape[0] - h) * a.shape[1] * b.shape[1])
     return out
 
 
@@ -1169,18 +1172,14 @@ class HelmholtzOperator:
         out[l_bb.row, l_bb.col] += l_bb.data
         out.reshape(-1)[::out.shape[0] + 1] -= self._mass[sk.n_x:]
 
-        def beside(groups, buf=None):
-            for blocks, rows, plan in groups:
+        def beside(part, buf):
+            for blocks, rows, plan in groups[part]:
                 out[sk.ring[blocks, rows] - sk.n_x] -= self._forms[blocks, rows] @ bank._rows(
                     plan, out=buf)
 
         groups, (n, n_ring, nb) = sk.loop_groups, (sk.s - 1, sk.ring.shape[1], out.shape[1])
-        half = len(groups) // 2  # a half's work from the first group, the largest
-        if not half or half * groups[0][0].size * n * n_ring * nb < _PAIR_WORK:
-            beside(groups)
-        else:
-            _pair(beside, (groups[:half], groups[half:]),
-                  max(blocks.size for blocks, _, _ in groups) * n_ring * nb)
+        h, most = len(groups) // 2, max((blocks.size for blocks, _, _ in groups), default=0)
+        _pair(beside, h, (len(groups) - h) * most * n * n_ring * nb, most * n_ring * nb)
         return np.negative(out, out=out)
 
 
@@ -1324,7 +1323,7 @@ class SolutionBank:
         the blocks' sides (_block_sides), only the rows (x, y) with x in xs,
         into the front of the flat out if given."""
         g = self._block_sides(blocks) if sides is None else sides
-        bottom_top, left_right = (g, g) if sides is None else (g[:, :, xs], g[..., xs])
+        bottom_top, left_right = g[:, :, xs], g[..., xs]
         count, rows, n = g.shape[0], bottom_top.shape[2], g.shape[3]
         shape = (count, rows, n, 4, n)
         out = np.empty(shape) if out is None else _buffer(out, shape)
@@ -1368,59 +1367,47 @@ class SolutionBank:
     def quadratic_diagonal(self, p: np.ndarray) -> np.ndarray:
         """diag(U p U^T) at every node, with U p formed on the skeleton only:
         p_qq on the loop, rowsum(V_X o V_X p) on X, and rowsum((G_b C_b) o G_b)
-        on each block interior with C_b = V_ring p V_ring^T. The rows X and
-        then the block groups run by halves on _pair."""
+        on each block interior with C_b = V_ring p V_ring^T. The rows X, and
+        then the block groups, run on _pair."""
         nb = self.grid.n_boundary
         if np.shape(p) != (nb, nb):
             raise DiscretizationMismatchError(f"expected a ({nb}, {nb}) matrix, got {np.shape(p)}")
         p = np.asarray(p, dtype=float)
         sk, v = self._sk, self.skeleton
         n_x, h = sk.n_x, sk.n_x // 2
-        out = np.empty(self.grid.n_nodes)
-        if (n_x - h) * nb * nb < _PAIR_WORK:
-            up = v @ p  # rows X of U p; its loop rows are p
-            out[sk.nodes[:n_x]] = np.einsum("ij,ij->i", v, up)
-        else:
-            up, rowsum = np.empty((n_x, nb)), np.empty(n_x)
+        out, up, rowsum = np.empty(self.grid.n_nodes), np.empty((n_x, nb)), np.empty(n_x)
 
-            def on_x(rows, _):
-                np.matmul(v[rows], p, out=up[rows])
-                np.einsum("ij,ij->i", v[rows], up[rows], out=rowsum[rows])
+        def on_x(rows, _):  # rows X of U p (its loop rows are p) and their rowsums
+            np.matmul(v[rows], p, out=up[rows])
+            np.einsum("ij,ij->i", v[rows], up[rows], out=rowsum[rows])
 
-            _pair(on_x, (slice(None, h), slice(h, None)))
-            out[sk.nodes[:n_x]] = rowsum
+        _pair(on_x, h, (n_x - h) * nb * nb)
+        out[sk.nodes[:n_x]] = rowsum
         out[sk.nodes[n_x:]] = np.diagonal(p)
 
-        groups, (n_int, n_ring), side = sk.ring_groups, sk.coupling.shape, sk.s - 1
-        if sk.ring.shape[0] // 2 * n_ring * n_ring * (nb + n_int) < _PAIR_WORK:
-            for blk, plan in groups:
-                ring = self._rows(plan)
-                c = self._rows(plan, up, p) @ ring.transpose(0, 2, 1)
-                g = self._block_forms(blk)
-                out[sk.interior[blk]] = np.einsum("bij,bij->bi", g @ c, g)
-            return out
-
-        def blocks(groups, buf):
-            # buf: a holds the ring rows, then G_b and G_b C_b on a slab of xs
-            # x values at a time; b the ring rows of U p, then the blocks'
-            # sides; c holds C_b and the sums
-            a, b, c = np.split(buf, np.cumsum(sizes[:2]))
-            for blk, plan in groups:
-                k = plan.shape[0]
+        def blocks(part, buf):
+            # buf, if given: a holds the ring rows, then G_b and G_b C_b on a
+            # slab of xs x values at a time; b the ring rows of U p, then the
+            # blocks' sides; c holds C_b. Without it numpy allocates, and one
+            # slab holds every x value.
+            a, b, c = (None,) * 3 if buf is None else np.split(buf, np.cumsum(sizes[:2]))
+            step = side if buf is None else xs
+            for blk, plan in groups[part]:
                 ring = self._rows(plan, out=a)
                 c_b = np.matmul(self._rows(plan, up, p, out=b), ring.transpose(0, 2, 1),
-                                out=_buffer(c, (k, n_ring, n_ring)))
-                sides, sums = self._block_sides(blk, out=b), _buffer(c, (k, n_int), c_b.size)
-                for x in range(0, side, xs):
-                    g = self._block_forms(blk, sides, slice(x, x + xs), out=a)
+                                out=_buffer(c, (plan.shape[0], n_ring, n_ring)))
+                sides = self._block_sides(blk, out=b)
+                for x in range(0, side, step):
+                    g = self._block_forms(blk, sides, slice(x, x + step), out=a)
                     np.einsum("bij,bij->bi", np.matmul(g, c_b, out=_buffer(a, g.shape, g.size)),
-                              g, out=sums[:, x * side:(x + xs) * side])
-                out[sk.interior[blk]] = sums
+                              g, out=sums[blk, x * side:(x + step) * side])
 
-        most, xs = groups[0][1].shape[0], max(1, nb // (2 * side))  # the first group is the largest
-        sizes = (most * n_ring * nb, most * max(n_ring * nb, 2 * side ** 3),
-                 most * (n_ring * n_ring + n_int))
-        _pair(blocks, (groups[:len(groups) // 2], groups[len(groups) // 2:]), sum(sizes))
+        groups, (n_int, n_ring), side = sk.ring_groups, sk.coupling.shape, sk.s - 1
+        h, most = len(groups) // 2, max((plan.shape[0] for _, plan in groups), default=0)
+        xs, sums = max(1, nb // max(1, 2 * side)), np.empty(sk.interior.shape)
+        sizes = (most * n_ring * nb, most * max(n_ring * nb, 2 * side ** 3), most * n_ring * n_ring)
+        _pair(blocks, h, (len(groups) - h) * most * n_ring * n_ring * (nb + n_int), sum(sizes))
+        out[sk.interior] = sums
         return out
 
 

@@ -389,6 +389,19 @@ def test_calibrate_refuses_fewer_than_ten_or_fractional_samples(monkeypatch, sam
                   samples=samples)
 
 
+
+@pytest.mark.parametrize("n_values", [(1, 4.0, 16), (1, True), (0, 4)])
+def test_calibrate_refuses_region_counts_that_are_not_integers(monkeypatch, n_values):
+    # a count tiles() cannot read is refused before any solve, not dropped
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking n_values")
+
+    monkeypatch.setattr(forward, "build_boundary_weights", no_solve)
+    with pytest.raises(CalibrationError, match="region counts"):
+        calibrate(Grid(17), 1.0, 1.0, 2.0, phi=CompressionModel.zero(), eps=0.1,
+                  n_values=n_values)
+
+
 # the benchmark's smoke size of calibrate-m33 (bench/run.py, TINY)
 SMOKE = dict(phi=CompressionModel.power_law(0.1, 1), eps=0.1, samples=10,
              n_values=(1, 4, 16), seed=0)

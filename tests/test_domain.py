@@ -23,7 +23,7 @@ from helmrecon import (
     save_field,
     split_region,
 )
-from helmrecon.domain import boundary_loop, cell_corners, interior_nodes
+from helmrecon.domain import boundary_loop, cell_corners, interior_nodes, tiles, uniform_partition
 
 
 # ---------------------------------------------------------------- grid
@@ -114,6 +114,41 @@ def test_split_region_quadrants():
     assert q.n_regions == 7
     assert sorted(_children_per_parent(p, q)) == [1, 1, 1, 4]
     assert q.region_areas.sum() == pytest.approx(1.0)
+
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: make_uniform_partition(g, 2.5),
+    lambda g: make_uniform_partition(g, True),
+    lambda g: make_uniform_partition(g, "2"),
+    lambda g: refine_partition(make_uniform_partition(g, 1), 2.5),
+    lambda g: refine_partition(make_uniform_partition(g, 1), True),
+    lambda g: uniform_partition(g, 4.0),
+    lambda g: split_region(make_uniform_partition(g, 2), 1.5),
+    lambda g: split_region(make_uniform_partition(g, 2), True),
+    lambda g: split_region(make_uniform_partition(g, 2), -1),
+], ids=["k-float", "k-bool", "k-str", "factor-float", "factor-bool", "n-float", "region-float",
+        "region-bool", "region-negative"])
+@pytest.mark.parametrize("m", [9, 11])
+def test_partition_builders_refuse_counts_that_are_not_integers(build, m):
+    with pytest.raises(ConfigurationError):
+        build(Grid(m))
+
+
+def test_tiles_answers_false_for_counts_that_are_not_integers():
+    assert not tiles(Grid(9), 4.0)
+    assert not tiles(Grid(9), True)
+    assert not tiles(Grid(9), "4")
+    assert tiles(Grid(9), np.int64(4))
+
+
+def test_partition_builders_take_numpy_integers():
+    g = Grid(9)
+    p = make_uniform_partition(g, np.int64(2))
+    assert p.n_regions == 4
+    assert refine_partition(p, np.int32(2)).n_regions == 16
+    assert split_region(p, np.int64(3)).n_regions == 7
+    assert uniform_partition(g, np.int64(16)).n_regions == 16
 
 
 # ---------------------------------------------------------------- projection

@@ -1,7 +1,8 @@
-"""forward._pair runs the independent halves of the large W R W, adjoint and
-DtN passes, the second half on one helper thread. The split is fixed by the
-array shapes and each half writes its own slice, so the bits must not depend
-on where a half runs; small layouts stay on the caller."""
+"""forward._pair runs the one body of each W R W, adjoint and DtN pass, whole
+on the caller below its size rule and by halves above it, the second half on
+one helper thread. The split is fixed by the array shapes and each half writes
+its own slice, so the bits must not depend on where a half runs, nor on
+whether the pass was split; small layouts stay on the caller."""
 
 import os
 import subprocess
@@ -88,6 +89,37 @@ def test_placement_does_not_change_the_bits(m, place, submitted):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("m", [33, 65, 129])
+def test_whole_and_split_passes_give_the_same_bits(m, place, submitted, monkeypatch):
+    monkeypatch.setattr(forward, "_PAIR_WORK", 1 << 62)  # every pass whole
+    whole = _evaluate(m)
+    assert not submitted
+    monkeypatch.setattr(forward, "_PAIR_WORK", 0)  # every pass split
+    place("helper")
+    split = _evaluate(m)
+    assert submitted
+    for a, b in zip(whole, split):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_below_the_rule_a_pass_runs_whole_on_the_caller(place, submitted, monkeypatch):
+    place("helper")
+    monkeypatch.setattr(forward, "_PAIR_WORK", 100)
+    caller, calls = threading.current_thread(), []
+
+    def half(part, buf):
+        calls.append((part, buf, threading.current_thread() is caller))
+
+    forward._pair(half, 1, 99, 3)
+    assert calls == [(slice(None), None, True)]  # once, over everything, with no workspace
+    assert not submitted
+    calls.clear()
+    forward._pair(half, 1, 100, 3)  # at the rule: two halves, the second on the helper
+    assert sorted(("ab"[part], on_caller) for part, _, on_caller in calls) == [("a", True),
+                                                                             ("b", False)]
+    assert len(submitted) == 1
+
+
 def test_placement_does_not_change_a_two_level_run(place, submitted):
     grid = Grid(65)
     parts = [make_uniform_partition(grid, k, level) for level, k in enumerate((1, 2))]
@@ -150,18 +182,21 @@ def test_small_layouts_stay_on_the_caller(monkeypatch, submitted):
     assert submitted  # the same rule hands the m = 65 adjoint's halves to the helper
 
 
+FIRST, SECOND = slice(None, 1), slice(1, None)  # the halves of _pair(half, 1, ...)
+
+
 def test_an_error_in_the_helpers_half_reaches_the_caller(place, submitted):
     place("helper")
 
     def half(part, buf):
-        if part == "second":
+        if part == SECOND:
             raise ZeroDivisionError("in the second half")
 
     with pytest.raises(ZeroDivisionError, match="second half"):
-        forward._pair(half, ("first", "second"))
+        forward._pair(half, 1, 0)
     ran = []
-    forward._pair(lambda part, buf: ran.append(part), ("first", "second"))  # the helper still works
-    assert sorted(ran) == ["first", "second"]
+    forward._pair(lambda part, buf: ran.append("ab"[part]), 1, 0)  # the helper still works
+    assert sorted(ran) == ["a", "b"]
     assert len(submitted) == 2
 
 
@@ -170,13 +205,13 @@ def test_an_error_in_the_callers_half_waits_for_the_helper(place, submitted):
     finished = threading.Event()
 
     def half(part, buf):
-        if part == "first":
+        if part == FIRST:
             raise KeyError("in the first half")
         time.sleep(0.05)
         finished.set()
 
     with pytest.raises(KeyError, match="first half"):
-        forward._pair(half, ("first", "second"))
+        forward._pair(half, 1, 0)
     assert finished.is_set()  # the caller raised only after the helper's half ended
     assert len(submitted) == 1
 
@@ -185,16 +220,16 @@ def test_each_half_gets_a_workspace_of_its_own(place, submitted):
     got = {}
 
     def half(part, buf):
-        got[part] = buf
+        got["ab"[part]] = buf
 
     place("helper")
-    forward._pair(half, ("first", "second"), 3)
-    assert got["first"].shape == got["second"].shape == (3,)
-    assert not np.shares_memory(got["first"], got["second"])
+    forward._pair(half, 1, 0, 3)
+    assert got["a"].shape == got["b"].shape == (3,)
+    assert not np.shares_memory(got["a"], got["b"])
     place("caller")  # in order on the caller, one workspace serves both halves
     got.clear()
-    forward._pair(half, ("first", "second"), 3)
-    assert got["first"] is got["second"]
+    forward._pair(half, 1, 0, 3)
+    assert got["a"] is got["b"]
 
 
 def _script(code: str) -> str:
@@ -209,16 +244,18 @@ def _script(code: str) -> str:
 _NESTED = """
 import threading
 from helmrecon import forward
-forward._cpus = lambda: 2
+forward._cpus, forward._PAIR_WORK = lambda: 2, 0
 ran = []
 
-def inner(part, buf):
-    ran.append((part, threading.current_thread() is threading.main_thread()))
-
 def outer(part, buf):
-    forward._pair(inner, (part + "1", part + "2"))
+    name = "ab"[part]
 
-forward._pair(outer, ("a", "b"))
+    def inner(part, buf):
+        ran.append((name + "12"[part], threading.current_thread() is threading.main_thread()))
+
+    forward._pair(inner, 1, 0)
+
+forward._pair(outer, 1, 0)
 print(sorted(ran))
 """
 
