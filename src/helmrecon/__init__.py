@@ -35,7 +35,7 @@ from .optimizer import (
     DescentState, LevelRun, MultilevelResult, descent_step, evaluate_state, run_level,
     run_multilevel,
 )
-from .textio import load_dtn, load_nodal_field, load_pwc_field, save_dtn, save_field
+from .textio import load_dtn, load_pwc_field, save_dtn, save_field
 from .verify import audit_alessandrini, estimate_lipschitz_constant, gradient_check
 
 __version__ = "0.1.0"

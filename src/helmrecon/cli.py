@@ -58,9 +58,8 @@ def cmd_forward(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> in
     weights = build_boundary_weights(cfg.grid)
     dtn = dtn_for_field(truth, cfg.omega2, weights=weights)
     textio.save_dtn(os.path.join(out, "dtn.txt"), dtn)
-    textio.save_weights(os.path.join(out, "weights.txt"), weights)
     textio.save_field(os.path.join(out, "truth_field.txt"), truth)
-    print(f"wrote DtN ({weights.nb} x {weights.nb}) and weights to {out}")
+    print(f"wrote DtN ({weights.nb} x {weights.nb}) and truth field to {out}")
     return EXIT_OK
 
 

@@ -109,6 +109,14 @@ class CompressionModel:
         return float(out) if out.ndim == 0 else out
 
 
+def _check_eps_and_exponent(eps: float, n_exponent: float) -> None:
+    """The bundle's refusal of eps and n_exponent, which calibrate takes as given."""
+    if not 0 < eps < np.inf:
+        raise ConfigurationError("eps must be finite and strictly positive")
+    if not (0 < n_exponent <= 1):
+        raise ConfigurationError(f"stability exponent must lie in (0, 1], got {n_exponent}")
+
+
 @dataclass(frozen=True)
 class ConstantsBundle:
     """A-priori data of the calculus.
@@ -131,11 +139,10 @@ class ConstantsBundle:
     calibration: str = "analytic"
 
     def __post_init__(self):
-        for name in ("df_bound0", "df_lip0", "stab_k", "eps"):
+        for name in ("df_bound0", "df_lip0", "stab_k"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be finite and strictly positive")
-        if not (0 < self.n_exponent <= 1):
-            raise ConfigurationError(f"stability exponent must lie in (0, 1], got {self.n_exponent}")
+        _check_eps_and_exponent(self.eps, self.n_exponent)
         spectrum_guard(self.omega2, self.b1, self.b2)  # also checks the bounds
 
     def stability_exponent(self, big_n):
@@ -446,6 +453,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
         raise CalibrationError(f"samples must be an integer >= 10 (sample pairs), got {samples!r}")
     if not all(is_count(n, 1) for n in n_values):
         raise CalibrationError(f"region counts must be integers >= 1, got {tuple(n_values)!r}")
+    _check_eps_and_exponent(eps, n_exponent)  # before any operator is built
 
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe

@@ -200,10 +200,6 @@ class Partition:
     def region_areas(self) -> np.ndarray:
         return self.region_cell_counts * self.grid.h ** 2
 
-    def region_cells(self, j: int) -> np.ndarray:
-        """Cell indices of region j."""
-        return np.nonzero(self.cell_to_region == j)[0]
-
     def same_as(self, other: "Partition") -> bool:
         return (
             self.grid.m == other.grid.m

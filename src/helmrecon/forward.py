@@ -169,7 +169,7 @@ _DENSE_SKELETON = 2  # dense LU for a skeleton of at most 2 nb unknowns (measure
 _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior passes
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
 _SKETCH_SEED = 20240817
-_SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and file blocks against the rebuilt pair
+_SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and symbols that compare equal
 # multiply-adds of a half below which a pass runs whole on the caller: at m = 65,
 # halves of 1.8 M lost to the handoff to the helper and halves of 8.4 M gained
 _PAIR_WORK = 1 << 22

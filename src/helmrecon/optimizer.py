@@ -117,10 +117,17 @@ class LevelRun:
     def final(self) -> PwcField:
         return self.exit_state.field
 
-    @property
-    def discrepancy_index(self) -> int | None:
-        """The minimal iterate index meeting the discrepancy criterion, if reached."""
-        return self.k_stop if self.stop_reason == "discrepancy" else None
+
+def _check_level_settings(max_iter, eta_override, discrepancy_threshold) -> None:
+    """Refuse a level's cap, eta and threshold before it evaluates anything: k >= nan
+    never holds and a cap of 2.5 ran 3 steps; r <= nan or r <= -1 never holds, so
+    the discrepancy stop would be silently off."""
+    if not is_count(max_iter, 0):
+        raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    for name, value in (("eta_override", eta_override),
+                        ("discrepancy_threshold", discrepancy_threshold)):
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: int,
@@ -140,15 +147,7 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     reused instead of evaluating start again, and u and mu are recomputed
     with this level's constants and eta.
     """
-    if not is_count(max_iter, 0):  # k >= nan never holds, and a cap of 2.5 ran 3 steps
-        raise ConfigurationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    if eta_override is not None and not (np.isfinite(eta_override) and eta_override >= 0):
-        raise ConfigurationError(f"eta_override must be finite and >= 0, got {eta_override}")
-    if discrepancy_threshold is not None and not (np.isfinite(discrepancy_threshold)
-                                                  and discrepancy_threshold >= 0):
-        # r <= nan or r <= -1 never holds: the discrepancy stop would be silently off
-        raise ConfigurationError(
-            f"discrepancy_threshold must be finite and >= 0, got {discrepancy_threshold}")
+    _check_level_settings(max_iter, eta_override, discrepancy_threshold)
     eps = lc.bundle.eps
     eta = lc.eta if eta_override is None else float(eta_override)
     tau = (3.0 + eps) * eta if discrepancy_threshold is None else float(discrepancy_threshold)
@@ -235,8 +234,8 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
     taus = [None] * n_levels if discrepancy_thresholds is None else list(discrepancy_thresholds)
     if not (len(iters) == len(etas) == len(taus) == n_levels):
         raise ConfigurationError("per-level settings must match the schedule length")
-    if not all(is_count(cap, 0) for cap in iters):  # refused before the first level runs
-        raise ConfigurationError(f"max_iter must be integers >= 0, got {max_iter!r}")
+    for cap, eta, tau in zip(iters, etas, taus):  # every level's, before the first runs
+        _check_level_settings(cap, eta, tau)
 
     constants = [derive_level(bundle, p.n_regions) for p in schedule]
     warnings: list[str] = []

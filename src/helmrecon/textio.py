@@ -1,12 +1,13 @@
 """Every text file the library and its CLI read or write.
 
 Each file is UTF-8 with LF line endings, written through write_text as a
-header plus matrix rows (DtN, weights), 'key = value' lines (bundle,
+header plus rows (piecewise-constant field, DtN), 'key = value' lines (bundle,
 summaries) or CSV (logs). Data files write floats with repr, so they read back
-exactly; the CSV logs write %.17g and leave a missing value blank. Loaders
-refuse what is not UTF-8, not finite, out of range, malformed or trailing with
-ConfigurationError (CLI exit 64), and a file sized for another grid, partition
-or weights with DiscretizationMismatchError.
+exactly; the CSV logs write %.17g and leave a missing value blank. No file holds
+the boundary weights: load_dtn takes them rebuilt from the grid. Loaders refuse
+what is not UTF-8, not finite, out of range, malformed or trailing with
+ConfigurationError (CLI exit 64), and a file sized for another partition or
+weights with DiscretizationMismatchError.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .constants import CompressionModel, ConstantsBundle, RhoPoint
-from .domain import Grid, NodalField, Partition, PwcField
+from .domain import Partition, PwcField
 from .errors import ConfigurationError, DiscretizationMismatchError
-from .forward import _SYMBOL_RTOL, BoundaryWeights, DtnMatrix
+from .forward import BoundaryWeights, DtnMatrix
 from .optimizer import LevelRun, MultilevelResult
 
 # the bundle file's keys in file order; all but calibration hold a float
@@ -35,13 +36,6 @@ def write_text(path, text: str) -> None:
 def write_lines(path, lines) -> None:
     """Each line followed by LF."""
     write_text(path, "".join(f"{line}\n" for line in lines))
-
-
-def _matrix_lines(header: str, mat):
-    """The header, then one line of repr values per row of mat."""
-    yield header
-    for row in mat:
-        yield " ".join(repr(float(v)) for v in row)
 
 
 def write_keyvalues(path, items) -> None:
@@ -107,15 +101,10 @@ def expect_end(fh, path) -> None:
         raise ConfigurationError(f"{path}: unexpected data after the declared entries")
 
 
-def save_field(path, f: PwcField | NodalField) -> None:
-    """Write a field in the plain-text exchange format."""
-    if isinstance(f, PwcField):
-        write_lines(path, [f"pwc {f.partition.n_regions} {f.partition.level}",
-                           *(f"{j} {float(v)!r}" for j, v in enumerate(f.coeffs))])
-    elif isinstance(f, NodalField):
-        write_lines(path, [f"nodal {f.grid.m}", *(repr(float(v)) for v in f.values)])
-    else:
-        raise TypeError(f"cannot save {type(f).__name__}")
+def save_field(path, f: PwcField) -> None:
+    """Write a piecewise-constant field in the plain-text exchange format."""
+    write_lines(path, [f"pwc {f.partition.n_regions} {f.partition.level}",
+                       *(f"{j} {float(v)!r}" for j, v in enumerate(f.coeffs))])
 
 
 def pwc_file_header(path) -> tuple[int, int]:
@@ -158,22 +147,10 @@ def load_pwc_field(path, partition: Partition, bounds: tuple[float, float]) -> P
     return field
 
 
-def load_nodal_field(path, grid: Grid) -> NodalField:
-    """Read a nodal file: m^2 row-major values after the header, in any
-    whitespace layout."""
-    with open_text(path) as fh:
-        (m,) = read_header(fh, path, "nodal <m>", (int,))
-        if m != grid.m:
-            raise DiscretizationMismatchError(f"{path}: file has m={m}, grid has m={grid.m}")
-        tokens = fh.read().split()
-    if len(tokens) != grid.n_nodes:
-        raise ConfigurationError(f"{path}: expected {grid.n_nodes} values, got {len(tokens)}")
-    values = np.array([parse_number(path, tok) for tok in tokens])
-    return NodalField(grid, values)
-
-
 def save_dtn(path, dtn: DtnMatrix) -> None:
-    write_lines(path, _matrix_lines(f"dtn {dtn.weights.nb} {float(dtn.omega2)!r}", dtn.lam))
+    """The header, then one line of repr values per row of the matrix."""
+    write_lines(path, [f"dtn {dtn.weights.nb} {float(dtn.omega2)!r}",
+                       *(" ".join(repr(float(v)) for v in row) for row in dtn.lam)])
 
 
 def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
@@ -184,32 +161,6 @@ def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
         lam = read_rows(fh, path, nb, nb)
         expect_end(fh, path)
     return DtnMatrix(lam=lam, weights=weights, omega2=omega2)
-
-
-def save_weights(path, weights: BoundaryWeights) -> None:
-    write_lines(path, [*_matrix_lines(f"wplus {weights.nb}", weights.w_plus),
-                       *_matrix_lines(f"wminus {weights.nb}", weights.w_minus)])
-
-
-def load_weights(path, grid: Grid) -> BoundaryWeights:
-    """Read a weights file: the symbol is the real DFT of w_minus's first
-    column, and both blocks must match the pair rebuilt from it to 1e-12 of
-    their largest entry (ConfigurationError otherwise)."""
-    expected = grid.n_boundary
-    mats = {}
-    with open_text(path) as fh:
-        for name in ("wplus", "wminus"):
-            (nb,) = read_header(fh, path, f"{name} <nb>", (int,))
-            if nb != expected:
-                raise DiscretizationMismatchError(f"{path}: file nb={nb}, grid nb={expected}")
-            mats[name] = read_rows(fh, path, nb, nb)
-        expect_end(fh, path)
-    weights = BoundaryWeights(grid, np.fft.fft(mats["wminus"][:, 0]).real)
-    for name, rebuilt in (("wplus", weights.w_plus), ("wminus", weights.w_minus)):
-        if np.abs(mats[name] - rebuilt).max() > _SYMBOL_RTOL * np.abs(mats[name]).max():
-            raise ConfigurationError(f"{path}: {name} is not an SPD circulant pair "
-                                     "with wplus wminus = h_b^2 I")
-    return weights
 
 
 def save_bundle(path, bundle: ConstantsBundle) -> None:

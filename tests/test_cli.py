@@ -3,16 +3,11 @@ import pytest
 
 from helmrecon import ConfigurationError, Grid, build_boundary_weights, cli, load_dtn
 from helmrecon import constants as con
+from helmrecon import forward
 from helmrecon.cli import main
 from helmrecon.config import load_config
 from helmrecon.domain import make_uniform_partition
-from helmrecon.textio import (
-    load_bundle,
-    load_nodal_field,
-    load_pwc_field,
-    load_weights,
-    pwc_file_header,
-)
+from helmrecon.textio import load_bundle, load_pwc_field, pwc_file_header
 
 BASE = """\
 [grid]
@@ -57,8 +52,8 @@ def test_forward_writes_dtn_header(tmp_path):
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "dtn.txt").read_text()
     assert text.startswith("dtn 64 1.0\n")
-    assert (out / "weights.txt").read_text().startswith("wplus 64\n")
-    assert (out / "config.ini").exists()
+    # every file forward writes has a reader: the weights are rebuilt from the grid
+    assert sorted(p.name for p in out.iterdir()) == ["config.ini", "dtn.txt", "truth_field.txt"]
 
 
 def test_forward_deterministic_outputs(tmp_path):
@@ -231,6 +226,24 @@ def test_calibrate_command_writes_bundle(tmp_path):
     assert "calibration = empirical" in bundle_text
 
 
+@pytest.mark.parametrize("command", ["calibrate", "reconstruct"])
+def test_calibrate_mode_refuses_bad_exponent_before_any_operator(tmp_path, monkeypatch,
+                                                                 command):
+    # the exit was 64 already, but only after the whole calibration had run
+    built = []
+    init = forward.HelmholtzOperator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", counted_init)
+    text = BASE.replace("mode = analytic", "mode = calibrate\nn_exponent = 2")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "cal")]) == 64
+    assert built == []
+
+
 # A malformed truth file is a configuration error: exit 64, never a traceback.
 BAD_TRUTH = {
     "non_numeric": "pwc 1 0\n0 abc\n",
@@ -257,12 +270,9 @@ def test_malformed_truth_file_exits_64(tmp_path, case):
 @pytest.mark.parametrize("load", [
     pwc_file_header,
     lambda path: load_pwc_field(path, make_uniform_partition(Grid(9), 1), (1.0, 2.0)),
-    lambda path: load_nodal_field(path, Grid(3)),
     lambda path: load_dtn(path, build_boundary_weights(Grid(3))),
-    lambda path: load_weights(path, Grid(3)),
     load_bundle,
-], ids=["pwc_file_header", "load_pwc_field", "load_nodal_field", "load_dtn", "load_weights",
-        "load_bundle"])
+], ids=["pwc_file_header", "load_pwc_field", "load_dtn", "load_bundle"])
 def test_loaders_refuse_bytes_that_are_not_utf8(tmp_path, load):
     path = tmp_path / "input.txt"
     path.write_bytes(b"\xe9\n")

@@ -424,6 +424,26 @@ def test_calibrate_matches_the_benchmark_reference_at_full_size(seed):
         assert getattr(b, name) == pytest.approx(ref[name], rel=1e-6), name
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"n_exponent": 2.0}, "stability exponent must lie in"),
+    ({"eps": -1.0}, "eps must be finite and strictly positive"),
+], ids=["n_exponent", "eps"])
+def test_calibrate_refuses_bad_eps_or_exponent_before_any_operator(monkeypatch, settings,
+                                                                   message):
+    # ConstantsBundle refused both only after the whole calibration had run
+    built = []
+    init = forward.HelmholtzOperator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", counted_init)
+    with pytest.raises(ConfigurationError, match=message):
+        calibrate(Grid(17), 5.0, 1.0, 2.0, **dict(SMOKE, **settings))
+    assert built == []
+
+
 def test_calibrate_work_count_and_stability_fit(monkeypatch):
     evals, reads, kinds = [], [], []
     init, dtn = forward.HelmholtzOperator.__init__, forward.HelmholtzOperator._dtn

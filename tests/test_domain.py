@@ -15,7 +15,6 @@ from helmrecon import (
     embed,
     l2_dist,
     l2_norm,
-    load_nodal_field,
     load_pwc_field,
     make_uniform_partition,
     project,
@@ -183,7 +182,7 @@ def _region_integral_reference(f: NodalField, p: Partition, region: int) -> floa
     g = f.grid
     corners = cell_corners(g)
     total = 0.0
-    for cell in p.region_cells(region):
+    for cell in np.flatnonzero(p.cell_to_region == region):
         vals = [f.values[n] for n in corners[cell]]
         total += (sum(vals) / 4.0) * g.h ** 2
     return total
@@ -301,16 +300,6 @@ def test_pwc_field_file_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, f.coeffs)
 
 
-def test_nodal_field_file_round_trip(tmp_path):
-    g = Grid(5)
-    f = NodalField(g, np.linspace(0.0, 1.0, g.n_nodes))
-    path = tmp_path / "nodal.txt"
-    save_field(path, f)
-    assert path.read_text().startswith("nodal 5\n")
-    back = load_nodal_field(path, g)
-    assert np.array_equal(back.values, f.values)
-
-
 def test_field_file_header_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nonsense 1 2\n")
@@ -345,32 +334,6 @@ def test_load_pwc_field_rejects_malformed(tmp_path, case):
     path.write_text(BAD_PWC[case])
     with pytest.raises(ConfigurationError):
         load_pwc_field(path, make_uniform_partition(Grid(9), 2), (1.0, 2.0))
-
-
-@pytest.mark.parametrize("body", [
-    "nodal 3\n" + "0.5\n" * 8,                     # truncated
-    "nodal 3\n" + "0.5\n" * 10,                    # trailing value
-    "nodal 3\n" + "0.5\n" * 4 + "nan\n" + "0.5\n" * 4,
-    "nodal 3\n" + "0.5\n" * 4 + "x\n" + "0.5\n" * 4,
-    "nodal 3.0\n" + "0.5\n" * 9,
-])
-def test_load_nodal_field_rejects_malformed(tmp_path, body):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ConfigurationError):
-        load_nodal_field(path, Grid(3))
-
-
-@pytest.mark.parametrize("layout", ["\n", " ", "row"])
-def test_load_nodal_field_any_whitespace_layout(tmp_path, layout):
-    values = np.arange(9) / 8.0
-    if layout == "row":  # m values per line
-        body = "\n".join(" ".join(map(str, r)) for r in values.reshape(3, 3).tolist())
-    else:
-        body = layout.join(map(str, values.tolist()))
-    path = tmp_path / "field.txt"
-    path.write_text("nodal 3\n" + body + "\n")
-    assert np.array_equal(load_nodal_field(path, Grid(3)).values, values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,10 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import circulant
 
 from helmrecon import (
     AdmissibilityError,
@@ -34,7 +31,6 @@ from helmrecon import (
 from helmrecon import forward
 from helmrecon.domain import grid_laplacian, interior_nodes, mass_scatter_matrix, node_quad_weights
 from helmrecon.forward import boundary_loop, unit_square_eigenvalues
-from helmrecon.textio import load_weights, save_weights
 
 LAM1 = 2 * np.pi ** 2
 
@@ -817,15 +813,6 @@ def test_weights_top_mode_against_dense_eigensolve(weights17):
     assert top == pytest.approx(hb * np.sqrt(1.0 + 4.0 / hb ** 2), rel=1e-12)
 
 
-def test_weights_file_round_trip(tmp_path, grid17, weights17):
-    path = tmp_path / "weights.txt"
-    save_weights(path, weights17)
-    back = load_weights(path, grid17)
-    assert np.allclose(back.w_plus, weights17.w_plus)
-    assert np.allclose(back.w_minus, weights17.w_minus)
-    assert np.allclose(back.w_minus_half, weights17.w_minus_half, atol=1e-12)
-
-
 def _eigh_weights(grid):
     """Oracle: the weights from a dense eigensolve of the boundary-loop Laplacian."""
     nb, hb = grid.n_boundary, grid.h
@@ -851,33 +838,6 @@ def test_weights_closed_form_matches_dense_eigensolve(m):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _bad_weight_files(weights):
-    """(w_plus, w_minus) blocks that are not a symmetric positive-definite
-    circulant pair with w_plus w_minus = h_b^2 I."""
-    wp, wm = np.array(weights.w_plus), np.array(weights.w_minus)
-    perturbed = wm.copy()
-    perturbed[3, 5] += 1e-6
-    col = wm[:, 0].copy()
-    col[1] += 1e-3 * col[0]  # circulant, but col[1] != col[nb - 1]
-    indefinite = weights.symbol.copy()
-    indefinite[[2, -2]] = -indefinite[[2, -2]]
-    return {
-        "perturbed_entry": (wp, perturbed),
-        "non_symmetric": (wp, circulant(col)),
-        "indefinite": (wp, circulant(np.fft.ifft(indefinite).real)),
-        "scaled_wplus": (1.01 * wp, wm),
-    }
-
-
-@pytest.mark.parametrize("case", ["perturbed_entry", "non_symmetric", "indefinite", "scaled_wplus"])
-def test_load_weights_rejects_non_circulant_pair(tmp_path, grid17, weights17, case):
-    wp, wm = _bad_weight_files(weights17)[case]
-    path = tmp_path / "weights.txt"
-    save_weights(path, SimpleNamespace(w_plus=wp, w_minus=wm, nb=weights17.nb))
-    with pytest.raises(ConfigurationError):
-        load_weights(path, grid17)
-
-
 @pytest.mark.parametrize("symbol", [
     np.ones(7),                                    # wrong length
     np.ones((8, 1)),                               # wrong shape
@@ -891,14 +851,11 @@ def test_weights_reject_bad_symbol(symbol):
         BoundaryWeights(Grid(3), symbol)
 
 
-def test_weights_compatible_requires_same_symbol(tmp_path):
+def test_weights_compatible_requires_same_symbol():
     built = build_boundary_weights(Grid(9))
     assert built.compatible(build_boundary_weights(Grid(9)))
     assert not built.compatible(BoundaryWeights(Grid(9), np.ones(32)))
     assert not built.compatible(build_boundary_weights(Grid(17)))
-    path = tmp_path / "w.txt"
-    save_weights(path, built)
-    assert load_weights(path, Grid(9)).compatible(built)
 
 
 # ---------------------------------------------------------------- DtN matrix
@@ -1054,20 +1011,3 @@ def test_load_dtn_rejects_malformed_rows(tmp_path, weights17, edit):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError):
         load_dtn(path, weights17)
-
-
-@pytest.mark.parametrize("edit", ["truncated", "repeated_block", "non_finite"])
-def test_load_weights_rejects_malformed(tmp_path, grid17, weights17, edit):
-    path = tmp_path / "weights.txt"
-    save_weights(path, weights17)
-    lines = path.read_text().splitlines()
-    nb = weights17.nb
-    if edit == "truncated":
-        lines = lines[:nb + 10]
-    elif edit == "repeated_block":
-        lines = lines[:nb + 1] * 2
-    else:
-        lines[nb + 5] = "nan " + " ".join(lines[nb + 5].split()[1:])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigurationError):
-        load_weights(path, grid17)

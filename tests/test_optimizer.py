@@ -27,7 +27,7 @@ from helmrecon import (
     run_level,
     run_multilevel,
 )
-from helmrecon import optimizer
+from helmrecon import forward, optimizer
 from helmrecon.optimizer import _step_quantities
 from helmrecon.textio import write_run_log, write_run_metadata
 
@@ -76,7 +76,6 @@ def test_run_level_fixed_point_stops_immediately(problem17):
     assert run.stop_reason == "discrepancy"
     assert run.k_stop == 0
     assert run.history["r"][0] == 0.0
-    assert run.discrepancy_index == 0
 
 
 @pytest.mark.parametrize("settings", [
@@ -109,6 +108,24 @@ def test_iteration_cap_must_be_a_count(problem17, monkeypatch, cap):
     for max_iter in (cap, [3, cap]):
         with pytest.raises(ConfigurationError, match="max_iter"):
             run_multilevel([p1, p2], bundle, data, start, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("settings", [
+    {"eta_overrides": [0.0, np.nan]},
+    {"eta_overrides": [0.0, 0.0], "discrepancy_thresholds": [1e-8, -1.0]},
+], ids=["eta_nan", "threshold_negative"])
+def test_multilevel_refuses_every_level_setting_before_any_evaluation(problem17, monkeypatch,
+                                                                      settings):
+    # a bad entry for level 1 was refused only after level 0 had run its descent
+    _, p1, p2, _, _, data, bundle = problem17
+    assembled = []
+    real = forward.assemble_dtn
+    monkeypatch.setattr(forward, "assemble_dtn",
+                        lambda *args, **kwargs: assembled.append(1) or real(*args, **kwargs))
+    start = PwcField(p1, np.array([1.5]), (B1, B2))
+    with pytest.raises(ConfigurationError, match="must be finite and >= 0"):
+        run_multilevel([p1, p2], bundle, data, start, max_iter=10, **settings)
+    assert assembled == []
 
 
 def test_run_level_max_iter_zero(problem17):

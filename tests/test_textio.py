@@ -10,13 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helmrecon import Grid, NodalField, PwcField, build_boundary_weights, cli, \
-    make_uniform_partition
+from helmrecon import Grid, PwcField, build_boundary_weights, cli, make_uniform_partition
 from helmrecon.constants import CompressionModel, ConstantsBundle, NMaxResult, RhoPoint
 from helmrecon.forward import DtnMatrix
 from helmrecon.optimizer import MultilevelResult
-from helmrecon.textio import save_bundle, save_dtn, save_field, save_weights, write_rho_table, \
-    write_run_log, write_run_metadata
+from helmrecon.textio import save_bundle, save_dtn, save_field, write_rho_table, write_run_log, \
+    write_run_metadata
 
 BUNDLE = ConstantsBundle(df_bound0=0.1, df_lip0=1e-3, stab_k=1e-4, b1=1.0, b2=2.0, omega2=5.0,
                          eps=0.1, phi=CompressionModel.power_law(0.5, 1.5), n_exponent=4 / 7,
@@ -41,22 +40,6 @@ def test_save_field_pwc(tmp_path):
     )
 
 
-def test_save_field_nodal(tmp_path):
-    field = NodalField(Grid(3), 1.0 + np.arange(9) / 3)
-    assert written(save_field, tmp_path, field) == (
-        b"nodal 3\n"
-        b"1.0\n"
-        b"1.3333333333333333\n"
-        b"1.6666666666666665\n"
-        b"2.0\n"
-        b"2.333333333333333\n"
-        b"2.666666666666667\n"
-        b"3.0\n"
-        b"3.3333333333333335\n"
-        b"3.6666666666666665\n"
-    )
-
-
 def test_save_dtn(tmp_path):
     lam = np.subtract.outer(np.arange(8), np.arange(8)) / 4.0
     lam[0, 0], lam[7, 7] = 0.1, 1 / 3
@@ -71,31 +54,6 @@ def test_save_dtn(tmp_path):
         b"1.25 1.0 0.75 0.5 0.25 0.0 -0.25 -0.5\n"
         b"1.5 1.25 1.0 0.75 0.5 0.25 0.0 -0.25\n"
         b"1.75 1.5 1.25 1.0 0.75 0.5 0.25 0.3333333333333333\n"
-    )
-
-
-def test_save_weights(tmp_path):
-    # fixed blocks of the m = 3 loop (nb = 8): the bytes of the writer, not of the symbol
-    weights = SimpleNamespace(nb=8, w_plus=np.eye(8) + 0.25, w_minus=np.eye(8) / 3)
-    assert written(save_weights, tmp_path, weights) == (
-        b"wplus 8\n"
-        b"1.25 0.25 0.25 0.25 0.25 0.25 0.25 0.25\n"
-        b"0.25 1.25 0.25 0.25 0.25 0.25 0.25 0.25\n"
-        b"0.25 0.25 1.25 0.25 0.25 0.25 0.25 0.25\n"
-        b"0.25 0.25 0.25 1.25 0.25 0.25 0.25 0.25\n"
-        b"0.25 0.25 0.25 0.25 1.25 0.25 0.25 0.25\n"
-        b"0.25 0.25 0.25 0.25 0.25 1.25 0.25 0.25\n"
-        b"0.25 0.25 0.25 0.25 0.25 0.25 1.25 0.25\n"
-        b"0.25 0.25 0.25 0.25 0.25 0.25 0.25 1.25\n"
-        b"wminus 8\n"
-        b"0.3333333333333333 0.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
-        b"0.0 0.3333333333333333 0.0 0.0 0.0 0.0 0.0 0.0\n"
-        b"0.0 0.0 0.3333333333333333 0.0 0.0 0.0 0.0 0.0\n"
-        b"0.0 0.0 0.0 0.3333333333333333 0.0 0.0 0.0 0.0\n"
-        b"0.0 0.0 0.0 0.0 0.3333333333333333 0.0 0.0 0.0\n"
-        b"0.0 0.0 0.0 0.0 0.0 0.3333333333333333 0.0 0.0\n"
-        b"0.0 0.0 0.0 0.0 0.0 0.0 0.3333333333333333 0.0\n"
-        b"0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.3333333333333333\n"
     )
 
 
