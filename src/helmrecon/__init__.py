@@ -21,7 +21,7 @@ from .derivative import (
 )
 from .domain import (
     Grid, NodalField, Partition, PwcField, bregman, clamp_to_bounds, embed, l2_dist, l2_norm,
-    make_uniform_partition, project, refine_partition, split_region,
+    make_uniform_partition, project,
 )
 from .errors import (
     AdmissibilityError, CalibrationError, ConfigurationError, DiscretizationMismatchError,

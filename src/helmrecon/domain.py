@@ -1,8 +1,9 @@
-"""Unit-square discretization, partition hierarchies, and piecewise-constant fields.
+"""Unit-square discretization, partitions, and piecewise-constant fields.
 
 The computational domain is the closed unit square covered by an m x m grid of
 nodes with spacing h = 1/(m-1). Grid cells are the (m-1)^2 squares between
-nodes. A Partition groups cells into N disjoint regions D_1..D_N; fields that
+nodes. A Partition labels every cell with one of N disjoint regions
+D_1..D_N, and the labels are all it records; fields that
 are constant on every region form the finite-dimensional search space of the
 inverse solver, boxed by a-priori coefficient bounds.
 
@@ -18,8 +19,8 @@ touch no file (textio reads and writes the field files).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,8 +33,6 @@ __all__ = [
     "PwcField",
     "NodalField",
     "make_uniform_partition",
-    "refine_partition",
-    "split_region",
     "project",
     "clamp_to_bounds",
     "embed",
@@ -162,35 +161,40 @@ def grid_laplacian(grid: Grid) -> sp.csr_matrix:
 class Partition:
     """Disjoint cover of the grid cells by N regions at one schedule level.
 
-    cell_to_region assigns every grid cell a region id in [0, N). Regions of
-    partitions produced by this module are square cell blocks, recorded in
-    ``blocks`` as rows (i0, j0, side) in cell coordinates, sorted in raster
-    order; that order defines the region numbering. No link to a coarser
-    partition is kept: nesting is a property of the two cell labellings, which
-    embed checks.
+    cell_to_region assigns every grid cell a region id; the ids must be
+    0..N-1, each used, and fix N. The labels are the one record of the
+    partition: no link to a coarser partition is kept (nesting is a property
+    of the two labellings, which embed checks), and the block size of the
+    solver's condensation is read off them (block_side).
     """
 
     grid: Grid
     cell_to_region: np.ndarray
-    n_regions: int
     level: int
-    blocks: np.ndarray | None = None
+    n_regions: int = field(init=False)
 
     def __post_init__(self):
+        if not is_count(self.level, 0):
+            raise ConfigurationError(f"partition level must be an integer >= 0, got {self.level!r}")
         c2r = np.ascontiguousarray(self.cell_to_region, dtype=np.int64)
         if c2r.shape != (self.grid.n_cells,):
             raise ConfigurationError("cell_to_region must label every grid cell exactly once")
-        present = np.bincount(c2r, minlength=self.n_regions)
-        if c2r.min() < 0 or c2r.max() >= self.n_regions or (present == 0).any():
+        if c2r.min() < 0 or (np.bincount(c2r) == 0).any():
             raise ConfigurationError("region ids must cover 0..N-1 with no empty region")
-        if self.n_regions < 1:
-            raise ConfigurationError("need N >= 1")
         c2r.setflags(write=False)
         object.__setattr__(self, "cell_to_region", c2r)
-        if self.blocks is not None:
-            b = np.ascontiguousarray(self.blocks, dtype=np.int64)
-            b.setflags(write=False)
-            object.__setattr__(self, "blocks", b)
+        object.__setattr__(self, "n_regions", int(c2r.max()) + 1)
+
+    @cached_property
+    def block_side(self) -> int:
+        """The largest s dividing the cells per side such that the labels are
+        constant on every aligned s x s cell block: the gcd of the cells per
+        side and of every grid line along which the labels change."""
+        cps = self.grid.cells_per_side
+        labels = self.cell_to_region.reshape(cps, cps)
+        rows = np.flatnonzero((labels[1:] != labels[:-1]).any(axis=1)) + 1
+        cols = np.flatnonzero((labels[:, 1:] != labels[:, :-1]).any(axis=0)) + 1
+        return int(np.gcd.reduce(np.concatenate([rows, cols, [cps]])))
 
     @property
     def region_cell_counts(self) -> np.ndarray:
@@ -201,33 +205,12 @@ class Partition:
         return self.region_cell_counts * self.grid.h ** 2
 
     def same_as(self, other: "Partition") -> bool:
-        return (
-            self.grid.m == other.grid.m
-            and self.n_regions == other.n_regions
-            and np.array_equal(self.cell_to_region, other.cell_to_region)
-        )
-
-
-def _blocks_to_partition(grid: Grid, blocks: list[tuple[int, int, int]],
-                         level: int) -> Partition:
-    sorted_blocks = sorted(blocks, key=lambda b: (b[0], b[1]))
-    c2r = np.empty(grid.n_cells, dtype=np.int64)
-    cps = grid.cells_per_side
-    for rid, (i0, j0, side) in enumerate(sorted_blocks):
-        ci = np.repeat(np.arange(i0, i0 + side), side)
-        cj = np.tile(np.arange(j0, j0 + side), side)
-        c2r[ci * cps + cj] = rid
-    return Partition(
-        grid=grid,
-        cell_to_region=c2r,
-        n_regions=len(blocks),
-        level=level,
-        blocks=np.asarray(sorted_blocks, dtype=np.int64),
-    )
+        return np.array_equal(self.cell_to_region, other.cell_to_region)
 
 
 def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
-    """Uniform k x k partition into N = k^2 square regions of side 1/k.
+    """Uniform k x k partition into N = k^2 square regions of side 1/k,
+    numbered in raster order of their lower-left cells.
 
     Requires k to divide the cells per side.
     """
@@ -239,8 +222,8 @@ def make_uniform_partition(grid: Grid, k: int, level: int = 0) -> Partition:
             f"m={grid.m} gives {grid.cells_per_side} cells per side, k={k}"
         )
     s = grid.cells_per_side // k
-    blocks = [(bi * s, bj * s, s) for bi in range(k) for bj in range(k)]
-    return _blocks_to_partition(grid, blocks, level)
+    ci, cj = np.divmod(np.arange(grid.n_cells), grid.cells_per_side)
+    return Partition(grid, ci // s * k + cj // s, level)
 
 
 def tiles(grid: Grid, n: int) -> bool:
@@ -258,50 +241,6 @@ def uniform_partition(grid: Grid, n: int, level: int = 0) -> Partition:
         raise ConfigurationError(f"{n} regions do not tile grid m={grid.m}: N must be k^2 "
                                  f"with k dividing the {grid.cells_per_side} cells per side")
     return make_uniform_partition(grid, math.isqrt(n), level)
-
-
-def refine_partition(p: Partition, factor: int = 2) -> Partition:
-    """Split every region into factor^2 square children, one level finer.
-
-    Each child's cells lie in one region of p; no parent map is kept.
-    """
-    if not is_count(factor, 2):
-        raise ConfigurationError(f"refinement factor must be an integer >= 2, got {factor!r}")
-    if p.blocks is None:
-        raise ConfigurationError("can only refine partitions with square block regions")
-    if any(side % factor for _, _, side in p.blocks):
-        raise ConfigurationError(
-            f"refinement by {factor} does not divide a region of this partition "
-            f"(grid m={p.grid.m})"
-        )
-    children: list[tuple[int, int, int]] = []
-    for i0, j0, side in p.blocks:
-        s = side // factor
-        for a in range(factor):
-            for b in range(factor):
-                children.append((i0 + a * s, j0 + b * s, s))
-    return _blocks_to_partition(p.grid, children, p.level + 1)
-
-
-def split_region(p: Partition, region: int) -> Partition:
-    """Split one square region into its four quadrants, leaving the rest alone."""
-    if p.blocks is None:
-        raise ConfigurationError("can only split partitions with square block regions")
-    if not (is_count(region, 0) and region < p.n_regions):
-        raise ConfigurationError(f"region {region!r} is not an index in 0..{p.n_regions - 1}")
-    i0, j0, side = p.blocks[region]
-    if side % 2:
-        raise ConfigurationError(f"region {region} has odd cell side {side}, cannot split")
-    s = side // 2
-    blocks: list[tuple[int, int, int]] = []
-    for rid, (bi, bj, bs) in enumerate(p.blocks):
-        if rid == region:
-            for a in range(2):
-                for b in range(2):
-                    blocks.append((bi + a * s, bj + b * s, s))
-        else:
-            blocks.append((int(bi), int(bj), int(bs)))
-    return _blocks_to_partition(p.grid, blocks, p.level + 1)
 
 
 @dataclass(frozen=True, eq=False)

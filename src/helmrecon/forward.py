@@ -22,7 +22,7 @@ The dense factor eliminates one level further where the blocks group into
 1973): each super-block's inner cross of skeleton lines is factored on its
 own, and only the Schur complement on the coarse skeleton between them is
 factored as a whole. The factor serves the low window and band windows
-alike; at s = 1 (a partition without square blocks) the skeleton is the
+alike; at s = 1 (a partition whose block_side is 1) the skeleton is the
 whole grid. The DtN assembly solves for the skeleton values V_X of the
 boundary-indicator solutions only; the SolutionBank keeps V_X and the block
 symbols, and gives the bank's products (U g, U^T diag(w) U, diag(U P U^T))
@@ -626,10 +626,11 @@ def _definite(sigma: float, s: int) -> bool:
 
 
 def _block_size(c2inv: PwcField, omega2: float) -> tuple[int, bool]:
-    """The block layout (s, grouped). s is the largest block size that divides
-    every region's side and offset, is at most _MAX_BLOCK and (m - 1) /
-    _BLOCKS_PER_SIDE, and keeps every block interior positive definite with
-    margin (_definite); 1 for a partition without square blocks. grouped: the
+    """The block layout (s, grouped). s is the largest divisor of the
+    partition's block_side (the side of the largest aligned cell blocks its
+    labels are constant on) that is at most _MAX_BLOCK and (m - 1) /
+    _BLOCKS_PER_SIDE and keeps every block interior positive definite with
+    margin (_definite); 1 if no divisor >= 2 does. grouped: the
     dense factor groups the blocks 2 x 2, at an even number of blocks per
     side, at least 4, when every 2s x 2s super-block interior keeps the margin.
 
@@ -638,9 +639,7 @@ def _block_size(c2inv: PwcField, omega2: float) -> tuple[int, bool]:
     dense ring forms and block products as s^3 per block, a smaller one the
     skeleton and its factor and solve as m^2 / s."""
     grid = c2inv.grid
-    blocks = c2inv.partition.blocks
-    common = 1 if blocks is None else int(np.gcd.reduce(np.append(blocks.ravel(),
-                                                                   grid.cells_per_side)))
+    common = c2inv.partition.block_side
     sigma = omega2 * grid.h ** 2 * float(c2inv.coeffs.max())
     cap = min(common, _MAX_BLOCK, grid.cells_per_side // _BLOCKS_PER_SIDE)
     s = max((d for d in range(2, cap + 1) if common % d == 0 and _definite(sigma, d)), default=1)

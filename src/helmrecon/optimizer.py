@@ -103,7 +103,6 @@ def descent_step(state: DescentState, lc: LevelConstants, data: DtnMatrix,
 class LevelRun:
     """Record of one level: per-iterate scalars, stop reason, and the exit state."""
 
-    level: int
     partition: Partition
     constants: LevelConstants
     threshold: float
@@ -190,7 +189,6 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     history = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
     history["k"] = history["k"].astype(int)
     return LevelRun(
-        level=start.partition.level,
         partition=start.partition,
         constants=lc,
         threshold=tau,

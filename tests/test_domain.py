@@ -18,9 +18,7 @@ from helmrecon import (
     load_pwc_field,
     make_uniform_partition,
     project,
-    refine_partition,
     save_field,
-    split_region,
 )
 from helmrecon.domain import boundary_loop, cell_corners, interior_nodes, tiles, uniform_partition
 
@@ -72,6 +70,8 @@ def test_uniform_partition_m9_k2():
     assert p.n_regions == 4
     assert np.all(p.region_cell_counts == 16)  # 4x4 grid cells each
     assert p.region_areas.sum() == pytest.approx(1.0)
+    # regions numbered in raster order of their lower-left cells
+    assert np.array_equal(p.cell_to_region.reshape(8, 8)[::4, ::4], [[0, 1], [2, 3]])
 
 
 def test_uniform_partition_identity():
@@ -85,49 +85,12 @@ def test_uniform_partition_divisibility_error():
         make_uniform_partition(Grid(9), 3)
 
 
-def _children_per_parent(p, q):
-    """Regions of q inside each region of p, asserting that every region of q
-    lies in exactly one region of p."""
-    pairs = np.unique(np.column_stack([q.cell_to_region, p.cell_to_region]), axis=0)
-    assert np.array_equal(pairs[:, 0], np.arange(q.n_regions))
-    return np.bincount(pairs[:, 1], minlength=p.n_regions)
-
-
-def test_refine_partition_dyadic():
-    p = make_uniform_partition(Grid(9), 2)
-    q = refine_partition(p, 2)
-    assert q.n_regions == 16
-    assert q.level == p.level + 1
-    assert np.all(_children_per_parent(p, q) == 4)
-
-
-def test_refine_from_single_region():
-    p = make_uniform_partition(Grid(9), 1)
-    q = refine_partition(p, 2)
-    assert q.n_regions == 4
-
-
-def test_split_region_quadrants():
-    p = make_uniform_partition(Grid(9), 2)
-    q = split_region(p, 3)
-    assert q.n_regions == 7
-    assert sorted(_children_per_parent(p, q)) == [1, 1, 1, 4]
-    assert q.region_areas.sum() == pytest.approx(1.0)
-
-
-
 @pytest.mark.parametrize("build", [
     lambda g: make_uniform_partition(g, 2.5),
     lambda g: make_uniform_partition(g, True),
     lambda g: make_uniform_partition(g, "2"),
-    lambda g: refine_partition(make_uniform_partition(g, 1), 2.5),
-    lambda g: refine_partition(make_uniform_partition(g, 1), True),
     lambda g: uniform_partition(g, 4.0),
-    lambda g: split_region(make_uniform_partition(g, 2), 1.5),
-    lambda g: split_region(make_uniform_partition(g, 2), True),
-    lambda g: split_region(make_uniform_partition(g, 2), -1),
-], ids=["k-float", "k-bool", "k-str", "factor-float", "factor-bool", "n-float", "region-float",
-        "region-bool", "region-negative"])
+], ids=["k-float", "k-bool", "k-str", "n-float"])
 @pytest.mark.parametrize("m", [9, 11])
 def test_partition_builders_refuse_counts_that_are_not_integers(build, m):
     with pytest.raises(ConfigurationError):
@@ -145,9 +108,28 @@ def test_partition_builders_take_numpy_integers():
     g = Grid(9)
     p = make_uniform_partition(g, np.int64(2))
     assert p.n_regions == 4
-    assert refine_partition(p, np.int32(2)).n_regions == 16
-    assert split_region(p, np.int64(3)).n_regions == 7
     assert uniform_partition(g, np.int64(16)).n_regions == 16
+
+
+@pytest.mark.parametrize("scale, shift, level", [
+    (1, 0, 2.5), (1, 0, None), (1, 0, -1), (1, 0, "1"), (1, 0, True), (1, -1, 0), (2, 0, 0),
+], ids=["level-float", "level-none", "level-negative", "level-str", "level-bool",
+        "negative-id", "missing-ids"])
+def test_partition_refuses_a_bad_level_or_labelling(scale, shift, level):
+    # level=2.5 was accepted, and save_field then wrote a 'pwc 4 2.5' header that
+    # pwc_file_header refuses; labels 2 c2r leave ids 1, 3 and 5 empty
+    g = Grid(9)
+    c2r = make_uniform_partition(g, 2).cell_to_region
+    with pytest.raises(ConfigurationError):
+        Partition(g, scale * c2r + shift, level)
+
+
+@pytest.mark.parametrize("m", [5, 9, 17, 33, 65, 129])
+def test_block_side_of_a_uniform_partition_is_its_region_side(m):
+    g = Grid(m)
+    for k in range(1, g.cells_per_side + 1):
+        if g.cells_per_side % k == 0:
+            assert make_uniform_partition(g, k).block_side == g.cells_per_side // k
 
 
 # ---------------------------------------------------------------- projection
@@ -157,7 +139,7 @@ def _two_vertical_strips(grid):
     cps = grid.cells_per_side
     cj = np.arange(grid.n_cells) % cps
     c2r = (cj >= cps // 2).astype(np.int64)
-    return Partition(grid=grid, cell_to_region=c2r, n_regions=2, level=0)
+    return Partition(grid=grid, cell_to_region=c2r, level=0)
 
 
 def test_project_constant_is_fixed_point():
@@ -225,7 +207,7 @@ def test_project_nonexpansive(seed):
 def test_project_tower_property(rng):
     g = Grid(9)
     coarse = make_uniform_partition(g, 2)
-    fine = refine_partition(coarse, 2)
+    fine = make_uniform_partition(g, 4)
     f = NodalField(g, rng.standard_normal(g.n_nodes))
     via_fine = project(project(f, fine, bounds=(1e-9, 1.0)), coarse)
     direct = project(f, coarse, bounds=(1e-9, 1.0))
@@ -278,7 +260,7 @@ def test_norm_mismatched_grids_rejected():
 def test_embed_preserves_norm_exactly():
     g = Grid(9)
     coarse = make_uniform_partition(g, 2)
-    fine = refine_partition(coarse, 2)
+    fine = make_uniform_partition(g, 4)
     f = PwcField(coarse, np.array([1.0, 2.0, 3.0, 4.0]), (0.5, 5.0))
     lifted = embed(f, fine)
     assert l2_norm(lifted) == pytest.approx(l2_norm(f), rel=1e-15)

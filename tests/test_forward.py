@@ -588,14 +588,54 @@ def test_pivot_test_pools_every_factor(monkeypatch, at):
     assert exc.value.smallest_pivot < 1e-13
 
 
+def _lone_cell(field):
+    """The same cell values with cell 0 moved into a region of its own, whose
+    labels change on the first grid line of each axis: block_side 1."""
+    part = field.partition
+    c2r = part.cell_to_region.copy()
+    c2r[0] = part.n_regions
+    lone = Partition(part.grid, c2r, part.level)
+    return PwcField(lone, np.append(field.coeffs, field.coeffs[part.cell_to_region[0]]),
+                    field.bounds)
+
+
 def test_block_size_one_without_square_blocks():
-    g = Grid(9)
-    base = make_uniform_partition(g, 2)
-    raw = Partition(g, base.cell_to_region, base.n_regions, 0)
-    op = HelmholtzOperator(PwcField(raw, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)
-    assert op.block_size == 1
-    ref = HelmholtzOperator(PwcField(base, np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0)), 5.0)
+    field = PwcField(make_uniform_partition(Grid(9), 2), np.array([1.0, 1.5, 1.2, 1.8]), (1.0, 2.0))
+    ref = HelmholtzOperator(field, 5.0)
     assert ref.block_size == 4
+    op = HelmholtzOperator(_lone_cell(field), 5.0)
+    assert op.block_size == 1
+    assert _rel(assemble_dtn(op)[0].lam, assemble_dtn(ref)[0].lam) <= 1e-14
+
+
+def _quadrant_split(grid):
+    # a 2 x 2 partition whose last quadrant is split into its four quadrants
+    cps = grid.cells_per_side
+    ci, cj = np.divmod(np.arange(grid.n_cells), cps)
+    c2r = ci // (cps // 2) * 2 + cj // (cps // 2)
+    last = c2r == 3
+    c2r[last] = 3 + (ci[last] - cps // 2) // (cps // 4) * 2 + (cj[last] - cps // 2) // (cps // 4)
+    return Partition(grid, c2r, 0)
+
+
+def _two_strips(grid):
+    cj = np.arange(grid.n_cells) % grid.cells_per_side
+    return Partition(grid, (cj >= grid.cells_per_side // 2).astype(np.int64), 0)
+
+
+@pytest.mark.parametrize("build, side, factor", [(_quadrant_split, 4, "dense"),
+                                                 (_two_strips, 8, "dense")],
+                         ids=["split-quadrant", "two-strips"])
+def test_hand_built_labels_condense_at_their_block_side(build, side, factor, rng):
+    # labellings no uniform builder makes condense at the side the labels allow,
+    # with the DtN of the same cells labelled for s = 1
+    part = build(Grid(17))
+    assert part.block_side == side
+    field = PwcField(part, rng.uniform(1.0, 2.0, part.n_regions), (1.0, 2.0))
+    op = HelmholtzOperator(field, 5.0)
+    assert (op.block_size, op.factor) == (side, factor)
+    ref = HelmholtzOperator(_lone_cell(field), 5.0)
+    assert ref.block_size == 1
     assert _rel(assemble_dtn(op)[0].lam, assemble_dtn(ref)[0].lam) <= 1e-14
 
 
