@@ -23,7 +23,7 @@ rng = np.random.default_rng(7)
 c1 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
 c2 = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
 
-dtn = dtn_for_field(c1, 5.0, weights=weights)
+dtn = dtn_for_field(c1, 5.0)
 print(f"DtN matrix: {weights.nb} x {weights.nb}, symmetry defect "
       f"{dtn.symmetry_defect():.2e}")
 

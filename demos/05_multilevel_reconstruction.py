@@ -13,7 +13,6 @@ from helmrecon import (
     ConstantsBundle,
     Grid,
     PwcField,
-    build_boundary_weights,
     dtn_for_field,
     l2_dist,
     l2_norm,
@@ -25,11 +24,10 @@ B1, B2, W2 = 1.0, 2.0, 5.0
 grid = Grid(33)
 p1 = make_uniform_partition(grid, 1, level=0)
 p2 = make_uniform_partition(grid, 2, level=1)
-weights = build_boundary_weights(grid)
 
 truth = PwcField(p2, np.array([1.8, 1.8, 1.3, 1.3]), (B1, B2))
 print("truth (two-layer medium):", truth.coeffs)
-data = dtn_for_field(truth, W2, weights=weights)
+data = dtn_for_field(truth, W2)
 
 bundle = ConstantsBundle(df_bound0=1.0, df_lip0=1500.0, stab_k=1e-4, b1=B1, b2=B2,
                          omega2=W2, eps=0.1, phi=CompressionModel.zero())

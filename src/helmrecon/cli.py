@@ -55,11 +55,11 @@ def _snapshot(cfg: ExperimentConfig, override: str | None) -> str:
 
 def cmd_forward(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int:
     truth = cfg.truth_field()
-    weights = build_boundary_weights(cfg.grid)
-    dtn = dtn_for_field(truth, cfg.omega2, weights=weights)
+    dtn = dtn_for_field(truth, cfg.omega2)
     textio.save_dtn(os.path.join(out, "dtn.txt"), dtn)
     textio.save_field(os.path.join(out, "truth_field.txt"), truth)
-    print(f"wrote DtN ({weights.nb} x {weights.nb}) and truth field to {out}")
+    nb = dtn.weights.nb
+    print(f"wrote DtN ({nb} x {nb}) and truth field to {out}")
     return EXIT_OK
 
 
@@ -67,8 +67,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -
     truth = cfg.truth_field()
     schedule = cfg.schedule
     bundle = cfg.bundle()  # refuses a bad analytic bundle before any solve
-    weights = build_boundary_weights(cfg.grid)
-    data = dtn_for_field(truth, cfg.omega2, weights=weights)
+    data = dtn_for_field(truth, cfg.omega2)
     mid = 0.5 * (cfg.b1 + cfg.b2)
     start = PwcField(schedule[0], np.full(schedule[0].n_regions, mid), (cfg.b1, cfg.b2))
     n_levels = len(schedule)
@@ -105,7 +104,7 @@ def cmd_verify(cfg: ExperimentConfig, out: str, args: argparse.Namespace) -> int
     mid = 0.5 * (cfg.b1 + cfg.b2)
     c = PwcField(part, np.full(part.n_regions, mid), (cfg.b1, cfg.b2))
     deltas = indicator_probes(part)[: min(3, part.n_regions)]
-    rows = ver.gradient_check(c, cfg.omega2, deltas, weights=weights)
+    rows = ver.gradient_check(c, cfg.omega2, deltas)
     ok = all(r.passed for r in rows)
     worst_slope = min(r.slope for r in rows)
     results.append(("gradient_check", ok, f"worst slope {worst_slope:.3f}"))

@@ -41,6 +41,7 @@ from .constants import DEFAULT_EXPONENT, CompressionModel, ConstantsBundle, cali
 from .domain import Grid, Partition, PwcField, make_uniform_partition, uniform_partition
 from .errors import ConfigurationError
 from .forward import spectrum_guard
+from .optimizer import _check_level_settings
 from .textio import load_pwc_field, open_text, pwc_file_header
 
 __all__ = ["ExperimentConfig", "load_config"]
@@ -193,11 +194,13 @@ def _parse(parser: configparser.ConfigParser, text: str, base: str) -> Experimen
     phi = CompressionModel.power_law(parser.getfloat("bundle", "phi_c", fallback=0.0),
                                      parser.getfloat("bundle", "phi_beta", fallback=1.0))
 
+    max_iter = _get_int(parser, "run", "max_iter", 500)
     eta_override = parser.getfloat("run", "eta_override", fallback=None)
     tau = parser.getfloat("run", "discrepancy_threshold", fallback=None)
-    for key, value in (("eta_override", eta_override), ("discrepancy_threshold", tau)):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ConfigurationError(f"[run] {key} must be finite and >= 0, got {value}")
+    try:  # the rule that run_level applies to every level
+        _check_level_settings(max_iter, eta_override, tau)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[run] {exc}") from None
     target_rho = parser.getfloat("run", "target_rho", fallback=1e3)
     if not (math.isfinite(target_rho) and target_rho > 0):
         raise ConfigurationError(f"[run] target_rho must be finite and > 0, got {target_rho}")
@@ -219,7 +222,7 @@ def _parse(parser: configparser.ConfigParser, text: str, base: str) -> Experimen
         n_exponent=parser.getfloat("bundle", "n_exponent", fallback=DEFAULT_EXPONENT),
         bundle_seed=_get_int(parser, "bundle", "seed", 0),
         bundle_samples=_get_int(parser, "bundle", "samples", 12),
-        max_iter=_get_int(parser, "run", "max_iter", 500),
+        max_iter=max_iter,
         seed=_get_int(parser, "run", "seed", 0),
         out=parser.get("run", "out", fallback=None),
         eta_override=eta_override,

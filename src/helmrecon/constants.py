@@ -457,11 +457,10 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
 
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
-    from .forward import HelmholtzOperator, build_boundary_weights, solution_bank
+    from .forward import HelmholtzOperator, solution_bank
     from .verify import _implied_exponent, _stability_sweep
 
     rng = np.random.default_rng(seed)
-    weights = build_boundary_weights(grid)
     k_side = 2 if grid.cells_per_side % 2 == 0 else 1
     part = make_uniform_partition(grid, k_side)
 
@@ -471,11 +470,11 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     probes = indicator_probes(part)
     best_bound = 0.0
     for c in [random_field() for _ in range(max(3, samples // 4))]:
-        bank = solution_bank(HelmholtzOperator(c, omega2), weights)
+        bank = solution_bank(HelmholtzOperator(c, omega2))
         best_bound = max(best_bound, df_norm_probe(bank, probes))
     # the mid-box field last, with its DtN: the stability sweep's base field
     mid = PwcField(part, np.full(part.n_regions, 0.5 * (b1 + b2)), (b1, b2))
-    mid_dtn, bank = bank_for_field(mid, omega2, weights=weights)
+    mid_dtn, bank = bank_for_field(mid, omega2)
     fitted_bound = max(best_bound, df_norm_probe(bank, probes)) / omega2
 
     best_lip = 0.0
@@ -484,7 +483,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
         dist = l2_dist(c1, c2)
         if dist == 0:
             continue
-        ratio = lipschitz_df_probe(c1, c2, omega2, weights=weights, probes=probes)
+        ratio = lipschitz_df_probe(c1, c2, omega2, probes=probes)
         best_lip = max(best_lip, ratio / (omega2 ** 2 * dist))
     fitted_lip = best_lip
 
@@ -492,7 +491,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     if not feasible_n:
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
     sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
-                             max(4, samples // len(feasible_n)), seed, weights, mid_dtn.lam)
+                             max(4, samples // len(feasible_n)), seed, mid_dtn.lam)
     khat_bound = float(max(_implied_exponent(dist / data_dist, feasible_n[level], omega2, b2,
                                              n_exponent)
                            for level, _, dist, _, data_dist in sweep))

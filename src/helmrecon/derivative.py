@@ -17,7 +17,9 @@ field suffices: forward.solution_bank solves and audits it, and SolutionBank
 is defined there. A descent iterate reads the DtN matrix too and takes both
 from forward.assemble_dtn (bank_for_field); the derivative probes read the
 bank alone, so lipschitz_df_probe takes it from solution_bank and no DtN is
-assembled for them.
+assembled for them. Banks, DtN matrices and residuals carry their grid's one
+set of boundary weights (forward.build_boundary_weights), so residual_from and
+apply_df_adjoint match operands by grid.
 
 The bank is kept in condensed form (skeleton values V_X and closed-form block
 symbols), and both products are taken from it without forming U. DF(dc)
@@ -42,8 +44,8 @@ from .forward import (
     DtnMatrix,
     HelmholtzOperator,
     SolutionBank,
-    build_boundary_weights,
-    dtn_data_norm, dtn_for_field,  # noqa: F401  (unused here; the benchmark's trace wraps both)
+    # unused here; the benchmark's trace wraps all three
+    build_boundary_weights, dtn_data_norm, dtn_for_field,  # noqa: F401
     pulled_back,
     solution_bank,
 )
@@ -84,8 +86,8 @@ class Residual:
 
 
 def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
-    if not current.weights.compatible(data.weights):
-        raise DiscretizationMismatchError("DtN matrices carry incompatible weights")
+    if current.weights.grid != data.weights.grid:
+        raise DiscretizationMismatchError("DtN matrices live on different grids")
     if current.omega2 != data.omega2:
         raise DiscretizationMismatchError(
             f"DtN matrices taken at different frequencies: {current.omega2} vs {data.omega2}"
@@ -93,11 +95,10 @@ def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
     return Residual(matrix=current.lam - data.lam, weights=current.weights)
 
 
-def bank_for_field(c2inv: PwcField, omega2: float,
-                   weights: BoundaryWeights | None = None):
+def bank_for_field(c2inv: PwcField, omega2: float):
     """The DtN matrix and its solution bank for one field: forward.assemble_dtn,
     looked up on its module so that a wrapper installed there sees this call."""
-    return forward.assemble_dtn(HelmholtzOperator(c2inv, omega2), weights)
+    return forward.assemble_dtn(HelmholtzOperator(c2inv, omega2))
 
 
 def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:
@@ -148,8 +149,8 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
     condensed form (SolutionBank.quadratic_diagonal).
     """
     if isinstance(residual, Residual):
-        if not residual.weights.compatible(bank.weights):
-            raise DiscretizationMismatchError("residual weights do not match the bank")
+        if residual.weights.grid != bank.grid:
+            raise DiscretizationMismatchError("residual and bank live on different grids")
     else:
         residual = Residual(matrix=residual, weights=bank.weights)
     values = bank.quadratic_diagonal(residual.pulled)
@@ -180,9 +181,7 @@ def df_norm_probe(bank: SolutionBank, probes) -> float:
     return best
 
 
-def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float,
-                       weights: BoundaryWeights | None = None,
-                       probes=None) -> float:
+def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float, probes=None) -> float:
     """Estimate ||DF(c1) - DF(c2)|| by probing both derivatives.
 
     Probes default to the region indicators of c1's partition; the result is
@@ -194,9 +193,8 @@ def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float,
     """
     if c1.grid.m != c2.grid.m:
         raise DiscretizationMismatchError("fields live on different grids")
-    weights = build_boundary_weights(c1.grid) if weights is None else weights
-    bank1 = solution_bank(HelmholtzOperator(c1, omega2), weights)
-    bank2 = solution_bank(HelmholtzOperator(c2, omega2), weights)
+    bank1 = solution_bank(HelmholtzOperator(c1, omega2))
+    bank2 = solution_bank(HelmholtzOperator(c2, omega2))
     if probes is None:
         probes = indicator_probes(c1.partition)
     best = 0.0

@@ -176,11 +176,15 @@ class Partition:
     def __post_init__(self):
         if not is_count(self.level, 0):
             raise ConfigurationError(f"partition level must be an integer >= 0, got {self.level!r}")
-        c2r = np.ascontiguousarray(self.cell_to_region, dtype=np.int64)
-        if c2r.shape != (self.grid.n_cells,):
+        labels = np.asarray(self.cell_to_region)
+        if labels.shape != (self.grid.n_cells,):
             raise ConfigurationError("cell_to_region must label every grid cell exactly once")
-        if c2r.min() < 0 or (np.bincount(c2r) == 0).any():
+        if labels.dtype.kind not in "iuf" or not (np.floor(labels) == labels).all():
+            raise ConfigurationError(f"region ids must be integers, got {labels.dtype} labels")
+        if (labels.min() < 0 or labels.max() >= self.grid.n_cells
+                or (np.bincount(labels.astype(np.int64)) == 0).any()):
             raise ConfigurationError("region ids must cover 0..N-1 with no empty region")
+        c2r = np.ascontiguousarray(labels, dtype=np.int64)
         c2r.setflags(write=False)
         object.__setattr__(self, "cell_to_region", c2r)
         object.__setattr__(self, "n_regions", int(c2r.max()) + 1)

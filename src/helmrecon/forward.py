@@ -62,16 +62,18 @@ one-sided flux of verify.audit_alessandrini shows what breaks without it).
 
 One forward evaluation is assemble_dtn: it returns the DtN matrix and the
 SolutionBank behind it (the indicator solutions in condensed form, which also
-give the derivative and its adjoint). It is solution_bank, which resolves the
-default boundary weights, solves and audits the bank, followed by the DtN
-read. A caller that reads only the bank (the derivative probes of
-calibration) calls solution_bank and skips the read. dtn_for_field (the DtN
-alone) and derivative.bank_for_field run assemble_dtn on a field's operator.
+give the derivative and its adjoint). It is solution_bank, which solves and
+audits the bank, followed by the DtN read. A caller that reads only the bank
+(the derivative probes of calibration) calls solution_bank and skips the
+read. dtn_for_field (the DtN alone) and derivative.bank_for_field run
+assemble_dtn on a field's operator.
 
 The data-space norm is a weighted Hilbert-Schmidt norm: boundary Sobolev
 weight operators of orders +-1/2 are functions of the boundary-loop Laplacian,
 which is circulant (the loop is closed and uniformly spaced), so one
-closed-form DFT symbol determines them all, with no eigensolve.
+closed-form DFT symbol determines them all, with no eigensolve. The grid
+alone fixes that symbol: build_boundary_weights keeps one BoundaryWeights per
+grid, and every bank and DtN matrix of the grid carries it.
 
 Threads. Importing this module sets numpy's and scipy's OpenBLAS pools (each
 wheel loads its own) to one thread unless the user set OPENBLAS_NUM_THREADS or
@@ -169,7 +171,6 @@ _DENSE_SKELETON = 2  # dense LU for a skeleton of at most 2 nb unknowns (measure
 _CHUNK_ENTRIES = 1 << 14  # values per group of blocks in the block-interior passes
 _SKETCH_COLUMNS = 4  # Gaussian columns of the sketched five-point audit
 _SKETCH_SEED = 20240817
-_SYMBOL_RTOL = 1e-12  # weights: symbol evenness, and symbols that compare equal
 # multiply-adds of a half below which a pass runs whole on the caller: at m = 65,
 # halves of 1.8 M lost to the handoff to the helper and halves of 8.4 M gained
 _PAIR_WORK = 1 << 22
@@ -397,28 +398,18 @@ def _circulant(symbol: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryWeights:
-    """SPD weight operators realizing the boundary Sobolev norms of order +-1/2.
+    """SPD weight operators realizing the boundary Sobolev norms of order +-1/2
+    on a grid's boundary loop; build_boundary_weights gives the grid's one.
 
     The boundary-loop Laplacian (nb nodes, spacing h_b) is circulant with
-    eigenvalues mu_k = (2 - 2 cos(2 pi k / nb)) / h_b^2 in DFT order. The
-    only state is the symbol of w_minus, symbol_k = h_b (1 + mu_k)^{-1/2}:
-    finite, positive and even (symbol_k = symbol_{nb-k}). The dense
-    circulants w_minus, w_minus_half (of sqrt(symbol), the symmetric square
-    root) and w_plus = h_b^2 w_minus^{-1} are formed once, on first use.
+    eigenvalues mu_k = (2 - 2 cos(2 pi k / nb)) / h_b^2 in DFT order, so the
+    grid alone fixes the symbol of w_minus, symbol_k = h_b (1 + mu_k)^{-1/2}.
+    The symbol and the dense circulants w_minus, w_minus_half (of
+    sqrt(symbol), the symmetric square root) and w_plus = h_b^2 w_minus^{-1}
+    are formed once, on first use.
     """
 
     grid: Grid
-    symbol: np.ndarray
-
-    def __post_init__(self):
-        sym = np.array(self.symbol, dtype=float)
-        nb = self.grid.n_boundary
-        if (sym.shape != (nb,) or not (np.isfinite(sym).all() and (sym > 0).all())
-                or np.abs(sym[1:] - sym[:0:-1]).max() > _SYMBOL_RTOL * sym.max()):
-            raise ConfigurationError(f"weight symbol must be {nb} finite positive values "
-                                     "with symbol_k = symbol_(nb-k)")
-        sym.setflags(write=False)
-        object.__setattr__(self, "symbol", sym)
 
     @property
     def nb(self) -> int:
@@ -427,6 +418,13 @@ class BoundaryWeights:
     @property
     def h_b(self) -> float:
         return self.grid.h
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        mu = (2.0 * np.sin(np.pi * np.fft.fftfreq(self.nb)) / self.h_b) ** 2  # 2 - 2cos = 4 sin^2
+        sym = self.h_b / np.sqrt(1.0 + mu)
+        sym.setflags(write=False)
+        return sym
 
     @cached_property
     def w_minus(self) -> np.ndarray:
@@ -440,19 +438,11 @@ class BoundaryWeights:
     def w_plus(self) -> np.ndarray:
         return _circulant(self.h_b ** 2 / self.symbol)
 
-    def compatible(self, other: "BoundaryWeights") -> bool:
-        """Same grid, and symbols equal to _SYMBOL_RTOL of the larger maximum."""
-        if self.grid != other.grid:
-            return False
-        scale = max(self.symbol.max(), other.symbol.max())
-        return bool(np.abs(self.symbol - other.symbol).max() <= _SYMBOL_RTOL * scale)
 
-
+@lru_cache(maxsize=None)
 def build_boundary_weights(grid: Grid) -> BoundaryWeights:
-    """Weights of the grid's boundary loop from their closed-form symbol."""
-    hb = grid.h
-    mu = (2.0 * np.sin(np.pi * np.fft.fftfreq(grid.n_boundary)) / hb) ** 2  # 2 - 2cos = 4 sin^2
-    return BoundaryWeights(grid, hb / np.sqrt(1.0 + mu))
+    """The grid's boundary weights: one object per grid, like _skeleton."""
+    return BoundaryWeights(grid)
 
 
 def _to_nodes(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1410,25 +1400,21 @@ class SolutionBank:
         return out
 
 
-def solution_bank(op: HelmholtzOperator, weights: BoundaryWeights | None = None) -> SolutionBank:
+def solution_bank(op: HelmholtzOperator) -> SolutionBank:
     """The solution bank of one forward evaluation, without its DtN matrix.
 
     The skeleton solve gives the bank's V_X, and a sketched five-point
-    residual audits it (HelmholtzOperator._audit_bank). weights default to
-    build_boundary_weights(op.grid); weights built for another grid raise
-    DiscretizationMismatchError. For callers that read only the bank (the
+    residual audits it (HelmholtzOperator._audit_bank); its weights are
+    build_boundary_weights(op.grid). For callers that read only the bank (the
     derivative probes); assemble_dtn reads the DtN from it.
     """
-    weights = build_boundary_weights(op.grid) if weights is None else weights
-    if weights.grid.m != op.grid.m:
-        raise DiscretizationMismatchError("weights were built for a different grid")
-    bank = SolutionBank(op._solve_skeleton(None), weights, op.omega2, op.block_size, op._symbols)
+    bank = SolutionBank(op._solve_skeleton(None), build_boundary_weights(op.grid), op.omega2,
+                        op.block_size, op._symbols)
     op._audit_bank(bank)
     return bank
 
 
-def assemble_dtn(op: HelmholtzOperator,
-                 weights: BoundaryWeights | None = None) -> tuple[DtnMatrix, SolutionBank]:
+def assemble_dtn(op: HelmholtzOperator) -> tuple[DtnMatrix, SolutionBank]:
     """One forward evaluation: the DtN matrix and its solution bank.
 
     The audited bank comes from solution_bank, and the variational DtN, the
@@ -1437,9 +1423,8 @@ def assemble_dtn(op: HelmholtzOperator,
     (HelmholtzOperator._dtn). The solve runs whole before the audit's and
     the DtN's products: it calls scipy's BLAS and they call numpy's, and on
     more than one thread the two pools contend at every switch between them.
-    weights default to build_boundary_weights(op.grid).
     """
-    bank = solution_bank(op, weights)
+    bank = solution_bank(op)
     return (DtnMatrix(lam=op._dtn(bank), weights=bank.weights, omega2=op.omega2), bank)
 
 
@@ -1469,5 +1454,9 @@ def dtn_data_norm(mat: np.ndarray, weights: BoundaryWeights, kind: str = "hs") -
 
 def dtn_for_field(c2inv: PwcField, omega2: float,
                   weights: BoundaryWeights | None = None) -> DtnMatrix:
-    """Forward map of one field: the DtnMatrix of assemble_dtn, without its bank."""
-    return assemble_dtn(HelmholtzOperator(c2inv, omega2), weights)[0]
+    """Forward map of one field: the DtnMatrix of assemble_dtn, without its bank.
+    Its weights are always the grid's; weights built for another grid raise
+    DiscretizationMismatchError before any operator is built."""
+    if weights is not None and weights.grid != c2inv.grid:
+        raise DiscretizationMismatchError("weights were built for a different grid")
+    return assemble_dtn(HelmholtzOperator(c2inv, omega2))[0]

@@ -70,7 +70,7 @@ def _step_quantities(r: float, t: float, lc: LevelConstants, eta: float):
 def evaluate_state(c: PwcField, data: DtnMatrix, lc: LevelConstants, eta: float,
                    k: int = 0) -> DescentState:
     """Assemble the forward map at c and package direction, norms, and quantities."""
-    dtn, bank = bank_for_field(c, data.omega2, weights=data.weights)
+    dtn, bank = bank_for_field(c, data.omega2)
     res = residual_from(dtn, data)
     del dtn  # the DtN matrix goes before the adjoint
     direction = apply_df_adjoint(bank, res)

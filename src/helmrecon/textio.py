@@ -4,10 +4,10 @@ Each file is UTF-8 with LF line endings, written through write_text as a
 header plus rows (piecewise-constant field, DtN), 'key = value' lines (bundle,
 summaries) or CSV (logs). Data files write floats with repr, so they read back
 exactly; the CSV logs write %.17g and leave a missing value blank. No file holds
-the boundary weights: load_dtn takes them rebuilt from the grid. Loaders refuse
-what is not UTF-8, not finite, out of range, malformed or trailing with
-ConfigurationError (CLI exit 64), and a file sized for another partition or
-weights with DiscretizationMismatchError.
+the boundary weights, which the grid alone fixes: load_dtn takes the grid's
+(build_boundary_weights). Loaders refuse what is not UTF-8, not finite, out of
+range, malformed or trailing with ConfigurationError (CLI exit 64), and a file
+sized for another partition or weights with DiscretizationMismatchError.
 """
 
 from __future__ import annotations

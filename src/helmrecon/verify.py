@@ -105,8 +105,8 @@ class GradientCheckRow:
     passed: bool
 
 
-def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-3),
-                   weights=None) -> list[GradientCheckRow]:
+def gradient_check(c: PwcField, omega2: float, deltas,
+                   t_values=(1e-1, 1e-2, 1e-3)) -> list[GradientCheckRow]:
     """Central-difference audit of the derivative along given directions.
 
     Per direction, reports the log-log slope of || (F(c+t d) - F(c-t d))/(2t)
@@ -124,9 +124,8 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
     for delta in deltas:
         if not (isinstance(delta, PwcField) and delta.partition.same_as(c.partition)):
             raise ConfigurationError("gradient_check needs PwcField directions on c's partition")
-    grid = c.grid
-    weights = build_boundary_weights(grid) if weights is None else weights
-    _, bank = bank_for_field(c, omega2, weights=weights)
+    _, bank = bank_for_field(c, omega2)
+    weights = bank.weights
     rows = []
     for delta in deltas:
         exact = apply_df(bank, delta)
@@ -144,8 +143,8 @@ def gradient_check(c: PwcField, omega2: float, deltas, t_values=(1e-1, 1e-2, 1e-
                     box = (lo, hi)
                     plus = PwcField(c.partition, coeffs_p, box)
                     minus = PwcField(c.partition, coeffs_m, box)
-                    dtn_p = dtn_for_field(plus, omega2, weights=weights)
-                    dtn_m = dtn_for_field(minus, omega2, weights=weights)
+                    dtn_p = dtn_for_field(plus, omega2)
+                    dtn_m = dtn_for_field(minus, omega2)
                     break
                 except AdmissibilityError:
                     t_use *= 0.5
@@ -233,7 +232,7 @@ def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int,
 
 
 def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
-                     samples_per_n: int, seed: int, weights, mid_lam=None):
+                     samples_per_n: int, seed: int, mid_lam=None):
     """Yield (level, kind, field distance, DtN difference, data distance) for each
     sampled pair with a nonzero data distance, one pair at a time; level
     indexes big_ns.
@@ -242,16 +241,16 @@ def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
     whose DtN does not depend on the partition: mid_lam, when the caller has
     it, else evaluated on first use, and reused.
     """
-    rng = np.random.default_rng(seed)
+    rng, weights = np.random.default_rng(seed), build_boundary_weights(grid)
     for level, big_n in enumerate(big_ns):
         for c1, c2, kind in _stability_pairs(grid, big_n, b1, b2, samples_per_n, rng):
             if kind == "adversarial":
                 if mid_lam is None:
-                    mid_lam = dtn_for_field(c1, omega2, weights=weights).lam
+                    mid_lam = dtn_for_field(c1, omega2).lam
                 lam1 = mid_lam
             else:
-                lam1 = dtn_for_field(c1, omega2, weights=weights).lam
-            diff = lam1 - dtn_for_field(c2, omega2, weights=weights).lam
+                lam1 = dtn_for_field(c1, omega2).lam
+            diff = lam1 - dtn_for_field(c2, omega2).lam
             data_dist = dtn_data_norm(diff, weights)
             if data_dist != 0:
                 yield level, kind, l2_dist(c1, c2), diff, data_dist
@@ -286,7 +285,7 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     all_samples: list[StabilitySample] = []
     max_ratios, max_ratios_op = [0.0] * len(big_ns), [0.0] * len(big_ns)
     for level, kind, dist, diff, data_dist in _stability_sweep(
-            grid, omega2, b1, b2, big_ns, samples_per_n, seed, weights):
+            grid, omega2, b1, b2, big_ns, samples_per_n, seed):
         ratio = dist / data_dist
         ratio_op = dist / dtn_data_norm(diff, weights, kind="op")
         all_samples.append(StabilitySample(big_n=big_ns[level], ratio=ratio,

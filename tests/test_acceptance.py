@@ -100,11 +100,11 @@ def test_criterion_03_frechet_derivative_and_adjoint():
     rng = np.random.default_rng(31)
     c = PwcField(part, rng.uniform(B1, B2, 4), (B1, B2))
     deltas = [PwcField(part, rng.standard_normal(4), (1e-12, 10.0)) for _ in range(10)]
-    rows = gradient_check(c, 5.0, deltas, weights=weights)
+    rows = gradient_check(c, 5.0, deltas)
     worst_slope = min(r.slope for r in rows)
     worst_rel = max(r.rel_err_smallest_t for r in rows)
 
-    _, bank = bank_for_field(c, 5.0, weights=weights)
+    _, bank = bank_for_field(c, 5.0)
     scatter = mass_scatter_matrix(g)
     worst_dot = 0.0
     for _ in range(20):
@@ -124,16 +124,15 @@ def test_criterion_03_frechet_derivative_and_adjoint():
 def test_criterion_04_frequency_scaling():
     g = Grid(17)
     part = make_uniform_partition(g, 2)
-    weights = build_boundary_weights(g)
     c = PwcField(part, np.full(4, 1.5), (B1, B2))
     c_other = PwcField(part, np.array([1.7, 1.35, 1.55, 1.45]), (B1, B2))
     probes = indicator_probes(part)
     w2s = np.geomspace(1e-3, 1.0, 7)
     norms, lips = [], []
     for w2 in w2s:
-        _, bank = bank_for_field(c, w2, weights=weights)
+        _, bank = bank_for_field(c, w2)
         norms.append(df_norm_probe(bank, probes))
-        lips.append(lipschitz_df_probe(c, c_other, w2, weights=weights, probes=probes))
+        lips.append(lipschitz_df_probe(c, c_other, w2, probes=probes))
     slope_bound = float(np.polyfit(np.log(w2s), np.log(norms), 1)[0])
     slope_lip = float(np.polyfit(np.log(w2s ** 2), np.log(lips), 1)[0])
     ok = abs(slope_bound - 1.0) <= 0.1 and abs(slope_lip - 1.0) <= 0.1
@@ -216,9 +215,8 @@ def test_criterion_08_end_to_end_reconstruction():
     g = Grid(33)
     p1 = make_uniform_partition(g, 1, 0)
     p2 = make_uniform_partition(g, 2, 1)
-    weights = build_boundary_weights(g)
     truth = PwcField(p2, np.array([1.8, 1.8, 1.3, 1.3]), (B1, B2))
-    data = dtn_for_field(truth, 5.0, weights=weights)
+    data = dtn_for_field(truth, 5.0)
     bundle = ConstantsBundle(df_bound0=1.0, df_lip0=1500.0, stab_k=1e-4, b1=B1, b2=B2,
                              omega2=5.0, eps=0.1, phi=CompressionModel.zero())
     start = PwcField(p1, np.array([1.5]), (B1, B2))
@@ -238,13 +236,12 @@ def test_criterion_09_multilevel_beats_cold_start():
     t0 = time.perf_counter()
     g = Grid(33)
     parts = [make_uniform_partition(g, k, lvl) for lvl, k in enumerate((1, 2, 4))]
-    weights = build_boundary_weights(g)
     rng = np.random.default_rng(42)
     coarse = PwcField(parts[1], np.array([1.85, 1.55, 1.70, 1.40]), (B1, B2))
     wiggle = rng.uniform(-0.05, 0.05, 16)
     truth = PwcField(parts[2], np.clip(embed(coarse, parts[2]).coeffs + wiggle, B1, B2),
                      (B1, B2))
-    data = dtn_for_field(truth, 5.0, weights=weights)
+    data = dtn_for_field(truth, 5.0)
     bundle = ConstantsBundle(df_bound0=1.0, df_lip0=1e-3, stab_k=1e-4, b1=B1, b2=B2,
                              omega2=5.0, eps=0.1, phi=CompressionModel.zero())
     constants = [derive_level(bundle, p.n_regions) for p in parts]
@@ -253,7 +250,7 @@ def test_criterion_09_multilevel_beats_cold_start():
     etas = []
     for p in parts[:2]:
         z_best = clamp_to_bounds(project(truth, p))
-        etas.append(residual_from(dtn_for_field(z_best, 5.0, weights=weights), data).norm)
+        etas.append(residual_from(dtn_for_field(z_best, 5.0), data).norm)
 
     total_budget = 60
     remaining = total_budget

@@ -383,7 +383,7 @@ def test_calibrate_refuses_fewer_than_ten_or_fractional_samples(monkeypatch, sam
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking samples")
 
-    monkeypatch.setattr(forward, "build_boundary_weights", no_solve)
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", no_solve)
     with pytest.raises(CalibrationError, match="sample pairs"):
         calibrate(Grid(17), 1.0, 1.0, 2.0, phi=CompressionModel.zero(), eps=0.1,
                   samples=samples)
@@ -396,7 +396,7 @@ def test_calibrate_refuses_region_counts_that_are_not_integers(monkeypatch, n_va
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before checking n_values")
 
-    monkeypatch.setattr(forward, "build_boundary_weights", no_solve)
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", no_solve)
     with pytest.raises(CalibrationError, match="region counts"):
         calibrate(Grid(17), 1.0, 1.0, 2.0, phi=CompressionModel.zero(), eps=0.1,
                   n_values=n_values)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from helmrecon import (
-    BoundaryWeights,
     DiscretizationMismatchError,
     DtnMatrix,
     Grid,
@@ -31,7 +30,7 @@ def setup17():
     from helmrecon import build_boundary_weights
 
     weights = build_boundary_weights(g)
-    dtn, bank = bank_for_field(c, 5.0, weights=weights)
+    dtn, bank = bank_for_field(c, 5.0)
     return g, part, c, weights, dtn, bank
 
 
@@ -74,9 +73,9 @@ def test_finite_difference_orders(setup17):
         box = (0.5, 3.0)
         plus = PwcField(part, c.coeffs + t * delta.coeffs, box)
         minus = PwcField(part, c.coeffs - t * delta.coeffs, box)
-        lam0 = dtn_for_field(c, 5.0, weights=weights).lam
-        lam_p = dtn_for_field(plus, 5.0, weights=weights).lam
-        lam_m = dtn_for_field(minus, 5.0, weights=weights).lam
+        lam0 = dtn_for_field(c, 5.0).lam
+        lam_p = dtn_for_field(plus, 5.0).lam
+        lam_m = dtn_for_field(minus, 5.0).lam
         fwd_errs.append(dtn_data_norm((lam_p - lam0) / t - exact, weights))
         cen_errs.append(dtn_data_norm((lam_p - lam_m) / (2 * t) - exact, weights))
     fwd_slope = np.polyfit(np.log(ts), np.log(fwd_errs), 1)[0]
@@ -109,14 +108,14 @@ def test_adjoint_direction_matches_brute_force(setup17):
     # one-region bump: the gradient's sign must predict the misfit change
     _, part, c, weights, dtn_c, bank = setup17
     target = PwcField(part, c.coeffs + np.array([0.2, -0.1, 0.15, 0.05]), (0.5, 3.0))
-    data = dtn_for_field(target, 5.0, weights=weights)
+    data = dtn_for_field(target, 5.0)
     res = residual_from(dtn_c, data)
     grad = apply_df_adjoint(bank, res)
     for j in range(4):
         bump = np.zeros(4)
         bump[j] = 1e-4
         moved = PwcField(part, c.coeffs + bump, (0.5, 3.0))
-        r_moved = residual_from(dtn_for_field(moved, 5.0, weights=weights), data).norm
+        r_moved = residual_from(dtn_for_field(moved, 5.0), data).norm
         predicted = float(np.sum((mass_scatter_matrix(part.grid)
                                   @ PwcField(part, bump, (1e-12, 1.0)).cell_values())
                                  * grad.values))
@@ -181,20 +180,20 @@ def test_weighted_probe_norms_match_the_data_norm_of_apply_df(m):
 
     c1 = PwcField(part, np.random.default_rng(1).uniform(1.0, 2.0, 16), (1.0, 2.0))
     c2 = PwcField(part, np.random.default_rng(2).uniform(1.0, 2.0, 16), (1.0, 2.0))
-    assert lipschitz_df_probe(c1, c1, 5.0, weights=bank.weights) == 0.0
+    assert lipschitz_df_probe(c1, c1, 5.0) == 0.0
     bank1, bank2 = bank_for_field(c1, 5.0)[1], bank_for_field(c2, 5.0)[1]
     best = max(dtn_data_norm(apply_df(bank1, d) - apply_df(bank2, d), bank.weights) / l2_norm(d)
                for d in probes)
-    assert lipschitz_df_probe(c1, c2, 5.0, weights=bank.weights) == pytest.approx(best, rel=1e-12)
+    assert lipschitz_df_probe(c1, c2, 5.0) == pytest.approx(best, rel=1e-12)
 
 
 def test_bank_for_field_matches_dtn_for_field(setup17):
     _, _, c, weights, dtn, bank = setup17
     assert bank.grid == c.grid
-    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights)
+    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0))
     assert np.array_equal(ref_dtn.lam, dtn.lam)
     assert np.array_equal(ref_bank.solutions, bank.solutions)
-    assert np.array_equal(dtn_for_field(c, 5.0, weights=weights).lam, dtn.lam)
+    assert np.array_equal(dtn_for_field(c, 5.0).lam, dtn.lam)
     assert bank_for_field(c, 5.0)[1].grid == c.grid
 
 
@@ -205,17 +204,22 @@ def test_residual_from_rejects_frequency_mismatch(setup17):
         residual_from(dtn, other)
 
 
+def _dtn_on_grid9():
+    return dtn_for_field(PwcField(make_uniform_partition(Grid(9), 1), np.array([1.5]),
+                                  (1.0, 2.0)), 5.0)
+
+
 def test_residual_from_rejects_mixed_weights(setup17):
-    g, _, _, _, dtn, _ = setup17
-    other = DtnMatrix(lam=dtn.lam, weights=BoundaryWeights(g, np.ones(g.n_boundary)),
-                      omega2=dtn.omega2)
-    with pytest.raises(DiscretizationMismatchError, match="weights"):
-        residual_from(dtn, other)
+    # weights belong to a grid, so mixed weights are mixed grids
+    _, _, _, _, dtn, _ = setup17
+    with pytest.raises(DiscretizationMismatchError, match="grids"):
+        residual_from(dtn, _dtn_on_grid9())
 
 
 def test_adjoint_rejects_residual_with_other_weights(setup17):
-    g, _, _, _, dtn, bank = setup17
-    res = Residual(matrix=dtn.lam, weights=BoundaryWeights(g, np.ones(g.n_boundary)))
+    _, _, _, _, _, bank = setup17
+    other = _dtn_on_grid9()
+    res = Residual(matrix=other.lam, weights=other.weights)
     with pytest.raises(DiscretizationMismatchError):
         apply_df_adjoint(bank, res)
 
@@ -229,7 +233,7 @@ def test_residual_norm_recomputed_consistent(setup17, rng):
 
 def test_lipschitz_probe_zero_for_equal_fields(setup17):
     _, _, c, weights, _, _ = setup17
-    assert lipschitz_df_probe(c, c, 5.0, weights=weights) == 0.0
+    assert lipschitz_df_probe(c, c, 5.0) == 0.0
 
 
 def test_lipschitz_probe_frequency_sixteenth_when_omega_halved(grid17, weights17):
@@ -237,8 +241,8 @@ def test_lipschitz_probe_frequency_sixteenth_when_omega_halved(grid17, weights17
     c1 = PwcField(part, np.full(4, 1.4), (1.0, 2.0))
     c2 = PwcField(part, np.array([1.6, 1.3, 1.5, 1.45]), (1.0, 2.0))
     w2 = 4e-2
-    hi = lipschitz_df_probe(c1, c2, w2, weights=weights17)
-    lo = lipschitz_df_probe(c1, c2, w2 / 4.0, weights=weights17)  # omega halved
+    hi = lipschitz_df_probe(c1, c2, w2)
+    lo = lipschitz_df_probe(c1, c2, w2 / 4.0)  # omega halved
     assert hi / lo == pytest.approx(16.0, rel=0.5)  # within a factor of two
 
 
@@ -249,7 +253,7 @@ def test_df_bound_scales_with_omega_squared(grid17, weights17):
     w2s = np.geomspace(1e-3, 1.0, 5)
     norms = []
     for w2 in w2s:
-        _, bank = bank_for_field(c, w2, weights=weights17)
+        _, bank = bank_for_field(c, w2)
         norms.append(df_norm_probe(bank, probes))
     slope = np.polyfit(np.log(w2s), np.log(norms), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.2)
@@ -263,7 +267,7 @@ def test_frechet_remainder_second_order(setup17):
     errs, dists = [], []
     for s in sizes:
         moved = PwcField(part, c.coeffs + s * direction, (0.5, 3.0))
-        lam = dtn_for_field(moved, 5.0, weights=weights).lam
+        lam = dtn_for_field(moved, 5.0).lam
         df = apply_df(bank, PwcField(part, s * direction, (1e-12, 10.0)))
         errs.append(dtn_data_norm(lam - dtn_c.lam - df, weights))
         dists.append(l2_norm(PwcField(part, s * direction, (1e-12, 10.0))))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,25 @@ def test_partition_refuses_a_bad_level_or_labelling(scale, shift, level):
     c2r = make_uniform_partition(g, 2).cell_to_region
     with pytest.raises(ConfigurationError):
         Partition(g, scale * c2r + shift, level)
+
+
+@pytest.mark.parametrize("labels", [
+    lambda c2r: c2r + 0.7,                        # was read as the 2 x 2 partition
+    lambda c2r: np.zeros(c2r.shape, dtype=bool),  # was read as one region
+    lambda c2r: np.full(c2r.shape, np.nan),       # warned in the int64 cast first
+], ids=["fractional", "bool", "nan"])
+def test_partition_refuses_labels_that_are_not_integers(labels):
+    g = Grid(9)
+    c2r = make_uniform_partition(g, 2).cell_to_region
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="integers"):
+            Partition(g, labels(c2r), 0)
+
+
+def test_partition_takes_integral_float_labels():
+    p = make_uniform_partition(Grid(9), 2)
+    assert Partition(p.grid, p.cell_to_region.astype(float), 0).same_as(p)
 
 
 @pytest.mark.parametrize("m", [5, 9, 17, 33, 65, 129])

@@ -5,7 +5,6 @@ import scipy.sparse.linalg as spla
 
 from helmrecon import (
     AdmissibilityError,
-    BoundaryWeights,
     ConfigurationError,
     DiscretizationMismatchError,
     DtnMatrix,
@@ -727,24 +726,18 @@ def test_solution_bank_is_the_bank_of_assemble_dtn_alone(weights17):
         c = _audit_case(per_side)
         op = HelmholtzOperator(c, 5.0)
         assert op.factor == factor
-        bank = forward.solution_bank(op, weights17)
-        _, ref = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+        bank = forward.solution_bank(op)
+        _, ref = assemble_dtn(HelmholtzOperator(c, 5.0))
         assert bank.weights is weights17 and bank.block_size == ref.block_size
         assert np.array_equal(bank.skeleton, ref.skeleton)
         assert np.array_equal(bank.symbols, ref.symbols)
-    assert forward.solution_bank(op).weights.compatible(weights17)
+    assert forward.solution_bank(op).weights is weights17
 
 
 def test_solution_bank_audits_the_bank(monkeypatch):
     _perturb_first_block_symbol(monkeypatch)
     with pytest.raises(NearEigenfrequencyError, match="sketched"):
         forward.solution_bank(HelmholtzOperator(_audit_case(), 5.0))
-
-
-def test_solution_bank_rejects_weights_of_another_grid():
-    with pytest.raises(DiscretizationMismatchError, match="different grid"):
-        forward.solution_bank(HelmholtzOperator(_audit_case(), 5.0),
-                              build_boundary_weights(Grid(33)))
 
 
 # 2 regions per side: s = 8, n_x = 29 <= 2 nb; 4 per side: s = 4, n_x = 81, the
@@ -775,7 +768,7 @@ def test_reading_the_dense_bank_changes_no_result(weights17):
     r_mat = np.random.default_rng(5).standard_normal((weights17.nb,) * 2)
 
     def results(materialise):
-        dtn, bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+        dtn, bank = assemble_dtn(HelmholtzOperator(c, 5.0))
         if materialise:
             assert bank.solutions.shape == (289, 64)
         return [dtn.lam, apply_df(bank, delta), apply_df_adjoint(bank, r_mat).values,
@@ -800,7 +793,7 @@ def test_bank_apply_matches_dense_bank(rng):
                          ids=["two_loops", "one_extra", "three_axes", "scalar"])
 def test_bank_apply_rejects_wrong_boundary_length(grid17, weights17, shape):
     # (2 nb,) used to fold into two columns and return a (2 n_nodes,) array
-    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0))
     with pytest.raises(DiscretizationMismatchError):
         bank.apply(np.ones(shape))
 
@@ -808,7 +801,7 @@ def test_bank_apply_rejects_wrong_boundary_length(grid17, weights17, shape):
 @pytest.mark.parametrize("shape", [(17 * 17 + 5,), (17 * 17, 2)], ids=["extra_nodes", "two_columns"])
 def test_bank_gram_rejects_wrong_node_count(grid17, weights17, shape):
     # (n_nodes + 5,) used to return a 64 x 64 result, (n_nodes, 2) a bare IndexError
-    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0))
     with pytest.raises(DiscretizationMismatchError):
         bank.gram(np.ones(shape))
 
@@ -816,7 +809,7 @@ def test_bank_gram_rejects_wrong_node_count(grid17, weights17, shape):
 @pytest.mark.parametrize("shape", [(65, 65), (64, 5)], ids=["one_extra", "narrow"])
 def test_bank_quadratic_diagonal_rejects_wrong_shape(grid17, weights17, shape):
     # both used to raise a bare ValueError
-    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0), weights=weights17)
+    _, bank = assemble_dtn(HelmholtzOperator(const_field(17, 1.5), 5.0))
     with pytest.raises(DiscretizationMismatchError):
         bank.quadratic_diagonal(np.ones(shape))
 
@@ -878,24 +871,10 @@ def test_weights_closed_form_matches_dense_eigensolve(m):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("symbol", [
-    np.ones(7),                                    # wrong length
-    np.ones((8, 1)),                               # wrong shape
-    np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),   # zero entries
-    np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]),  # negative entries
-    np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.inf]),  # non-finite
-    np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),   # not even
-])
-def test_weights_reject_bad_symbol(symbol):
-    with pytest.raises(ConfigurationError):
-        BoundaryWeights(Grid(3), symbol)
-
-
-def test_weights_compatible_requires_same_symbol():
-    built = build_boundary_weights(Grid(9))
-    assert built.compatible(build_boundary_weights(Grid(9)))
-    assert not built.compatible(BoundaryWeights(Grid(9), np.ones(32)))
-    assert not built.compatible(build_boundary_weights(Grid(17)))
+def test_weights_are_one_object_per_grid():
+    # every caller of a grid shares one set of circulants, built on first use
+    assert build_boundary_weights(Grid(9)) is build_boundary_weights(Grid(9))
+    assert build_boundary_weights(Grid(9)) is not build_boundary_weights(Grid(17))
 
 
 # ---------------------------------------------------------------- DtN matrix
@@ -903,25 +882,40 @@ def test_weights_compatible_requires_same_symbol():
 
 def test_assemble_dtn_returns_dtn_and_bank(grid17, weights17):
     op = HelmholtzOperator(const_field(17), 5.0)
-    dtn, bank = assemble_dtn(op, weights=weights17)
+    dtn, bank = assemble_dtn(op)
     assert isinstance(dtn, DtnMatrix) and isinstance(bank, SolutionBank)
     assert bank.weights is weights17 and bank.grid == grid17
     assert bank.omega2 == dtn.omega2 == 5.0
     assert not bank.solutions.flags.writeable
     default_dtn, _ = assemble_dtn(op)
-    assert default_dtn.weights.compatible(weights17)
+    assert default_dtn.weights is weights17
     assert np.array_equal(default_dtn.lam, dtn.lam)
 
 
 def test_dtn_for_field_returns_the_evaluation(grid17, weights17):
     c = const_field(17)
     dtn = dtn_for_field(c, 5.0, weights=weights17)
-    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0), weights=weights17)
+    ref_dtn, ref_bank = assemble_dtn(HelmholtzOperator(c, 5.0))
     assert isinstance(dtn, DtnMatrix) and dtn.weights is weights17
     assert np.array_equal(dtn.lam, ref_dtn.lam)
-    bank_dtn, bank = bank_for_field(c, 5.0, weights=weights17)
+    bank_dtn, bank = bank_for_field(c, 5.0)
     assert np.array_equal(bank_dtn.lam, dtn.lam)
     assert np.array_equal(bank.solutions, ref_bank.solutions)
+
+
+def test_dtn_for_field_refuses_weights_of_another_grid(monkeypatch):
+    # refused before any operator is built, not after its solve
+    built = []
+    init = HelmholtzOperator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HelmholtzOperator, "__init__", spy)
+    with pytest.raises(DiscretizationMismatchError, match="different grid"):
+        dtn_for_field(const_field(17), 5.0, weights=build_boundary_weights(Grid(33)))
+    assert built == []
 
 
 @pytest.mark.parametrize("shape", [(81, 63), (80, 64), (81 * 64,)])
@@ -945,7 +939,7 @@ def test_solution_bank_requires_its_block_form(weights17):
 def test_dtn_symmetry(grid17, weights17, rng):
     part = make_uniform_partition(grid17, 2)
     c = PwcField(part, rng.uniform(1.0, 2.0, 4), (1.0, 2.0))
-    dtn = dtn_for_field(c, 5.0, weights=weights17)
+    dtn = dtn_for_field(c, 5.0)
     assert dtn.symmetry_defect() <= 1e-9
 
 
@@ -976,15 +970,15 @@ def test_dtn_continuity_in_coefficient(grid17, weights17):
     part = make_uniform_partition(grid17, 2)
     base = PwcField(part, np.full(4, 1.5), (1.0, 2.0))
     bumped = base.with_coeffs(base.coeffs + np.array([1e-6, 0, 0, 0]))
-    d0 = dtn_for_field(base, 5.0, weights=weights17)
-    d1 = dtn_for_field(bumped, 5.0, weights=weights17)
+    d0 = dtn_for_field(base, 5.0)
+    d1 = dtn_for_field(bumped, 5.0)
     change = dtn_data_norm(d1.lam - d0.lam, weights17)
     scale = dtn_data_norm(d0.lam, weights17)
     assert change <= 1e-4 * scale  # bounded sensitivity, not a jump
 
 
 def test_dtn_file_round_trip(tmp_path, grid17, weights17):
-    dtn = dtn_for_field(const_field(17), 1.0, weights=weights17)
+    dtn = dtn_for_field(const_field(17), 1.0)
     path = tmp_path / "dtn.txt"
     save_dtn(path, dtn)
     assert path.read_text().startswith("dtn 64 1.0\n")
@@ -996,19 +990,20 @@ def test_dtn_file_round_trip(tmp_path, grid17, weights17):
 # ---------------------------------------------------------------- data norm
 
 
-def _identity_weights(nb: int) -> BoundaryWeights:
-    return BoundaryWeights(Grid(nb // 4 + 1), np.ones(nb))
-
-
 def test_data_norm_zero():
-    w = _identity_weights(8)
+    w = build_boundary_weights(Grid(3))
     assert dtn_data_norm(np.zeros((8, 8)), w) == 0.0
 
 
 def test_data_norm_known_singular_values():
-    w = _identity_weights(8)
-    a = np.zeros((8, 8))
-    a[0, 0], a[1, 1] = 3.0, 4.0
+    # A = W^{-1/2} Q diag(sigma) Q^T W^{-1/2}, so W^{1/2} A W^{1/2} has the
+    # singular values |sigma|: ||sigma|| under hs and max |sigma| under op
+    w = build_boundary_weights(Grid(3))
+    q = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 8)))[0]
+    root_inv = np.linalg.inv(w.w_minus_half)
+    sigma = np.zeros(8)
+    sigma[0], sigma[1] = 3.0, 4.0
+    a = root_inv @ (q * sigma) @ q.T @ root_inv
     assert dtn_data_norm(a, w, kind="hs") == pytest.approx(5.0)
     assert dtn_data_norm(a, w, kind="op") == pytest.approx(4.0)
 
@@ -1036,7 +1031,7 @@ def test_load_dtn_rejects_malformed_header(tmp_path, weights17, body):
 
 @pytest.mark.parametrize("edit", ["ragged", "non_finite", "non_numeric", "trailing"])
 def test_load_dtn_rejects_malformed_rows(tmp_path, weights17, edit):
-    dtn = dtn_for_field(const_field(17), 1.0, weights=weights17)
+    dtn = dtn_for_field(const_field(17), 1.0)
     path = tmp_path / "dtn.txt"
     save_dtn(path, dtn)
     lines = path.read_text().splitlines()

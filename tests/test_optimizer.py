@@ -41,7 +41,7 @@ def problem17():
     p2 = make_uniform_partition(g, 2, 1)
     weights = build_boundary_weights(g)
     truth = PwcField(p2, np.array([1.8, 1.8, 1.3, 1.3]), (B1, B2))
-    data = dtn_for_field(truth, W2, weights=weights)
+    data = dtn_for_field(truth, W2)
     bundle = ConstantsBundle(df_bound0=1.0, df_lip0=600.0, stab_k=1e-4, b1=B1, b2=B2,
                              omega2=W2, eps=0.1, phi=CompressionModel.zero())
     return g, p1, p2, weights, truth, data, bundle
@@ -298,8 +298,7 @@ def test_evaluate_state_never_holds_a_dense_bank(m):
     g = Grid(m)
     part = make_uniform_partition(g, 4)
     rng = np.random.default_rng(m)
-    weights = build_boundary_weights(g)
-    data = dtn_for_field(PwcField(part, rng.uniform(B1, B2, 16), (B1, B2)), W2, weights=weights)
+    data = dtn_for_field(PwcField(part, rng.uniform(B1, B2, 16), (B1, B2)), W2)
     lc = derive_level(ConstantsBundle(df_bound0=1.0, df_lip0=1e-3, stab_k=1e-4, b1=B1, b2=B2,
                                       omega2=W2, eps=0.1, phi=CompressionModel.zero()), 16)
     c = PwcField(part, np.full(16, 1.5), (B1, B2))
@@ -320,9 +319,7 @@ def test_multilevel_result_holds_less_than_one_residual():
     g = Grid(33)
     parts = [make_uniform_partition(g, k, level) for level, k in enumerate((1, 2, 4))]
     rng = np.random.default_rng(33)
-    weights = build_boundary_weights(g)
-    data = dtn_for_field(PwcField(parts[-1], rng.uniform(B1, B2, 16), (B1, B2)), W2,
-                         weights=weights)
+    data = dtn_for_field(PwcField(parts[-1], rng.uniform(B1, B2, 16), (B1, B2)), W2)
     bundle = ConstantsBundle(df_bound0=1.0, df_lip0=600.0, stab_k=1e-4, b1=B1, b2=B2,
                              omega2=W2, eps=0.1, phi=CompressionModel.zero())
     start = PwcField(parts[0], np.array([1.5]), (B1, B2))

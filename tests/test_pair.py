@@ -69,8 +69,7 @@ def _evaluate(m):
     """DtN, bank, pulled-back residual and adjoint of one field at m, 4 x 4 regions."""
     part = make_uniform_partition(Grid(m), 4)
     data = dtn_for_field(PwcField(part, 1.2 + 0.7 * (np.arange(16) % 5) / 5, (B1, B2)), W2)
-    dtn, bank = bank_for_field(PwcField(part, 1.1 + 0.8 * (np.arange(16) % 7) / 7, (B1, B2)), W2,
-                               weights=data.weights)
+    dtn, bank = bank_for_field(PwcField(part, 1.1 + 0.8 * (np.arange(16) % 7) / 7, (B1, B2)), W2)
     residual = residual_from(dtn, data)
     pulled, norm = forward.pulled_back(dtn.lam - data.lam, data.weights)
     return [data.lam, dtn.lam, bank.skeleton, pulled, np.array([norm]), residual.pulled,
