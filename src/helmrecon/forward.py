@@ -80,25 +80,29 @@ wheel loads its own) to one thread unless the user set OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS, and changes no environment variable: the thread count decides
 how BLAS splits its sums, which recon's finest level amplifies about
 1e12-fold, and on two cores the pools' threads contend. A second core serves
-instead the independent halves of an iterate's largest passes: the row halves
-of each W product of W R W (pulled_back), the row halves of V_X P with their
-rowsums and then the two halves of the adjoint's block groups
-(SolutionBank.quadratic_diagonal), and the two halves of the DtN read's loop
-groups (HelmholtzOperator._dtn). Each pass has one body, which _pair runs
-whole on the caller where the larger half has fewer than _PAIR_WORK (2^22)
-multiply-adds, and by halves otherwise: at 16 regions, no pass at m = 33,
-W R W and the adjoint at m = 65, and all three at m = 129. _pair runs the
-second half on one helper thread, started on first use and dropped in a
-forked child, while the caller runs the first; both run in order on the
-caller when BLAS may use more than one thread (a variable other than 1, or
-pools this module cannot set), when the process may use one CPU only, or on
-the helper itself. The split is fixed by the array shapes, never by where a
-half runs: each half makes the same BLAS calls with the same arguments
-wherever it runs, writes rows of its own, and no sum crosses the halves, so
-the bits do not depend on the placement (with the wheels' OpenBLAS they also
-equal the whole pass's, which sums each entry in the same order whatever
-rows it is given). The caller allocates both halves' workspaces, so that the
-helper allocates nothing large.
+instead the independent halves of an iterate's largest passes: the two
+halves of the dense factor's crosses, each factored and solved against its
+ring (_TwoLevelLU), the two halves of the crosses of the bank's
+back-substitution (_TwoLevelLU.solve), the row halves of each W product of
+W R W (pulled_back), the row halves of V_X P with their rowsums and then the
+two halves of the adjoint's block groups (SolutionBank.quadratic_diagonal),
+and the two halves of the DtN read's loop groups (HelmholtzOperator._dtn).
+Each pass has one body, which _pair runs whole on the caller where the larger
+half has fewer than _PAIR_WORK (2^22) multiply-adds or the pass has one item,
+and by halves otherwise: at 16 regions, no pass at m = 33, W R W and the
+adjoint at m = 65, and all five at m = 129. _pair runs the second half on one
+helper thread, started on first use and dropped in a forked child, while the
+caller runs the first; both run in order on the caller when BLAS may use more
+than one thread (a variable other than 1, or pools this module cannot set),
+when the process may use one CPU only, or on the helper itself. The split is
+fixed by the array shapes, never by where a half runs: each half makes the
+same BLAS and LAPACK calls with the same arguments wherever it runs, writes
+rows of its own, and no sum crosses the halves (the factor's halves hand
+their crosses' Schur products back, and the caller subtracts them in cross
+order), so the bits do not depend on the placement (with the wheels'
+OpenBLAS they also equal the whole pass's, which sums each entry in the same
+order whatever rows it is given). The caller allocates both halves'
+workspaces, so that the helper allocates nothing large.
 
 scipy.sparse.linalg is imported as ``spla`` and scipy.linalg.lapack as
 ``lapack``: an operator's skeleton factor is a _SparseLU, which calls
@@ -110,7 +114,10 @@ dense factors, whose time, with getri's inverses, the cross solves that form
 the coarse Schur complement and the bank's cross solves, counts as operator
 assembly (``forward.operator_assembly.self_s``), while the coarse product and
 the back-substitution of the crosses count in ``forward.assemble_dtn.self_s``.
-No function that the trace wraps runs on the helper thread.
+Where the crosses split (m = 129), the LAPACK calls and products of half the
+crosses, and half the crosses' back-substitution, run on the helper thread,
+inside those spans: the caller waits for them there. No function that the
+trace wraps runs on the helper thread.
 """
 
 from __future__ import annotations
@@ -222,8 +229,9 @@ def _cpus() -> int:
 def _pair(half, second_at: int, work: int, scratch: int = 0) -> None:
     """One pass by its body half(part, buf), part a slice of what the pass
     runs over. Where the larger half has fewer than _PAIR_WORK multiply-adds
-    (work), the pass runs whole: half(slice(None), None) on the caller, and
-    numpy allocates what the body needs. Otherwise its two halves,
+    (work), or the first half is empty (second_at 0: a pass of one item), the
+    pass runs whole: half(slice(None), None) on the caller, and numpy
+    allocates what the body needs. Otherwise its two halves,
     half(slice(None, second_at), buf) and half(slice(second_at, None), buf),
     each with a flat float64 workspace buf of scratch values: the second on
     the one helper thread while the first runs on the caller, or both in
@@ -237,7 +245,7 @@ def _pair(half, second_at: int, work: int, scratch: int = 0) -> None:
     the timing (on recon-m129, a fifth of the runs peaked 1.7 MiB higher).
     An exception of either half reaches the caller, after both halves end."""
     global _helper
-    if work < _PAIR_WORK:
+    if work < _PAIR_WORK or second_at == 0:
         half(slice(None), None)
         return
     first, second = slice(None, second_at), slice(second_at, None)
@@ -710,12 +718,12 @@ class _Dissection:
     The dense blocks share one flat buffer, which split cuts into views and
     _TwoLevelLU fills straight from the terms of K~ (see _term_positions):
     slots places each diagonal mass and ring-form term (past the blocks if on a
-    loop row), lap_slots and lap_values the Laplacian's entries. Three flat
+    loop row), lap_slots and lap_values the Laplacian's entries. Two flat
     index plans per cross spare the factor and the bank solve every np.ix_:
-    schur_at places T_i x T_i in the buffer's K~_TT block, coarse_at places
-    T_i x (its ring's loop nodes) in the Fortran-ordered coarse right-hand
-    side (n_t, nb), and bank_at places C_i x (its ring's loop nodes) in the
-    solution (n_x, nb).
+    update_at places T_i x (its ring, in B_i's column order) in the buffer,
+    its T columns in the K~_TT block and its loop columns in the K~_TB block
+    (the coarse right-hand side), and bank_at places C_i x (its ring's loop
+    nodes) in the solution (n_x, nb).
     """
 
     crosses: np.ndarray  # (n_cross, n_c) X positions of each cross
@@ -727,8 +735,7 @@ class _Dissection:
     lap_slots: np.ndarray   # buffer index of each Laplacian entry with a row in X ...
     lap_values: np.ndarray  # ... and its value
     nb: int              # loop nodes: the columns of K~_TB
-    schur_at: tuple      # per cross: (|T_i|, |T_i|) buffer indices
-    coarse_at: tuple     # per cross: (|T_i|, |ring loop|) flat indices, column-major
+    update_at: tuple     # per cross: (|T_i|, |ring|) buffer indices
     bank_at: tuple       # per cross: (n_c, |ring loop|) flat indices, row-major
 
     def split(self, buf: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -812,16 +819,16 @@ def _dissection(grid: Grid, s: int, grouped: bool) -> _Dissection:
     at += rows
     slots += flat[at]
     slots += offsets[block][pair]
-    schur = offsets[3 * n_cross]
+    schur, tb = offsets[3 * n_cross:3 * n_cross + 2]  # K~_TT and K~_TB, column-major
     dissection = _Dissection(
         crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
         offsets=offsets, slots=slots[lap.size:], lap_slots=slots[:lap.size], lap_values=lap,
         nb=nb,
-        schur_at=tuple(schur + rt[:, None] + rt[None, :] * n_t for rt in ring_t),
-        coarse_at=tuple(rt[:, None] + rl[None, :] * n_t for rt, rl in zip(ring_t, ring_loop)),
+        update_at=tuple(rt[:, None] + np.concatenate([schur + rt * n_t, tb + rl * n_t])
+                        for rt, rl in zip(ring_t, ring_loop)),
         bank_at=tuple(c[:, None] * nb + rl[None, :] for c, rl in zip(crosses, ring_loop)))
-    for arr in (crosses, coarse, offsets, slots, lap, *ring_t, *ring_loop, *dissection.schur_at,
-                *dissection.coarse_at, *dissection.bank_at):
+    for arr in (crosses, coarse, offsets, slots, lap, *ring_t, *ring_loop, *dissection.update_at,
+                *dissection.bank_at):
         arr.setflags(write=False)
     return dissection
 
@@ -858,12 +865,24 @@ class _TwoLevelLU:
     bank's cross solves Z_i = A_i^{-1} K~_{C_i, ring loop}, in B_i's place
     like W_i, and its coarse right-hand side R = K~_TB - sum_i K~_{T_i C_i}
     Z_i, in K~_TB's place, so that the bank solve allocates only its
-    result and S_TT^{-1} R. With one cross and no T this is one inverse of
-    K~_XX. The products run in scipy's BLAS (dgemm) like the factors, so
-    that the whole skeleton solve stays in one thread pool (see
-    assemble_dtn). A solve by an explicit inverse is not backward
-    stable in general (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992); the
-    residual audits check every solve.
+    result, S_TT^{-1} R and the workspaces of its back-substitution. With
+    one cross and no T this is one inverse of K~_XX. A solve by an explicit
+    inverse is not backward stable in general (Du Croz & Higham, IMA J.
+    Numer. Anal. 12, 1992); the residual audits check every solve.
+
+    The crosses are independent until the Schur update, so their factors
+    and solves run as one body on _pair, the first half of the crosses on
+    the caller and the second on the helper, and so does the bank's
+    back-substitution. Their products run in numpy's matmul, which releases
+    the GIL (scipy's dgemm holds it): the factor's into Fortran-ordered
+    results, the back-substitution's into the rows it places. There matmul
+    gives dgemm's bits at every dense layout the tests reach, checked
+    against a scipy-only copy of the factor (a row-major A_i^{-1} Z_i did
+    not). Each cross writes E_i [W_i Z_i] apart, and the caller subtracts
+    them from S_TT and R in cross order, so every sum keeps the order of one
+    core. S_TT^{-1} R stays whole in dgemm, since no split of it keeps its
+    bits, and so do a single solve's products, whose one column numpy would
+    take as a matrix-vector product, summed in another order.
     """
 
     def __init__(self, dis: _Dissection, terms: np.ndarray):
@@ -874,19 +893,36 @@ class _TwoLevelLU:
         np.subtract(0.0, buf, out=buf)
         buf[dis.lap_slots] += dis.lap_values
         blocks, schur, self._r = dis.split(buf)
-        r = self._r.reshape(-1, order="F")  # a view: the block is Fortran-ordered
         self._dis = dis
-        self._cross, pivots = [], []
-        for (a, b, e), rt, schur_at, coarse_at in zip(blocks, dis.ring_t, dis.schur_at,
-                                                      dis.coarse_at):
-            lu, piv = _getrf(a)
-            pivots.append(np.abs(np.diagonal(lu)))
-            w = lapack.dgetrs(lu, piv, b[:, :rt.size], overwrite_b=True)[0]
-            buf[schur_at] -= blas.dgemm(1.0, e, w)  # S_TT -= K~_{T_i C_i} W_i, in place
-            inv, z = _getri(lu, piv), b[:, rt.size:]
-            z[:] = blas.dgemm(1.0, inv, z)
-            r[coarse_at] -= blas.dgemm(1.0, e, z)
-            self._cross.append((inv, w, z, e))
+        n = len(blocks)
+        self._cross, pivots = [None] * n, [None] * n
+        # per cross E_i [W_i Z_i], for the caller to subtract from S_TT and R in
+        # cross order (B_i's place holds [W_i Z_i] once the cross is solved)
+        products = [np.empty((e.shape[0], b.shape[1]), order="F") for _, b, e in blocks]
+
+        def factor_crosses(part, scratch):
+            # the LAPACK calls of every cross of the part, then their products:
+            # unpinned, numpy's and scipy's BLAS pools contend at each switch
+            for c in range(n)[part]:
+                (a, b, e), n_t = blocks[c], dis.ring_t[c].size
+                lu, piv = _getrf(a)
+                pivots[c] = np.abs(np.diagonal(lu))
+                # in place (a Fortran-contiguous block): B_i's T columns become W_i
+                w = lapack.dgetrs(lu, piv, b[:, :n_t], overwrite_b=True)[0]
+                self._cross[c] = (_getri(lu, piv), w, b[:, n_t:], e)
+            for c in range(n)[part]:
+                inv, _, z, e = self._cross[c]
+                # A_i^{-1} Z_i Fortran-ordered, as the transpose of Z_i^T A_i^{-T}
+                z[:] = np.matmul(z.T, inv.T, out=_buffer(scratch, z.shape[::-1])).T
+                np.matmul(e, blocks[c][1], out=products[c])
+
+        n_c, ring = dis.crosses.shape[1], blocks[0][1].shape[1]
+        # multiply-adds per cross: getrf with getri n_c^3, getrs with A_i^{-1} Z_i
+        # n_c^2 ring, and E_i [W_i Z_i] |T_i| n_c ring, |T_i| close to n_c
+        _pair(factor_crosses, n // 2, (n - n // 2) * n_c * n_c * (n_c + 2 * ring),
+              n_c * max(rl.size for rl in dis.ring_loop))
+        for update_at, product in zip(dis.update_at, products):
+            buf[update_at] -= product  # S_TT -= E_i W_i and R -= E_i Z_i, in place
         self._schur = None
         if dis.coarse.size:
             lu, piv = _getrf(schur)
@@ -900,7 +936,9 @@ class _TwoLevelLU:
         right-hand side -R came with the factor: the coarse values are
         -S_TT^{-1} R, and each cross's -W_i times its ring's part of them,
         minus Z_i in the columns of its ring's loop nodes (placed by the
-        _Dissection's flat plans)."""
+        _Dissection's flat plans). The bank's products -W_i x_T run on _pair,
+        by the two halves of the crosses, and the caller subtracts each Z_i
+        after both halves end."""
         dis = self._dis
         bank = rhs is None
         if bank:
@@ -912,15 +950,28 @@ class _TwoLevelLU:
                 solved.append(blas.dgemm(1.0, inv, rhs[dis.crosses[c]]))
                 r_t[dis.ring_t[c]] -= blas.dgemm(1.0, e, solved[-1])
         x_t = sign * r_t if self._schur is None else blas.dgemm(sign, self._schur, r_t)
-        x = np.empty((dis.crosses.size + dis.coarse.size, x_t.shape[1]))
+        k, n = x_t.shape[1], len(self._cross)
+        x = np.empty((dis.crosses.size + dis.coarse.size, k))
         x[dis.coarse] = x_t
-        for c, (_, w, z, _) in enumerate(self._cross):
-            rows = dis.crosses[c]
-            x[rows] = blas.dgemm(-1.0, w, x_t[dis.ring_t[c]])
-            if bank:
-                x.reshape(-1)[dis.bank_at[c]] -= z
-            else:
+        if not bank:
+            for c, (_, w, _, _) in enumerate(self._cross):
+                rows = dis.crosses[c]
+                x[rows] = blas.dgemm(-1.0, w, x_t[dis.ring_t[c]])
                 x[rows] += solved[c]
+            return x
+
+        def back_substitute(part, scratch):
+            for c in range(n)[part]:
+                w = self._cross[c][1]
+                ring = np.take(x, dis.coarse[dis.ring_t[c]], axis=0, mode="clip",
+                               out=_buffer(scratch, (w.shape[1], k)))
+                product = np.matmul(w, ring, out=_buffer(scratch, (w.shape[0], k), ring.size))
+                x[dis.crosses[c]] = np.negative(product, out=product)
+
+        n_c, most = dis.crosses.shape[1], max(rt.size for rt in dis.ring_t)
+        _pair(back_substitute, n // 2, (n - n // 2) * n_c * most * k, (n_c + most) * k)
+        for c, (_, _, z, _) in enumerate(self._cross):
+            x.reshape(-1)[dis.bank_at[c]] -= z
         return x
 
 
@@ -1420,9 +1471,12 @@ def assemble_dtn(op: HelmholtzOperator) -> tuple[DtnMatrix, SolutionBank]:
     The audited bank comes from solution_bank, and the variational DtN, the
     one flux, is read from the loop rows of the condensed operator on
     [V_X; I] alone: -(K~_BB + K~_BX V_X), which equals -(K_bb + K_bi U_i)
-    (HelmholtzOperator._dtn). The solve runs whole before the audit's and
-    the DtN's products: it calls scipy's BLAS and they call numpy's, and on
-    more than one thread the two pools contend at every switch between them.
+    (HelmholtzOperator._dtn). Where BLAS runs on more than one thread,
+    numpy's and scipy's pools contend at every switch between them: a dense
+    evaluation switches from the crosses' LAPACK calls (scipy) to their
+    products (numpy) once per half of the crosses, back for the coarse
+    factor and S_TT^{-1} R, and to numpy for the back-substitution, the
+    audit and the DtN read.
     """
     bank = solution_bank(op)
     return (DtnMatrix(lam=op._dtn(bank), weights=bank.weights, omega2=op.omega2), bank)

@@ -482,13 +482,15 @@ def _dissection_by_masks(grid, s, grouped):
         slots[in_x[mine]] = offset + i[mine] + j[mine] * r.size
     ring_t = tuple(np.searchsorted(coarse, r[r < n_x]) for r in rings)
     ring_loop = tuple(r[r >= n_x] - n_x for r in rings)
-    n_t, nb, schur = coarse.size, grid.n_boundary, offsets[3 * len(crosses)]
+    n_t, nb = coarse.size, grid.n_boundary
+    schur, tb = offsets[3 * len(crosses)], offsets[3 * len(crosses) + 1]
     return forward._Dissection(
         crosses=crosses, coarse=coarse, ring_t=ring_t, ring_loop=ring_loop,
         offsets=offsets, slots=slots[lap.size:], lap_slots=slots[:lap.size], lap_values=lap,
         nb=nb,
-        schur_at=tuple(schur + rt[:, None] + rt[None, :] * n_t for rt in ring_t),
-        coarse_at=tuple(rt[:, None] + rl[None, :] * n_t for rt, rl in zip(ring_t, ring_loop)),
+        update_at=tuple(np.hstack([schur + rt[:, None] + rt[None, :] * n_t,
+                                   tb + rt[:, None] + rl[None, :] * n_t])
+                        for rt, rl in zip(ring_t, ring_loop)),
         bank_at=tuple(c[:, None] * nb + rl[None, :] for c, rl in zip(crosses, ring_loop)))
 
 

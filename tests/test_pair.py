@@ -1,6 +1,7 @@
-"""forward._pair runs the one body of each W R W, adjoint and DtN pass, whole
-on the caller below its size rule and by halves above it, the second half on
-one helper thread. The split is fixed by the array shapes and each half writes
+"""forward._pair runs the one body of each W R W, adjoint and DtN pass, and
+of the dense factor's crosses and the bank's back-substitution, whole on the
+caller below its size rule and by halves above it, the second half on one
+helper thread. The split is fixed by the array shapes and each half writes
 its own slice, so the bits must not depend on where a half runs, nor on
 whether the pass was split; small layouts stay on the caller."""
 
@@ -36,14 +37,15 @@ B1, B2, W2 = 1.0, 2.0, 5.0
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """The halves handed to the helper, through a spy around a real one-worker executor."""
+    """The bodies whose halves were handed to the helper, through a spy around
+    a real one-worker executor."""
     pool = ThreadPoolExecutor(1, initializer=setattr, initargs=(forward._on_helper, "active", True))
     halves = []
 
     class Spy:
-        def submit(self, fn, *args):
-            halves.append(fn)
-            return pool.submit(fn, *args)
+        def submit(self, fn, job):
+            halves.append(job[0][0])
+            return pool.submit(fn, job)
 
     monkeypatch.setattr(forward, "_helper", Spy())
     yield halves
@@ -117,6 +119,83 @@ def test_below_the_rule_a_pass_runs_whole_on_the_caller(place, submitted, monkey
     assert sorted(("ab"[part], on_caller) for part, _, on_caller in calls) == [("a", True),
                                                                              ("b", False)]
     assert len(submitted) == 1
+
+
+def _names(bodies):
+    return {body.__name__ for body in bodies}
+
+
+DENSE = {"factor_crosses", "back_substitute"}  # the dense factor's bodies
+
+
+@pytest.mark.parametrize("m", [65, 129])
+def test_placement_does_not_change_a_single_solve(m, place, submitted):
+    part = make_uniform_partition(Grid(m), 4)
+    field = PwcField(part, 1.1 + 0.8 * (np.arange(16) % 7) / 7, (B1, B2))
+    rng = np.random.default_rng(m)
+    g, f = rng.standard_normal(Grid(m).n_boundary), rng.standard_normal(Grid(m).n_nodes)
+    place("caller")
+    serial = forward.HelmholtzOperator(field, W2).solve(g, f).values
+    assert not submitted
+    place("helper")
+    paired = forward.HelmholtzOperator(field, W2).solve(g, f).values
+    assert "factor_crosses" in _names(submitted)  # the factor's second half ran on the helper
+    assert serial.tobytes() == paired.tobytes()
+
+
+def test_the_dense_factor_pairs_at_m129_only(monkeypatch, submitted):
+    if not forward._ONE_BLAS_THREAD:
+        pytest.skip("BLAS may run on more than one thread, so the helper stays off")
+    monkeypatch.setattr(forward, "_cpus", lambda: 2)
+    _evaluate(33)  # 4 x 4 regions: four crosses of 29 unknowns, every half under the rule
+    assert not DENSE & _names(submitted)
+    _evaluate(129)  # four crosses of 125 unknowns against 512 bank columns
+    assert DENSE <= _names(submitted)
+
+
+def test_a_pass_of_one_item_runs_whole_on_the_caller(place, submitted):
+    place("helper")
+    caller, calls = threading.current_thread(), []
+
+    def half(part, buf):
+        calls.append((part, buf, threading.current_thread() is caller))
+
+    forward._pair(half, 0, 1 << 40, 3)  # far above the rule, but the first half is empty
+    assert calls == [(slice(None), None, True)]
+    assert not submitted
+    # one cross (m = 33, 2 x 2 regions): the factor and the bank solve stay whole
+    # while every other pass splits
+    part = make_uniform_partition(Grid(33), 2)
+    bank_for_field(PwcField(part, np.array([1.2, 1.5, 1.8, 1.4]), (B1, B2)), W2)
+    assert submitted and not DENSE & _names(submitted)
+
+
+def test_the_dense_bodies_get_a_workspace_each(place, submitted, monkeypatch):
+    got, pair = [], forward._pair
+
+    def spy(half, second_at, work, scratch=0):
+        def recorded(part, buf):
+            got.append((half.__name__, part, buf))
+            half(part, buf)
+
+        pair(recorded, second_at, work, scratch)
+
+    monkeypatch.setattr(forward, "_pair", spy)
+    part = make_uniform_partition(Grid(129), 4)
+    field = PwcField(part, 1.1 + 0.8 * (np.arange(16) % 7) / 7, (B1, B2))
+    for where in ("helper", "caller"):
+        place(where)
+        got.clear()
+        forward.HelmholtzOperator(field, W2)._lu.solve(None)
+        for name in DENSE:
+            halves = {crosses.start: buf for body, crosses, buf in got if body == name}
+            assert halves.keys() == {None, 2}  # crosses [:2] and [2:]
+            first, second = halves[None], halves[2]
+            assert first is not None and first.size == second.size > 0
+            if where == "helper":
+                assert not np.shares_memory(first, second)
+            else:  # in order on the caller, one workspace serves both halves
+                assert first is second
 
 
 def test_placement_does_not_change_a_two_level_run(place, submitted):
