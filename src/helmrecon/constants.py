@@ -11,7 +11,8 @@ derived level constants are
 
 with phi(N) = c * N^-beta the power-law compression model and e the
 stability exponent (default 4/7, kept verbatim from the 3D estimate;
-configurable). The convergence radius of the projected descent is
+configurable), x_N = (1 + omega^2*B2) * N^e its abscissa, whose one copy is
+stability_abscissa. The convergence radius of the projected descent is
 
     rho = 1/2 * (2*curvature*df_bound)^-2 * (1 + sqrt(1 - 8*curvature*eta)
                                                - 4*eta*curvature)^2.
@@ -109,6 +110,12 @@ class CompressionModel:
         return float(out) if out.ndim == 0 else out
 
 
+def stability_abscissa(big_n, omega2: float, b2: float, n_exponent: float, scale: float = 1.0):
+    """scale x_N, x_N = (1 + omega^2 B2) N^e the abscissa of stab = omega^-2 exp(stab_k x_N),
+    for a number or an array of N; scale multiplies first, so scale 1 gives x_N exactly."""
+    return scale * (1.0 + omega2 * b2) * big_n ** n_exponent
+
+
 def _check_eps_and_exponent(eps: float, n_exponent: float) -> None:
     """The bundle's refusal of eps and n_exponent, which calibrate takes as given."""
     if not 0 < eps < np.inf:
@@ -146,8 +153,8 @@ class ConstantsBundle:
         spectrum_guard(self.omega2, self.b1, self.b2)  # also checks the bounds
 
     def stability_exponent(self, big_n):
-        """E = stab_k (1 + omega^2 B2) N^e, for a number or an array of N."""
-        return self.stab_k * (1.0 + self.omega2 * self.b2) * big_n ** self.n_exponent
+        """E = stab_k x_N (stability_abscissa), for a number or an array of N."""
+        return stability_abscissa(big_n, self.omega2, self.b2, self.n_exponent, self.stab_k)
 
     def budget(self, expo):
         """The refinement budget 2^{-5/2} omega^-2 (df_bound0^2 df_lip0)^-1 exp(-3 E)."""
@@ -458,7 +465,7 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
     from .forward import HelmholtzOperator, solution_bank
-    from .verify import _implied_exponent, _stability_sweep
+    from .verify import _stability_sweep
 
     rng = np.random.default_rng(seed)
     k_side = 2 if grid.cells_per_side % 2 == 0 else 1
@@ -492,8 +499,8 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
         raise CalibrationError(f"no region count in {n_values} fits grid m={grid.m}")
     sweep = _stability_sweep(grid, omega2, b1, b2, feasible_n,
                              max(4, samples // len(feasible_n)), seed, mid_dtn.lam)
-    khat_bound = float(max(_implied_exponent(dist / data_dist, feasible_n[level], omega2, b2,
-                                             n_exponent)
+    khat_bound = float(max(np.log(dist / data_dist * omega2)
+                           / stability_abscissa(feasible_n[level], omega2, b2, n_exponent)
                            for level, _, dist, _, data_dist in sweep))
     fitted_k = max(khat_bound, 1e-6)
 

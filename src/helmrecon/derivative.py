@@ -19,7 +19,7 @@ from forward.assemble_dtn (bank_for_field); the derivative probes read the
 bank alone, so lipschitz_df_probe takes it from solution_bank and no DtN is
 assembled for them. Banks, DtN matrices and residuals carry their grid's one
 set of boundary weights (forward.build_boundary_weights), so residual_from and
-apply_df_adjoint match operands by grid.
+apply_df_adjoint match operands by grid (domain.check_same_grid).
 
 The bank is kept in condensed form (skeleton values V_X and closed-form block
 symbols), and both products are taken from it without forming U. DF(dc)
@@ -37,7 +37,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import forward
-from .domain import NodalField, PwcField, l2_norm, mass_scatter_matrix
+from .domain import NodalField, PwcField, check_same_grid, l2_norm, mass_scatter_matrix
 from .errors import DiscretizationMismatchError
 from .forward import (
     BoundaryWeights,
@@ -86,8 +86,7 @@ class Residual:
 
 
 def residual_from(current: DtnMatrix, data: DtnMatrix) -> Residual:
-    if current.weights.grid != data.weights.grid:
-        raise DiscretizationMismatchError("DtN matrices live on different grids")
+    check_same_grid(current.weights.grid, data.weights.grid, "DtN matrices")
     if current.omega2 != data.omega2:
         raise DiscretizationMismatchError(
             f"DtN matrices taken at different frequencies: {current.omega2} vs {data.omega2}"
@@ -101,22 +100,16 @@ def bank_for_field(c2inv: PwcField, omega2: float):
     return forward.assemble_dtn(HelmholtzOperator(c2inv, omega2))
 
 
-def _delta_cells(bank: SolutionBank, delta) -> np.ndarray:
+def _lumped(bank: SolutionBank, delta) -> np.ndarray:
+    """The nodal lumped mass s of a perturbation (PwcField or cell values)."""
     if isinstance(delta, PwcField):
-        if delta.grid.m != bank.grid.m:
-            raise DiscretizationMismatchError("perturbation lives on a different grid")
-        return delta.cell_values()
+        check_same_grid(delta.grid, bank.grid, "perturbation and bank")
+        delta = delta.cell_values()
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (bank.grid.n_cells,):
         raise DiscretizationMismatchError(
-            f"expected a PwcField or {bank.grid.n_cells} cell values, got shape {delta.shape}"
-        )
-    return delta
-
-
-def _lumped(bank: SolutionBank, delta) -> np.ndarray:
-    """The nodal lumped mass s of a perturbation (PwcField or cell values)."""
-    return np.asarray(mass_scatter_matrix(bank.grid) @ _delta_cells(bank, delta))
+            f"expected a PwcField or {bank.grid.n_cells} cell values, got shape {delta.shape}")
+    return np.asarray(mass_scatter_matrix(bank.grid) @ delta)
 
 
 def apply_df(bank: SolutionBank, delta) -> np.ndarray:
@@ -149,8 +142,7 @@ def apply_df_adjoint(bank: SolutionBank, residual: Residual | np.ndarray) -> Nod
     condensed form (SolutionBank.quadratic_diagonal).
     """
     if isinstance(residual, Residual):
-        if residual.weights.grid != bank.grid:
-            raise DiscretizationMismatchError("residual and bank live on different grids")
+        check_same_grid(residual.weights.grid, bank.grid, "residual and bank")
     else:
         residual = Residual(matrix=residual, weights=bank.weights)
     values = bank.quadratic_diagonal(residual.pulled)
@@ -168,17 +160,20 @@ def indicator_probes(partition) -> list[PwcField]:
     return probes
 
 
-def df_norm_probe(bank: SolutionBank, probes) -> float:
-    """Largest ||DF(delta)||_Y / ||delta||_L2 over the probe directions, each
-    norm the Frobenius norm of W^{1/2} DF(delta) W^{1/2} (_weighted_df)."""
+def _largest_ratio(probes, weighted) -> float:
+    """Largest ||weighted(delta)||_F / ||delta||_L2 over the PwcFields of nonzero norm."""
     best = 0.0
     for delta in probes:
-        denom = l2_norm(delta) if isinstance(delta, PwcField) else float(
-            np.sqrt(bank.grid.h ** 2 * np.sum(np.asarray(delta) ** 2)))
-        if denom == 0:
-            continue
-        best = max(best, float(np.linalg.norm(_weighted_df(bank, delta))) / denom)
+        denom = l2_norm(delta)
+        if denom != 0:
+            best = max(best, float(np.linalg.norm(weighted(delta))) / denom)
     return best
+
+
+def df_norm_probe(bank: SolutionBank, probes) -> float:
+    """Largest ||DF(delta)||_Y / ||delta||_L2 over the PwcField probes, each Y-norm
+    the Frobenius norm of W^{1/2} DF(delta) W^{1/2} (_weighted_df)."""
+    return _largest_ratio(probes, lambda delta: _weighted_df(bank, delta))
 
 
 def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float, probes=None) -> float:
@@ -191,17 +186,10 @@ def lipschitz_df_probe(c1: PwcField, c2: PwcField, omega2: float, probes=None) -
     solution banks only, so both come from forward.solution_bank and no DtN
     matrix is assembled.
     """
-    if c1.grid.m != c2.grid.m:
-        raise DiscretizationMismatchError("fields live on different grids")
+    check_same_grid(c1.grid, c2.grid, "fields")
     bank1 = solution_bank(HelmholtzOperator(c1, omega2))
     bank2 = solution_bank(HelmholtzOperator(c2, omega2))
     if probes is None:
         probes = indicator_probes(c1.partition)
-    best = 0.0
-    for delta in probes:
-        denom = l2_norm(delta)
-        if denom == 0:
-            continue
-        diff = _weighted_df(bank1, delta) - _weighted_df(bank2, delta)
-        best = max(best, float(np.linalg.norm(diff)) / denom)
-    return best
+    return _largest_ratio(probes, lambda delta: _weighted_df(bank1, delta)
+                          - _weighted_df(bank2, delta))

@@ -314,6 +314,17 @@ class NodalField:
         return cls(grid, np.asarray(fn(xy[:, 0], xy[:, 1]), dtype=float))
 
 
+def check_same_grid(a: Grid, b: Grid, what: str) -> None:
+    """The one grid check: DiscretizationMismatchError unless operands (what) share a grid."""
+    if a != b:
+        raise DiscretizationMismatchError(f"{what} live on different grids")
+
+
+def _region_means(v: np.ndarray, p: Partition) -> np.ndarray:
+    """Per-region means of cell values v (all cells have one area)."""
+    return np.bincount(p.cell_to_region, weights=v, minlength=p.n_regions) / p.region_cell_counts
+
+
 def project(f: NodalField | PwcField, p: Partition, bounds: tuple[float, float] | None = None) -> PwcField:
     """Orthogonal projection onto the span of region indicators (region averaging).
 
@@ -322,23 +333,15 @@ def project(f: NodalField | PwcField, p: Partition, bounds: tuple[float, float] 
     cell values, so projecting a field onto its own partition returns it
     unchanged. Bounds are inherited from piecewise-constant input unless given.
     """
-    if isinstance(f, NodalField):
-        if f.grid.m != p.grid.m:
-            raise DiscretizationMismatchError("field and partition grids differ")
-        cellavg = np.asarray(cell_average_matrix(p.grid) @ f.values)
-        if bounds is None:
-            raise ConfigurationError("bounds are required when projecting a nodal field")
-    elif isinstance(f, PwcField):
-        if f.grid.m != p.grid.m:
-            raise DiscretizationMismatchError("field and partition grids differ")
-        cellavg = f.cell_values()
-        if bounds is None:
-            bounds = f.bounds
-    else:
+    if not isinstance(f, (NodalField, PwcField)):
         raise TypeError(f"cannot project object of type {type(f).__name__}")
-    counts = p.region_cell_counts
-    sums = np.bincount(p.cell_to_region, weights=cellavg, minlength=p.n_regions)
-    return PwcField(p, sums / counts, bounds)
+    check_same_grid(f.grid, p.grid, "field and partition")
+    if isinstance(f, PwcField):
+        bounds = f.bounds if bounds is None else bounds
+        return PwcField(p, _region_means(f.cell_values(), p), bounds)
+    if bounds is None:
+        raise ConfigurationError("bounds are required when projecting a nodal field")
+    return PwcField(p, _region_means(np.asarray(cell_average_matrix(p.grid) @ f.values), p), bounds)
 
 
 def clamp_to_bounds(f: PwcField) -> PwcField:
@@ -349,21 +352,12 @@ def clamp_to_bounds(f: PwcField) -> PwcField:
 
 def embed(f: PwcField, fine: Partition) -> PwcField:
     """Re-express a field exactly on a nested finer partition (norm-preserving injection)."""
-    if f.grid.m != fine.grid.m:
-        raise DiscretizationMismatchError("field and partition grids differ")
+    check_same_grid(f.grid, fine.grid, "field and partition")
     cellvals = f.cell_values()
-    counts = fine.region_cell_counts
-    sums = np.bincount(fine.cell_to_region, weights=cellvals, minlength=fine.n_regions)
-    coeffs = sums / counts
-    spread = np.bincount(fine.cell_to_region, weights=cellvals ** 2, minlength=fine.n_regions) / counts
+    coeffs, spread = _region_means(cellvals, fine), _region_means(cellvals ** 2, fine)
     if not np.allclose(spread, coeffs ** 2, rtol=0, atol=1e-12 * max(1.0, float(np.abs(cellvals).max()) ** 2)):
         raise DiscretizationMismatchError("partition is not nested: a fine region crosses a coarse one")
     return PwcField(fine, coeffs, f.bounds)
-
-
-def _check_same_grid(a, b):
-    if a.grid.m != b.grid.m:
-        raise DiscretizationMismatchError("fields live on different grids")
 
 
 def l2_norm(f: PwcField | NodalField) -> float:
@@ -377,17 +371,14 @@ def l2_norm(f: PwcField | NodalField) -> float:
 
 def l2_dist(f, g) -> float:
     """Discrete L2 distance; fields must share a grid (partitions may differ)."""
-    if isinstance(f, PwcField) and isinstance(g, PwcField):
-        _check_same_grid(f, g)
-        d = f.cell_values() - g.cell_values()
-        return float(np.sqrt(f.grid.h ** 2 * np.sum(d ** 2)))
-    if isinstance(f, NodalField) and isinstance(g, NodalField):
-        _check_same_grid(f, g)
-        d = f.values - g.values
-        return float(np.sqrt(np.sum(node_quad_weights(f.grid) * d ** 2)))
-    raise DiscretizationMismatchError(
-        f"cannot mix {type(f).__name__} and {type(g).__name__} in a distance"
-    )
+    pwc = isinstance(f, PwcField) and isinstance(g, PwcField)
+    if not (pwc or isinstance(f, NodalField) and isinstance(g, NodalField)):
+        raise DiscretizationMismatchError(
+            f"cannot mix {type(f).__name__} and {type(g).__name__} in a distance")
+    check_same_grid(f.grid, g.grid, "fields")
+    if pwc:
+        return float(np.sqrt(f.grid.h ** 2 * np.sum((f.cell_values() - g.cell_values()) ** 2)))
+    return float(np.sqrt(np.sum(node_quad_weights(f.grid) * (f.values - g.values) ** 2)))
 
 
 def bregman(f, g) -> float:

@@ -141,6 +141,7 @@ from .domain import (
     NodalField,
     PwcField,
     boundary_loop,
+    check_same_grid,
     grid_laplacian,
     interior_nodes,
     mass_scatter_matrix,
@@ -968,8 +969,11 @@ class _TwoLevelLU:
                 product = np.matmul(w, ring, out=_buffer(scratch, (w.shape[0], k), ring.size))
                 x[dis.crosses[c]] = np.negative(product, out=product)
 
-        n_c, most = dis.crosses.shape[1], max(rt.size for rt in dis.ring_t)
-        _pair(back_substitute, n // 2, (n - n // 2) * n_c * most * k, (n_c + most) * k)
+        if dis.coarse.size:
+            n_c, most = dis.crosses.shape[1], max(rt.size for rt in dis.ring_t)
+            _pair(back_substitute, n // 2, (n - n // 2) * n_c * most * k, (n_c + most) * k)
+        else:  # no coarse values: the pass would write -(W_i 0), that is -0.0
+            x.fill(-0.0)
         for c, (_, _, z, _) in enumerate(self._cross):
             x.reshape(-1)[dis.bank_at[c]] -= z
         return x
@@ -1511,6 +1515,6 @@ def dtn_for_field(c2inv: PwcField, omega2: float,
     """Forward map of one field: the DtnMatrix of assemble_dtn, without its bank.
     Its weights are always the grid's; weights built for another grid raise
     DiscretizationMismatchError before any operator is built."""
-    if weights is not None and weights.grid != c2inv.grid:
-        raise DiscretizationMismatchError("weights were built for a different grid")
+    if weights is not None:
+        check_same_grid(weights.grid, c2inv.grid, "weights and field")
     return assemble_dtn(HelmholtzOperator(c2inv, omega2))[0]

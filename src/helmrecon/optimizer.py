@@ -32,7 +32,7 @@ from .constants import ConstantsBundle, LevelConstants, check_omega_conditions, 
 from .derivative import apply_df_adjoint, bank_for_field, residual_from
 from .domain import NodalField, Partition, PwcField, bregman, clamp_to_bounds, embed, \
     l2_norm, project
-from .errors import ConfigurationError, LevelConditionError, is_count
+from .errors import ConfigurationError, DiscretizationMismatchError, LevelConditionError, is_count
 from .forward import DtnMatrix
 
 __all__ = [
@@ -129,6 +129,14 @@ def _check_level_settings(max_iter, eta_override, discrepancy_threshold) -> None
             raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _check_bundle_fits(bundle: ConstantsBundle, data: DtnMatrix, start: PwcField) -> None:
+    """Refuse a bundle whose omega^2 is not the data's or whose box misses the start box."""
+    if data.omega2 != bundle.omega2:
+        raise DiscretizationMismatchError(f"data at omega^2 {data.omega2}, bundle {bundle.omega2}")
+    if not bundle.b1 <= start.bounds[0] <= start.bounds[1] <= bundle.b2:
+        raise ConfigurationError(f"start box {start.bounds} leaves ({bundle.b1}, {bundle.b2})")
+
+
 def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: int,
               eta_override: float | None = None,
               discrepancy_threshold: float | None = None,
@@ -139,7 +147,8 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     eta_override replaces the bundle's modeled approximation error (synthetic
     experiments pass the exact one); discrepancy_threshold overrides the
     default (3+eps)*eta stop level; either one non-finite or negative raises
-    ConfigurationError. z_best, when given, is the level's best
+    ConfigurationError. lc's bundle must fit the data and start box
+    (_check_bundle_fits). z_best, when given, is the level's best
     approximation of the truth and feeds the per-iterate Bregman audit.
     warm, when given, is an evaluated state whose field equals start cell for
     cell (the previous level's exit state); its residual norm and direction are
@@ -147,6 +156,7 @@ def run_level(start: PwcField, lc: LevelConstants, data: DtnMatrix, max_iter: in
     with this level's constants and eta.
     """
     _check_level_settings(max_iter, eta_override, discrepancy_threshold)
+    _check_bundle_fits(lc.bundle, data, start)
     eps = lc.bundle.eps
     eta = lc.eta if eta_override is None else float(eta_override)
     tau = (3.0 + eps) * eta if discrepancy_threshold is None else float(discrepancy_threshold)
@@ -234,6 +244,7 @@ def run_multilevel(schedule: list[Partition], bundle: ConstantsBundle, data: Dtn
         raise ConfigurationError("per-level settings must match the schedule length")
     for cap, eta, tau in zip(iters, etas, taus):  # every level's, before the first runs
         _check_level_settings(cap, eta, tau)
+    _check_bundle_fits(bundle, data, start)
 
     constants = [derive_level(bundle, p.n_regions) for p in schedule]
     warnings: list[str] = []

@@ -156,6 +156,8 @@ def save_dtn(path, dtn: DtnMatrix) -> None:
 def load_dtn(path, weights: BoundaryWeights) -> DtnMatrix:
     with open_text(path) as fh:
         nb, omega2 = read_header(fh, path, "dtn <nb> <omega2>", (int, float))
+        if omega2 <= 0:
+            raise ConfigurationError(f"{path}: omega^2 must be positive, got {omega2}")
         if nb != weights.nb:
             raise DiscretizationMismatchError(f"{path}: file nb={nb}, weights nb={weights.nb}")
         lam = read_rows(fh, path, nb, nb)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, PwcField, boundary_loop, l2_dist, mass_scatter_matrix, uniform_partition
+from .constants import stability_abscissa
+from .domain import (Grid, PwcField, boundary_loop, check_same_grid, l2_dist, mass_scatter_matrix,
+                     uniform_partition)
 from .derivative import apply_df, bank_for_field
 from .errors import AdmissibilityError, ConfigurationError, is_count
 from .forward import (DtnMatrix, HelmholtzOperator, build_boundary_weights, dtn_data_norm,
@@ -70,8 +72,7 @@ def audit_alessandrini(c1: PwcField, c2: PwcField, omega2: float, trials: int = 
         raise ConfigurationError(f"unknown DtN variant {variant!r}")
     if not is_count(trials, 1):
         raise ConfigurationError(f"the identity audit needs at least one trial, got {trials!r}")
-    if c1.grid.m != c2.grid.m:
-        raise ConfigurationError("fields live on different grids")
+    check_same_grid(c1.grid, c2.grid, "fields")
     grid = c1.grid
     dcells = c1.cell_values() - c2.cell_values()
     if np.all(dcells == 0):
@@ -185,9 +186,9 @@ class StabilitySample:
 class LipschitzReport:
     """Stability-ratio growth across region counts with fitted exponents.
 
-    khat_fit is the regression slope of log(max_ratio * omega^2) against
-    (1 + omega^2*B2) * N^e; khat_bound is the largest implied per-sample
-    exponent (so the bound with khat_bound dominates every sample).
+    khat_fit is the regression slope of log(max_ratio * omega^2) against x_N
+    (constants.stability_abscissa); khat_bound is the largest implied
+    per-sample exponent (so the bound with khat_bound dominates every sample).
     Ratios are reported under the Hilbert-Schmidt data norm, with the
     operator-norm variant alongside.
     """
@@ -256,13 +257,6 @@ def _stability_sweep(grid: Grid, omega2: float, b1: float, b2: float, big_ns,
                 yield level, kind, l2_dist(c1, c2), diff, data_dist
 
 
-def _implied_exponent(ratio: float, big_n: int, omega2: float, b2: float,
-                      n_exponent: float) -> float:
-    """The stability coefficient k at which omega^-2 exp(k (1 + omega^2 B2) N^e)
-    equals a sampled ratio."""
-    return np.log(ratio * omega2) / ((1.0 + omega2 * b2) * big_n ** n_exponent)
-
-
 def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
                                 big_ns=(1, 4, 16, 64), samples_per_n: int = 6,
                                 seed: int = 0, n_exponent: float = 4.0 / 7.0) -> LipschitzReport:
@@ -292,7 +286,7 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
                                            ratio_op=ratio_op, kind=kind))
         max_ratios[level] = max(max_ratios[level], ratio)
         max_ratios_op[level] = max(max_ratios_op[level], ratio_op)
-    xs = np.array([(1.0 + omega2 * b2) * n ** n_exponent for n in big_ns])
+    xs = np.array([stability_abscissa(n, omega2, b2, n_exponent) for n in big_ns])
     ys = np.log(np.array(max_ratios) * omega2)
     if len(big_ns) >= 2:
         coef = np.polyfit(xs, ys, 1)
@@ -301,7 +295,8 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     else:
         khat_fit = float(ys[0] / xs[0])
         fit_residual = 0.0
-    khat_bound = float(max(_implied_exponent(s.ratio, s.big_n, omega2, b2, n_exponent)
+    khat_bound = float(max(np.log(s.ratio * omega2)
+                           / stability_abscissa(s.big_n, omega2, b2, n_exponent)
                            for s in all_samples))
     return LipschitzReport(
         big_ns=list(big_ns),

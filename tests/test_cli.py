@@ -328,7 +328,9 @@ def test_non_numeric_config_value_exits_64(tmp_path, old, new):
     b"m = 17\n",
     BASE.replace("m = 17\n", "m = 17\nm = 33\n").encode(),
     BASE.replace("m = 17", "m = 17 # \xe9").encode("latin-1"),
-], ids=["no_section_header", "duplicate_key", "not_utf8"])
+    (BASE + "[extra]\nm = 3\n").encode(),
+    BASE.replace("m = 17\n", "m = 17\nn = 17\n").encode(),
+], ids=["no_section_header", "duplicate_key", "not_utf8", "unknown_section", "unknown_key"])
 def test_unparseable_config_exits_64(tmp_path, content):
     path = tmp_path / "config.ini"
     path.write_bytes(content)
@@ -366,6 +368,16 @@ def test_negative_seed_exits_64(tmp_path, command, text, extra):
     # np.random.default_rng raised ValueError for these, which exited 1
     cfg = write_config(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "x")] + extra) == 64
+
+
+def test_seed_option_overrides_both_config_seeds(tmp_path, monkeypatch):
+    seeds = []
+    monkeypatch.setitem(cli.COMMANDS, "verify",
+                        lambda cfg, out, args: seeds.append((cfg.seed, cfg.bundle_seed)) or 0)
+    cfg = write_config(tmp_path, BASE.replace("eps = 0.1", "eps = 0.1\nseed = 3"))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "11"]) == 0
+    assert seeds == [(7, 3), (11, 11)]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -505,6 +505,16 @@ def test_bundle_file_rejects_malformed_lines(tmp_path, line):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("key", ["df_bound0", "omega2", "phi_beta"])
+def test_bundle_file_refuses_a_missing_key(tmp_path, key):
+    path = tmp_path / "bundle.txt"
+    save_bundle(path, bundle())
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith(key + " ")))
+    with pytest.raises(ConfigurationError, match=f"missing bundle key '{key}'"):
+        load_bundle(path)
+
+
 @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
 def test_bundle_file_rejects_malformed_numbers(tmp_path, value):
     path = tmp_path / "bundle.txt"

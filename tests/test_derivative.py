@@ -17,6 +17,7 @@ from helmrecon import (
     make_uniform_partition,
     residual_from,
 )
+from helmrecon import derivative
 from helmrecon.derivative import Residual, _weighted_df, df_norm_probe, indicator_probes
 from helmrecon.domain import l2_norm, mass_scatter_matrix
 
@@ -229,6 +230,26 @@ def test_residual_norm_recomputed_consistent(setup17, rng):
     mat = rng.standard_normal((weights.nb, weights.nb))
     res = Residual(matrix=mat, weights=weights)
     assert res.norm == dtn_data_norm(mat, weights)
+
+
+def test_probes_skip_a_zero_direction_before_evaluating_it(setup17, monkeypatch):
+    _, part, c, _, _, bank = setup17
+    probes = indicator_probes(part)
+    zero = PwcField(part, np.zeros(4), (1e-12, 1.0))
+    best = df_norm_probe(bank, probes)
+    seen = []
+    real = derivative._weighted_df
+    monkeypatch.setattr(derivative, "_weighted_df", lambda b, d: seen.append(d) or real(b, d))
+    assert df_norm_probe(bank, [zero, *probes]) == best
+    assert lipschitz_df_probe(c, c, 5.0, probes=[zero]) == 0.0
+    assert len(seen) == len(probes) and all(d is not zero for d in seen)
+
+
+def test_lipschitz_probe_refuses_fields_on_two_grids(setup17):
+    _, _, c, _, _, _ = setup17
+    other = PwcField(make_uniform_partition(Grid(9), 2), c.coeffs, c.bounds)
+    with pytest.raises(DiscretizationMismatchError, match="fields live on different grids"):
+        lipschitz_df_probe(c, other, 5.0)
 
 
 def test_lipschitz_probe_zero_for_equal_fields(setup17):

@@ -276,6 +276,12 @@ def test_norm_mismatched_grids_rejected():
     nodal = NodalField(Grid(9), np.zeros(81))
     with pytest.raises(DiscretizationMismatchError):
         l2_dist(f, nodal)
+    # one check and one message for every pair of operands (domain.check_same_grid)
+    for mismatch in (lambda: l2_dist(f, g), lambda: project(f, g.partition),
+                     lambda: project(nodal, g.partition, bounds=(0.5, 2.0)),
+                     lambda: embed(f, g.partition)):
+        with pytest.raises(DiscretizationMismatchError, match="live on different grids"):
+            mismatch()
 
 
 def test_embed_preserves_norm_exactly():
@@ -286,6 +292,17 @@ def test_embed_preserves_norm_exactly():
     lifted = embed(f, fine)
     assert l2_norm(lifted) == pytest.approx(l2_norm(f), rel=1e-15)
     assert l2_dist(lifted, f) == 0.0
+
+
+def test_embed_refuses_a_partition_that_is_not_nested():
+    g = Grid(9)
+    f = PwcField(make_uniform_partition(g, 2), np.array([1.0, 2.0, 3.0, 4.0]), (0.5, 5.0))
+    cj = np.arange(g.n_cells) % g.cells_per_side
+    across = Partition(g, (cj >= 3).astype(int), 1)  # the coarse regions split at column 4
+    with pytest.raises(DiscretizationMismatchError, match="not nested"):
+        embed(f, across)
+    constant = f.with_coeffs(np.full(4, 2.0))  # unless the field is constant across the cut
+    assert np.array_equal(embed(constant, across).coeffs, [2.0, 2.0])
 
 
 # ---------------------------------------------------------------- file format
@@ -313,6 +330,8 @@ def test_field_file_header_errors(tmp_path):
                               np.ones(4), (0.5, 2.0)))
     with pytest.raises(DiscretizationMismatchError):
         load_pwc_field(good, make_uniform_partition(Grid(9), 1), (1.0, 2.0))
+    with pytest.raises(DiscretizationMismatchError, match="level"):
+        load_pwc_field(good, make_uniform_partition(Grid(9), 2, level=1), (0.5, 2.0))
 
 
 BAD_PWC = {

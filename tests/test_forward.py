@@ -987,6 +987,8 @@ def test_dtn_file_round_trip(tmp_path, grid17, weights17):
     back = load_dtn(path, weights17)
     assert np.array_equal(back.lam, dtn.lam)
     assert back.omega2 == dtn.omega2
+    with pytest.raises(DiscretizationMismatchError, match="nb=64"):
+        load_dtn(path, build_boundary_weights(Grid(9)))
 
 
 # ---------------------------------------------------------------- data norm
@@ -1031,7 +1033,8 @@ def test_load_dtn_rejects_malformed_header(tmp_path, weights17, body):
         load_dtn(path, weights17)
 
 
-@pytest.mark.parametrize("edit", ["ragged", "non_finite", "non_numeric", "trailing"])
+@pytest.mark.parametrize("edit", ["ragged", "non_finite", "non_numeric", "trailing",
+                                  "zero_omega2", "negative_omega2"])
 def test_load_dtn_rejects_malformed_rows(tmp_path, weights17, edit):
     dtn = dtn_for_field(const_field(17), 1.0)
     path = tmp_path / "dtn.txt"
@@ -1043,6 +1046,8 @@ def test_load_dtn_rejects_malformed_rows(tmp_path, weights17, edit):
         lines[3] = lines[3].replace(lines[3].split()[0], "inf", 1)
     elif edit == "non_numeric":
         lines[3] = lines[3].replace(lines[3].split()[0], "0,5", 1)
+    elif edit.endswith("omega2"):  # both loaded, though no solve runs at omega^2 <= 0
+        lines[0] = "dtn 64 0.0" if edit == "zero_omega2" else "dtn 64 -1.0"
     else:
         lines.append(lines[-1])
     path.write_text("\n".join(lines) + "\n")

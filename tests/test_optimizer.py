@@ -9,8 +9,10 @@ from helmrecon import (
     CompressionModel,
     ConfigurationError,
     ConstantsBundle,
+    DiscretizationMismatchError,
     Grid,
     LevelConditionError,
+    NodalField,
     PwcField,
     bregman,
     build_boundary_weights,
@@ -126,6 +128,61 @@ def test_multilevel_refuses_every_level_setting_before_any_evaluation(problem17,
     with pytest.raises(ConfigurationError, match="must be finite and >= 0"):
         run_multilevel([p1, p2], bundle, data, start, max_iter=10, **settings)
     assert assembled == []
+
+
+@pytest.mark.parametrize("omega2, box, error", [
+    (1.0, (B1, B2), DiscretizationMismatchError),   # constants for another frequency
+    (W2, (B1, 3.0), ConfigurationError),            # a start box wider than theirs
+    (W2, (0.5, B2), ConfigurationError),
+], ids=["other_omega2", "box_above", "box_below"])
+def test_descent_refuses_constants_for_another_problem(problem17, monkeypatch, omega2, box,
+                                                       error):
+    # both loops ran every level on such constants without a word
+    _, p1, p2, _, _, data, bundle = problem17
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated before checking the constants")
+
+    monkeypatch.setattr(optimizer, "bank_for_field", no_evaluation)
+    other = dataclasses.replace(bundle, omega2=omega2)
+    start = PwcField(p1, np.array([1.5]), box)
+    with pytest.raises(error):
+        run_level(start, derive_level(other, 1), data, max_iter=10, eta_override=0.0)
+    with pytest.raises(error):
+        run_multilevel([p1, p2], other, data, start, max_iter=10)
+
+
+def test_descent_accepts_a_start_box_inside_the_constants_box(problem17):
+    _, p1, _, _, _, data, bundle = problem17
+    start = PwcField(p1, np.array([1.5]), (1.2, 1.8))
+    run = run_level(start, derive_level(bundle, 1), data, max_iter=0, eta_override=0.0)
+    assert run.stop_reason == "max_iter"
+
+
+def test_run_level_stops_where_the_direction_vanishes(problem17, monkeypatch):
+    _, p1, _, _, _, data, bundle = problem17
+    monkeypatch.setattr(optimizer, "apply_df_adjoint",
+                        lambda bank, res: NodalField(bank.grid, np.zeros(bank.grid.n_nodes)))
+    lc = derive_level(dataclasses.replace(bundle, df_lip0=1e-6), 1)  # u > 0 at this residual
+    start = PwcField(p1, np.array([1.5]), (B1, B2))
+    run = run_level(start, lc, data, max_iter=10, eta_override=0.0, discrepancy_threshold=1e-8)
+    assert run.stop_reason == "stationary"
+    assert run.k_stop == 0 and run.history["u"][0] > 0
+    assert "direction vanished" in run.warnings[0]
+
+
+@pytest.mark.parametrize("levels, settings, match", [
+    (0, {}, "at least one partition"),
+    (2, {"max_iter": [1, 1, 1]}, "schedule length"),
+    (2, {"eta_overrides": [0.0]}, "schedule length"),
+    (2, {"discrepancy_thresholds": [1e-8, 1e-8, 1e-8]}, "schedule length"),
+], ids=["empty_schedule", "max_iter", "eta_overrides", "discrepancy_thresholds"])
+def test_multilevel_refuses_a_schedule_its_settings_do_not_fit(problem17, levels, settings,
+                                                               match):
+    _, p1, p2, _, _, data, bundle = problem17
+    start = PwcField(p1, np.array([1.5]), (B1, B2))
+    with pytest.raises(ConfigurationError, match=match):
+        run_multilevel([p1, p2][:levels], bundle, data, start, **settings)
 
 
 def test_run_level_max_iter_zero(problem17):

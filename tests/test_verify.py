@@ -3,6 +3,7 @@ import pytest
 
 from helmrecon import (
     ConfigurationError,
+    DiscretizationMismatchError,
     Grid,
     PwcField,
     estimate_lipschitz_constant,
@@ -45,6 +46,19 @@ def test_identity_audit_refuses_an_unknown_variant(fields17):
     for other in (c1, c2):
         with pytest.raises(ConfigurationError, match="variant"):
             audit_alessandrini(c1, other, 5.0, trials=3, seed=0, variant="upwind")
+
+
+def test_identity_audit_refuses_fields_on_two_grids(fields17, monkeypatch):
+    # it raised ConfigurationError, where every other grid check raises this
+    _, _, c1, _ = fields17
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the grids")
+
+    monkeypatch.setattr(verify, "bank_for_field", no_solve)
+    other = PwcField(make_uniform_partition(Grid(9), 2), c1.coeffs, c1.bounds)
+    with pytest.raises(DiscretizationMismatchError, match="fields live on different grids"):
+        audit_alessandrini(c1, other, 5.0, trials=3, seed=0)
 
 
 def test_identity_audit_zero_for_equal_fields(fields17):
