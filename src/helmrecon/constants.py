@@ -452,7 +452,8 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     per N, taken from the same sweep of field pairs: it evaluates each pair's
     DtN difference (the mid-box base field of the adversarial pairs not
     again) and reads only the Hilbert-Schmidt data distance, so no
-    operator-norm ratio or report is formed.
+    operator-norm ratio or report is formed. A box with b1 = b2 raises
+    ConfigurationError before any operator is built.
     """
     if mode != "empirical":
         raise CalibrationError(f"unknown calibration mode {mode!r}")
@@ -465,7 +466,9 @@ def calibrate(grid, omega2: float, b1: float, b2: float, *, phi: CompressionMode
     from .domain import PwcField, l2_dist, make_uniform_partition, tiles
     from .derivative import bank_for_field, df_norm_probe, indicator_probes, lipschitz_df_probe
     from .forward import HelmholtzOperator, solution_bank
-    from .verify import _stability_sweep
+    from .verify import _check_sweep_box, _stability_sweep
+
+    _check_sweep_box(b1, b2)  # b1 = b2 leaves the stability fit no pair to sample
 
     rng = np.random.default_rng(seed)
     k_side = 2 if grid.cells_per_side % 2 == 0 else 1

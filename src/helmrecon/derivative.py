@@ -23,11 +23,14 @@ apply_df_adjoint match operands by grid (domain.check_same_grid).
 
 The bank is kept in condensed form (skeleton values V_X and closed-form block
 symbols), and both products are taken from it without forming U. DF(dc)
-reads only the skeleton rows and blocks where s is nonzero, a block interior
-entering as V_ring^T G_b^T diag(s_b) G_b V_ring. T(x) is p_qq on the boundary
-loop, rowsum(V_X o V_X P) on the interior skeleton and rowsum((G_b C_b) o G_b)
-on each block interior, with C_b = V_ring P V_ring^T; it depends only on the
-symmetric part of P, so P needs no folding.
+reads only the skeleton rows and blocks where s is nonzero, a block interior's
+V_ring^T G_b^T diag(s_b) G_b V_ring folded into the one product over those
+skeleton rows (its ring is skeleton). Where s_b is constant, as for any dc on
+a partition the blocks refine, G_b^T G_b = F^T D_b^2 F (S x S is
+orthonormal) comes in closed form and G_b is not formed. T(x) is p_qq on
+the boundary loop, rowsum(V_X o V_X P) on the interior skeleton and
+rowsum((G_b C_b) o G_b) on each block interior, with C_b = V_ring P V_ring^T;
+it depends only on the symmetric part of P, so P needs no folding.
 """
 
 from __future__ import annotations

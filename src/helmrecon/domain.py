@@ -147,14 +147,19 @@ def node_quad_weights(grid: Grid) -> np.ndarray:
 def grid_laplacian(grid: Grid) -> sp.csr_matrix:
     """Graph Laplacian of the node grid; u^T L v approximates the Dirichlet form.
 
-    Equals h^2 times the five-point -Delta_h at interior rows.
+    Equals h^2 times the five-point -Delta_h at interior rows. Its pattern is
+    the five-point graph's: scipy's kron goes through BSR where the path matrix
+    is at least half dense (m <= 5) and keeps its blocks' zeros, which the
+    solver's term lists would read as couplings.
     """
     m = grid.m
     main = np.full(m, 2.0)
     main[0] = main[-1] = 1.0
     path = sp.diags([main, -np.ones(m - 1), -np.ones(m - 1)], [0, -1, 1])
     eye = sp.identity(m)
-    return (sp.kron(eye, path) + sp.kron(path, eye)).tocsr()
+    lap = (sp.kron(eye, path) + sp.kron(path, eye)).tocsr()
+    lap.eliminate_zeros()
+    return lap
 
 
 @dataclass(frozen=True, eq=False)

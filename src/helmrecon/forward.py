@@ -43,8 +43,9 @@ reads a compressed-column pattern of K~, built for its layouts alone.
 A single solve lifts its Dirichlet data into the source (K_ii u_i = M f -
 K_ib g), so K~ is applied only in the factor's assembly and the DtN's loop
 rows. An evaluation then does arithmetic and precomputed gathers and scatters
-only. The block forms G_b = (S x S) D_b F of the adjoint and the derivative
-come in closed form from F's rank-one sides (SolutionBank._block_forms), and
+only. The block forms G_b = (S x S) D_b F of the adjoint come in closed form
+from F's rank-one sides (SolutionBank._block_forms), the derivative's G_b^T
+G_b = F^T D_b^2 F from the ring forms (SolutionBank._interior_forms), and
 the frequency certificate of a (grid, omega^2, box) runs once, not once per
 field (_certify).
 
@@ -1376,26 +1377,45 @@ class SolutionBank:
         return out.reshape(count, rows * n, 4 * n)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
-        """U^T diag(w) U for nodal weights w, from the rows where w is nonzero:
-        skeleton rows of U, and V_ring^T (G_b^T diag(w_b) G_b) V_ring for each
-        block interior."""
+        """U^T diag(w) U for nodal weights w, from the skeleton rows of U where w
+        is nonzero and the rings of the block interiors where it is (_gram)."""
         if np.shape(w) != (self.grid.n_nodes,):
             raise DiscretizationMismatchError(
                 f"expected {self.grid.n_nodes} nodal weights, got shape {np.shape(w)}")
         return self._gram(w, None, None)
 
+    @cached_property
+    def _interior_forms(self) -> np.ndarray:
+        """G_b^T G_b = F^T D_b^2 F for every block (S x S is orthonormal): the
+        ring forms of the squared symbols, (n_blocks, 4(s-1), 4(s-1))."""
+        forms = _ring_forms(self._sk, self.symbols ** 2)
+        forms.setflags(write=False)
+        return forms
+
     def _gram(self, w: np.ndarray, x_rows, loop_rows) -> np.ndarray:
         """gram(w) for U, or (U p)^T diag(w) (U p) given the rows of U p on X and
-        on the loop (see _rows): the block interiors of U p are G_b (U p)_ring."""
+        on the loop (see _rows): the block interiors of U p are G_b (U p)_ring.
+        One product u_R^T (diag(w_R) u_R + sum_b P_b^T Phi_b P_b u_R) over the
+        skeleton rows R where w is nonzero or that ring a block it touches (P_b
+        picks block b's ring), Phi_b = G_b^T diag(w_b) G_b: w_b times
+        _interior_forms[b] where w is constant on the interior, else from G_b."""
         sk = self._sk
-        pos = np.flatnonzero(w[sk.nodes])
+        blocks = np.flatnonzero(np.any(w[sk.interior] != 0.0, axis=1))
+        in_r = w[sk.nodes] != 0.0
+        in_r[sk.ring[blocks]] = True
+        pos, at = np.flatnonzero(in_r), np.cumsum(in_r) - 1  # at: the row in R of each position
         u = self._rows(sk.rows(pos), x_rows, loop_rows)
-        out = u.T @ (w[sk.nodes[pos], None] * u)
-        for b in np.flatnonzero(np.any(w[sk.interior] != 0.0, axis=1)):
-            g = self._block_forms(slice(b, b + 1))[0]
-            ring = self._rows(sk.rows(sk.ring[b:b + 1]), x_rows, loop_rows)[0]
-            out += ring.T @ ((g.T @ (w[sk.interior[b], None] * g)) @ ring)
-        return out
+        v = w[sk.nodes[pos], None] * u
+        for b in blocks:
+            w_b = w[sk.interior[b]]
+            if (w_b == w_b[0]).all():
+                phi = w_b[0] * self._interior_forms[b]
+            else:
+                g = self._block_forms(slice(b, b + 1))[0]
+                phi = g.T @ (w_b[:, None] * g)
+            ring = at[sk.ring[b]]
+            v[ring] += phi @ u[ring]
+        return u.T @ v
 
     @cached_property
     def _weighted_skeleton(self) -> np.ndarray:

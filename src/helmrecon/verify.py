@@ -205,6 +205,13 @@ class LipschitzReport:
     samples: list
 
 
+def _check_sweep_box(b1: float, b2: float) -> None:
+    """The stability sweep samples pairs of distinct fields in [b1, b2], of
+    which a box with b1 = b2 has none: refused with ConfigurationError."""
+    if not b1 < b2:
+        raise ConfigurationError(f"the stability sweep needs a box with b1 < b2, got ({b1}, {b2})")
+
+
 def _stability_pairs(grid: Grid, big_n: int, b1: float, b2: float, samples: int, rng):
     """Adversarial pairs first (a deep-interior single-region bump of the
     constant mid-box field, which is each one's first field), then random pairs."""
@@ -266,9 +273,10 @@ def estimate_lipschitz_constant(grid: Grid, omega2: float, b1: float, b2: float,
     base field that every adversarial pair starts from is evaluated once for
     the whole sweep (_stability_sweep); each pair's operator-norm ratio is
     taken from its DtN difference as the sweep yields it. An empty big_ns, or
-    one with an entry that is not an integer >= 1, raises ConfigurationError
-    before any solve.
+    one with an entry that is not an integer >= 1, or a box with b1 = b2,
+    raises ConfigurationError before any solve.
     """
+    _check_sweep_box(b1, b2)
     if len(big_ns) == 0:
         raise ConfigurationError("the stability sweep needs at least one region count")
     if not all(is_count(n, 1) for n in big_ns):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmrecon import Grid, PwcField, build_boundary_weights, make_uniform_partition
+from helmrecon import Grid, PwcField, build_boundary_weights, forward, make_uniform_partition
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +27,16 @@ def weights33(grid33):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def no_operator(monkeypatch):
+    """Fail any HelmholtzOperator built in the test: a refusal that must come
+    before any solve fails the test, rather than hangs it, where it is missing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", refuse)
 
 
 def random_field(grid, k, b1, b2, rng):

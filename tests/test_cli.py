@@ -244,6 +244,23 @@ def test_calibrate_mode_refuses_bad_exponent_before_any_operator(tmp_path, monke
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["calibrate", "reconstruct"])
+def test_calibrate_mode_refuses_a_box_with_b1_equal_to_b2(tmp_path, no_operator, command):
+    # the stability sweep looped forever on it
+    text = BASE.replace("mode = analytic", "mode = calibrate\nsamples = 10")
+    cfg = write_config(tmp_path, text.replace("b1 = 1.0\nb2 = 2.0", "b1 = 1.5\nb2 = 1.5"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "cal")]) == 64
+
+
+def test_calibrate_command_runs_at_m5(tmp_path):
+    # its N = 16 regions are 4 x 4 single cells, which raised a bare IndexError
+    # (exit 1) while the grid Laplacian kept explicit zeros
+    text = BASE.replace("m = 17", "m = 5").replace("mode = analytic", "mode = calibrate")
+    assert main(["calibrate", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "cal")]) == 0
+    assert "calibration = empirical" in (tmp_path / "cal" / "bundle.txt").read_text()
+
+
 # A malformed truth file is a configuration error: exit 64, never a traceback.
 BAD_TRUTH = {
     "non_numeric": "pwc 1 0\n0 abc\n",

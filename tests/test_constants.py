@@ -444,6 +444,13 @@ def test_calibrate_refuses_bad_eps_or_exponent_before_any_operator(monkeypatch, 
     assert built == []
 
 
+def test_calibrate_refuses_a_box_with_b1_equal_to_b2_before_any_operator(no_operator):
+    # the stability sweep's random pairs never differ in such a box, and it
+    # looped forever
+    with pytest.raises(ConfigurationError, match="b1 < b2"):
+        calibrate(Grid(17), 5.0, 1.5, 1.5, **SMOKE)
+
+
 def test_calibrate_work_count_and_stability_fit(monkeypatch):
     evals, reads, kinds = [], [], []
     init, dtn = forward.HelmholtzOperator.__init__, forward.HelmholtzOperator._dtn

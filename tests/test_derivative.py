@@ -17,7 +17,7 @@ from helmrecon import (
     make_uniform_partition,
     residual_from,
 )
-from helmrecon import derivative
+from helmrecon import derivative, forward
 from helmrecon.derivative import Residual, _weighted_df, df_norm_probe, indicator_probes
 from helmrecon.domain import l2_norm, mass_scatter_matrix
 
@@ -125,6 +125,10 @@ def test_adjoint_direction_matches_brute_force(setup17):
         assert brute == pytest.approx(predicted, rel=2e-2)
 
 
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
 def _bank16(m):
     g = Grid(m)
     part = make_uniform_partition(g, 4)
@@ -163,6 +167,72 @@ def test_apply_df_matches_dense_product(m):
             assert np.all(out == 0.0)
         else:
             assert np.linalg.norm(out - dense) <= 1e-13 * np.linalg.norm(dense), name
+
+
+# (m, regions per side, factor, block size, grouped): SuperLU at s = 1, where
+# there are no block interiors, the one-cross dense factor and the two-level one
+FOLD_LAYOUTS = [(17, 16, "superlu", 1, True), (17, 2, "dense", 8, False),
+                (33, 4, "dense", 8, True)]
+
+
+def _fold_case(m, k, factor, s, grouped):
+    part = make_uniform_partition(Grid(m), k)
+    c = PwcField(part, np.random.default_rng(m + k).uniform(1.0, 2.0, part.n_regions), (1.0, 2.0))
+    op = HelmholtzOperator(c, 5.0)
+    assert (op.factor, op.block_size) == (factor, s)
+    assert forward._block_size(c, 5.0) == (s, grouped)
+    return part, c, forward.solution_bank(op)
+
+
+@pytest.mark.parametrize("layout", FOLD_LAYOUTS, ids=["superlu", "one_cross", "two_level"])
+def test_gram_folds_the_block_interiors_into_the_skeleton_product(layout):
+    # gram and the probes' weighted gram against the dense bank: block-constant
+    # fields fold through the interior forms, mixed weights through G_b, and
+    # weights on one block interior alone still read that block's ring rows
+    part, c, bank = _fold_case(*layout)
+    grid, u, half = part.grid, bank.solutions, bank.weights.w_minus_half
+    rng = np.random.default_rng(11)
+    signed = rng.standard_normal(part.n_regions)
+    signed[::3] = 0.0
+    cells = {
+        "block-constant": c,
+        "signed with zero regions": PwcField(part, signed, (1e-12, 10.0)),
+        "raw mixed cells": rng.standard_normal(grid.n_cells),
+    }
+    weights = {name: derivative._lumped(bank, d) for name, d in cells.items()}
+    sk = forward._skeleton(grid, bank.block_size)
+    if sk.interior.size:
+        for name, values in (("one interior, mixed", rng.standard_normal(sk.interior.shape[1])),
+                             ("one interior, constant", 1.3)):
+            inside = np.zeros(grid.n_nodes)
+            inside[sk.interior[0]] = values
+            assert np.all(inside[sk.nodes[sk.ring[0]]] == 0.0)
+            weights[name] = inside
+    for name, w in weights.items():
+        dense = (u * w[:, None]).T @ u
+        assert _rel(bank.gram(w), dense) <= 1e-13, name
+        assert _rel(bank._weighted_gram(w), half @ dense @ half) <= 1e-13, name
+    for name, delta in cells.items():
+        dense = half @ (bank.omega2 * (u * weights[name][:, None]).T @ u) @ half
+        assert _rel(_weighted_df(bank, delta), dense) <= 1e-13, name
+
+
+@pytest.mark.parametrize("layout", FOLD_LAYOUTS[1:], ids=["one_cross", "two_level"])
+def test_probes_on_the_fields_partition_never_form_a_block(layout, monkeypatch):
+    # a field's own partition is constant on every block interior, so each
+    # block folds through its interior form alone
+    part, c, bank = _fold_case(*layout)
+    formed = []
+    real = forward.SolutionBank._block_forms
+    monkeypatch.setattr(forward.SolutionBank, "_block_forms",
+                        lambda self, *args, **kw: formed.append(1) or real(self, *args, **kw))
+    probes = indicator_probes(part)
+    assert df_norm_probe(bank, probes) > 0.0
+    other = c.with_coeffs(np.clip(c.coeffs[::-1] + 0.05, 1.0, 2.0))
+    assert lipschitz_df_probe(c, other, 5.0, probes=probes) > 0.0
+    assert formed == []
+    _weighted_df(bank, np.random.default_rng(2).standard_normal(part.grid.n_cells))
+    assert formed  # mixed cell values do form them
 
 
 @pytest.mark.parametrize("m", [17, 33])

@@ -22,7 +22,8 @@ from helmrecon import (
     project,
     save_field,
 )
-from helmrecon.domain import boundary_loop, cell_corners, interior_nodes, tiles, uniform_partition
+from helmrecon.domain import (boundary_loop, cell_corners, grid_laplacian, interior_nodes, tiles,
+                              uniform_partition)
 
 
 # ---------------------------------------------------------------- grid
@@ -45,6 +46,18 @@ def test_grid_boundary_loop_is_cyclic_walk():
     diffs = np.diff(np.vstack([xy, xy[:1]]), axis=0)
     steps = np.linalg.norm(diffs, axis=1)
     assert np.allclose(steps, g.h)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_grid_laplacian_stores_the_five_point_pattern_only(m):
+    # at m <= 5 scipy's kron went through BSR and kept its blocks' zeros:
+    # 325 entries at m = 5, which coupled node (1, 1) to 15 nodes
+    lap = grid_laplacian(Grid(m))
+    assert lap.nnz == m * m + 4 * m * (m - 1)  # the diagonal and both ends of every edge
+    assert np.all(lap.data != 0.0)
+    i, j = np.divmod(np.arange(m * m), m)
+    rows, cols = lap.nonzero()
+    assert np.all(np.abs(i[rows] - i[cols]) + np.abs(j[rows] - j[cols]) <= 1)
 
 
 def test_grid_too_small_rejected():

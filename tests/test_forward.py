@@ -313,9 +313,11 @@ STRIP_OMEGA2 = 32.0 ** 2 * (4 - 2 * np.cos(np.pi / 22) - 2 * np.cos(np.pi / 32))
 ORACLE_CASES += [(33, (1.0, 1.0), STRIP_OMEGA2), (17, (1.0, 1.0), 250.0)]
 # Block sizes the uniform four-region cases do not reach: (m, regions per
 # side, box, omega^2, block size). s = 1 is the plain interior system; in the
-# last case the positive-definiteness margin halves s from 8 down to 2.
+# last case the positive-definiteness margin halves s from 8 down to 2. At m = 5
+# with 4 x 4 regions the s = 1 layout groups for the two-level factor; it raised
+# a bare IndexError while the grid Laplacian kept explicit zeros.
 BLOCK_SIZE_CASES = [(9, 8, (1.0, 2.0), 5.0, 1), (33, 16, (1.0, 2.0), 5.0, 2),
-                    (17, 2, (1.0, 1.0), 250.0, 2)]
+                    (17, 2, (1.0, 1.0), 250.0, 2), (5, 4, (1.0, 2.0), 5.0, 1)]
 # The skeleton factor is SuperLU where s = 2 gives more than 2 nb skeleton
 # unknowns (n_x = 161 at m = 17, 705 at m = 33), dense LU in every other case.
 SUPERLU_CASES = {(17, 2, 250.0), (33, 16, 5.0)}  # (m, regions per side, omega^2)
@@ -666,6 +668,22 @@ def test_block_forms_match_the_dst_products(s, rng):
     assert forms.shape == dst.shape == (4, (s - 1) ** 2, 4 * (s - 1))
     assert _rel(forms, dst) <= 1e-14
     assert _rel(bank._block_forms(slice(1, 3)), dst[1:3]) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [2, 8, 16, 32])
+def test_interior_forms_are_the_gram_of_the_block_forms(s, rng):
+    # S x S is orthonormal, so G_b^T G_b = F^T D_b^2 F: the ring forms of the
+    # squared symbols, which the bank's gram folds into its skeleton product
+    grid = Grid(2 * s + 1)
+    sk = forward._skeleton(grid, s)
+    symbols = forward._block_symbols(sk, rng.uniform(-0.1, 0.05, sk.interior.shape[0]))
+    bank = SolutionBank(np.zeros((sk.n_x, grid.n_boundary)), build_boundary_weights(grid),
+                        5.0, s, symbols)
+    g = bank._block_forms(slice(None))
+    forms = bank._interior_forms
+    assert forms.shape == (4, 4 * (s - 1), 4 * (s - 1)) and not forms.flags.writeable
+    assert _rel(forms, g.transpose(0, 2, 1) @ g) <= 1e-13
+    assert bank._interior_forms is forms
 
 
 def test_box_certificate_runs_once_per_box_and_refuses_every_time(monkeypatch):

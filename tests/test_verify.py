@@ -191,6 +191,14 @@ def test_stability_sampling_refuses_a_region_count_that_is_not_an_integer(grid17
         estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=big_ns, samples_per_n=1)
 
 
+def test_stability_sampling_refuses_a_box_with_b1_equal_to_b2(no_operator):
+    # the sweep's random pairs never differ in such a box, and it looped
+    # forever; one sample per N is the adversarial pair alone, which reaches
+    # an operator where the refusal is missing
+    with pytest.raises(ConfigurationError, match="b1 < b2"):
+        estimate_lipschitz_constant(Grid(9), 1.0, 1.5, 1.5, big_ns=(1,), samples_per_n=1)
+
+
 def test_stability_sampling_takes_numpy_integer_region_counts(grid17):
     kwargs = dict(samples_per_n=1, seed=3)
     rep = estimate_lipschitz_constant(grid17, 1.0, 1.0, 2.0, big_ns=(np.int64(1),), **kwargs)
